@@ -36,6 +36,7 @@ from .gram import (
     kernel_coeffs,
     kernel_eval,
     kernel_inverse,
+    kernel_sum,
     moment,
     moment_matrix,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "kernel_coeffs",
     "kernel_eval",
     "kernel_inverse",
+    "kernel_sum",
     "moment",
     "moment_matrix",
     "norm_squared",

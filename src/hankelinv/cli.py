@@ -28,7 +28,13 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .closed_form import explicit_det, explicit_inverse, jacobi_det_as_printed, unnormalized_scale
+from .closed_form import (
+    MAX_DIGITS,
+    explicit_det,
+    explicit_inverse,
+    jacobi_det_as_printed,
+    unnormalized_scale,
+)
 from .elimination import bareiss_det, gauss_inverse
 from .gram import det_from_norms, gram_schmidt, kernel_eval, kernel_inverse, moment_matrix
 from .orthopoly import Family, FamilySpec, InvalidFamilySpec
@@ -154,6 +160,8 @@ def run(request: CliRequest) -> int:
         raise UsageError("--unnormalized requires --float")
     if request.digits < 1:
         raise UsageError("--digits must be >= 1")
+    if request.digits > MAX_DIGITS:
+        raise UsageError(f"--digits must be <= {MAX_DIGITS}")
     spec = _make_spec(request)
 
     if request.command == "verify":

@@ -18,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 from mpmath import mp
 
 from .elimination import bareiss_det
-from .gram import ExactMatrix, moment_matrix
+from .gram import ExactMatrix, kernel_sum, moment_matrix
 from .orthopoly import Family, FamilySpec, norm_squared, special_value
-from .special import barnes_g_int, binomial, pochhammer
+from .special import barnes_g_int, pochhammer
 
 __all__ = [
     "FormulaId",
@@ -127,96 +127,120 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
     return result
 
 
-def _weight_factor(c: Fraction, k: int) -> Fraction:
-    """(2k + c) (c)_k / c with the removable c = 0 pole cancelled."""
-    if k == 0:
-        return Fraction(1)
-    return (2 * k + c) * pochhammer(c + 1, k - 1)
-
-
 def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
-    """Closed-form inverse of the normalized moment matrix, entry by entry
-    from the printed finite sums over k = max(i, j)..n built on the
-    shifted-parameter anchor values of ``orthopoly.special_value``."""
+    """Closed-form inverse of the normalized moment matrix.
+
+    Every printed inverse is a finite sum over k = max(i, j)..n of the form
+    B(i, j) = sum_k f(k, i) f(k, j) w(k), built on the shifted-parameter
+    anchor values of ``orthopoly.special_value``.  The family's factor table
+    f and weights w are built once, then summed by ``gram.kernel_sum``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    fam = spec.family
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            value = _inverse_entry(spec, fam, n, i, j)
-            rows[i][j] = value
-            rows[j][i] = value
-    return ExactMatrix(tuple(tuple(row) for row in rows))
+    factors, weights = _FACTOR_TABLES[spec.family](spec, n)
+    return kernel_sum(factors, weights)
 
 
-def _inverse_entry(spec: FamilySpec, fam: Family, n: int, i: int, j: int) -> Fraction:
-    lo = max(i, j)
-    if fam is Family.HERMITE:
-        acc = Fraction(0)
-        for k in range(lo, n + 1):
-            acc += (
-                binomial(k, i)
-                * special_value(spec, k - i)
-                * binomial(k, j)
-                * special_value(spec, k - j)
-                / (factorial(k) * Fraction(2) ** k)
-            )
-        return Fraction(2) ** (i + j) * acc
-    if fam is Family.LAGUERRE:
-        a = spec.alpha
-        acc = Fraction(0)
-        for k in range(lo, n + 1):
-            acc += pochhammer(a + 1, k) / factorial(k) * binomial(k, i) * binomial(k, j)
-        return acc / ((-1) ** (i + j) * pochhammer(a + 1, i) * pochhammer(a + 1, j))
-    if fam is Family.GEGENBAUER:
-        lam = spec.lam
-        acc = Fraction(0)
-        for k in range(lo, n + 1):
-            acc += (
-                factorial(k)
-                * (lam + k)
-                * special_value(spec, k - i, shift=i)
-                * special_value(spec, k - j, shift=j)
-                / pochhammer(2 * lam, k)
-            )
-        # prefactor rescaled for the mass-1 matrix: Gamma ratios collapse to 1/lam
-        return (
-            Fraction(2) ** (i + j)
-            * pochhammer(lam, i)
-            * pochhammer(lam, j)
-            / (factorial(i) * factorial(j) * lam)
-            * acc
-        )
+# a family's inverse as factor rows f(k, 0..k) and weights w(k), k = 0..n
+_Table = tuple[list[list[Fraction]], list[Fraction]]
+
+
+def _rising(start: Fraction, n: int) -> list[Fraction]:
+    """[(start)_0, (start)_1, ..., (start)_n] by the step (x)_{k+1} = (x)_k (x + k)."""
+    out = [Fraction(1)]
+    for k in range(n):
+        out.append(out[-1] * (start + k))
+    return out
+
+
+def _hermite_table(spec: FamilySpec, n: int) -> _Table:
+    # f(k, i) = 2^i C(k, i) H_{k-i}(0),  w(k) = 1 / (k! 2^k)
+    anchor = [special_value(spec, m) for m in range(n + 1)]
+    factors = [[2**i * comb(k, i) * anchor[k - i] for i in range(k + 1)] for k in range(n + 1)]
+    weights = [Fraction(1, factorial(k) * 2**k) for k in range(n + 1)]
+    return factors, weights
+
+
+def _laguerre_table(spec: FamilySpec, n: int) -> _Table:
+    # f(k, i) = (-1)^i C(k, i) / (a+1)_i,  w(k) = (a+1)_k / k!
+    rising = _rising(spec.alpha + 1, n)
+    factors = [[(-1) ** i * comb(k, i) / rising[i] for i in range(k + 1)] for k in range(n + 1)]
+    weights = [rising[k] / factorial(k) for k in range(n + 1)]
+    return factors, weights
+
+
+def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
+    # f(k, i) = 2^i (lam)_i / i! * C_{k-i}^(lam+i)(0),
+    # w(k) = k! (lam + k) / ((2 lam)_k lam): the printed prefactor rescaled for
+    # the mass-1 matrix, whose Gamma ratios collapse to 1/lam
+    lam = spec.lam
+    rising = _rising(lam, n)
+    double = _rising(2 * lam, n)
+    prefactor = [2**i * rising[i] / factorial(i) for i in range(n + 1)]
+    factors = [
+        [prefactor[i] * special_value(spec, k - i, shift=i) for i in range(k + 1)]
+        for k in range(n + 1)
+    ]
+    weights = [factorial(k) * (lam + k) / (double[k] * lam) for k in range(n + 1)]
+    return factors, weights
+
+
+def _jacobi_weights(c: Fraction, n: int) -> list[Fraction]:
+    """(2k + c) (c)_k / c, the removable c = 0 pole cancelled, for k = 0..n."""
+    tail = _rising(c + 1, n - 1)
+    return [Fraction(1)] + [(2 * k + c) * tail[k - 1] for k in range(1, n + 1)]
+
+
+def _rising_rows(c: Fraction, n: int) -> list[list[Fraction]]:
+    """Row k holds (k + c)_i for i = 0..k."""
+    return [_rising(k + c, k) for k in range(n + 1)]
+
+
+def _jacobi_table(spec: FamilySpec, n: int) -> _Table:
+    # f(k, i) = (-1)^i / (2^i i!) * (k+c)_i P_{k-i}^(a+i, b+i)(0),
+    # w(k) = k! (2k+c) (c)_k / c / ((a+1)_k (b+1)_k),  c = a + b + 1
     a, b = spec.alpha, spec.beta
     c = a + b + 1
-    if fam is Family.JACOBI:
-        acc = Fraction(0)
-        for k in range(lo, n + 1):
-            acc += (
-                factorial(k)
-                * _weight_factor(c, k)
-                * pochhammer(k + c, i)
-                * special_value(spec, k - i, shift=i)
-                * pochhammer(k + c, j)
-                * special_value(spec, k - j, shift=j)
-                / (pochhammer(a + 1, k) * pochhammer(b + 1, k))
-            )
-        return (-1) ** (i + j) * acc / (Fraction(2) ** (i + j) * factorial(i) * factorial(j))
-    # shifted jacobi, with (c)_i (c+i)_k / (c)_k collapsed to (k+c)_i so the
-    # valid alpha + beta = -1 corner stays finite
-    acc = Fraction(0)
-    for k in range(lo, n + 1):
-        acc += (
-            _weight_factor(c, k)
-            * pochhammer(a + 1, k)
-            / (factorial(k) * pochhammer(b + 1, k))
-            * binomial(k, i)
-            * binomial(k, j)
-            * pochhammer(k + c, i)
-            * pochhammer(k + c, j)
-        )
-    return (-1) ** (i + j) * acc / (pochhammer(a + 1, i) * pochhammer(a + 1, j))
+    upper = _rising_rows(c, n)
+    prefactor = [Fraction((-1) ** i, 2**i * factorial(i)) for i in range(n + 1)]
+    factors = [
+        [prefactor[i] * upper[k][i] * special_value(spec, k - i, shift=i) for i in range(k + 1)]
+        for k in range(n + 1)
+    ]
+    rising_a, rising_b = _rising(a + 1, n), _rising(b + 1, n)
+    weights = [
+        factorial(k) * wf / (rising_a[k] * rising_b[k])
+        for k, wf in enumerate(_jacobi_weights(c, n))
+    ]
+    return factors, weights
+
+
+def _shifted_jacobi_table(spec: FamilySpec, n: int) -> _Table:
+    # f(k, i) = (-1)^i C(k, i) (k+c)_i / (a+1)_i,
+    # w(k) = (2k+c) (c)_k / c * (a+1)_k / (k! (b+1)_k); the printed
+    # (c)_i (c+i)_k / (c)_k is collapsed to (k+c)_i so the valid
+    # alpha + beta = -1 corner stays finite
+    a, b = spec.alpha, spec.beta
+    c = a + b + 1
+    upper = _rising_rows(c, n)
+    rising_a, rising_b = _rising(a + 1, n), _rising(b + 1, n)
+    factors = [
+        [(-1) ** i * comb(k, i) * upper[k][i] / rising_a[i] for i in range(k + 1)]
+        for k in range(n + 1)
+    ]
+    weights = [
+        wf * rising_a[k] / (factorial(k) * rising_b[k])
+        for k, wf in enumerate(_jacobi_weights(c, n))
+    ]
+    return factors, weights
+
+
+_FACTOR_TABLES = {
+    Family.HERMITE: _hermite_table,
+    Family.LAGUERRE: _laguerre_table,
+    Family.GEGENBAUER: _gegenbauer_table,
+    Family.JACOBI: _jacobi_table,
+    Family.SHIFTED_JACOBI: _shifted_jacobi_table,
+}
 
 
 def explicit_det_result(spec: FamilySpec, n: int) -> ExplicitResult:
@@ -287,7 +311,9 @@ def jacobi_det_as_printed(
                 )
             )
             printed = prefactor * block1 * block2
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):
+            # a pole of the printed display (mpmath raises ValueError on a
+            # gamma pole, e.g. at the valid corner alpha + beta = -1)
             printed = mp.nan
         exact_f = _to_mpf(exact)
         tolerance = mp.mpf(10) ** (-mp.mpf(digits) / 2)

@@ -19,6 +19,7 @@ families entry(i,j) = moment(i+j).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ __all__ = [
     "hankel_moment",
     "moment_matrix",
     "gram_schmidt",
+    "kernel_sum",
     "kernel_inverse",
     "kernel_coeffs",
     "kernel_eval",
@@ -145,11 +147,7 @@ def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     if n < 0:
         raise ValueError("n must be >= 0")
     seq = [hankel_moment(spec, k) for k in range(2 * n + 1)]
-    matrix = ExactMatrix(
-        tuple(tuple(seq[i + j] for j in range(n + 1)) for i in range(n + 1))
-    )
-    assert matrix.is_symmetric()
-    return matrix
+    return ExactMatrix(tuple(tuple(seq[i + j] for j in range(n + 1)) for i in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -198,23 +196,32 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     )
 
 
+def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> ExactMatrix:
+    """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k).
+
+    ``factors`` is lower triangular: row k holds f(k, 0..k) and f(k, i) = 0
+    for i > k, so row k contributes to the entries with max(i, j) <= k.  Both
+    the kernel engine (monic coefficients, w = 1 / h) and the closed forms
+    (printed factor tables) sum their inverses here."""
+    size = len(factors)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for row, weight in zip(factors, weights):
+        nonzero = [(i, f) for i, f in enumerate(row) if f]
+        for start, (i, f_i) in enumerate(nonzero):
+            scaled = f_i * weight
+            target = rows[i]
+            for j, f_j in nonzero[start:]:
+                target[j] += scaled * f_j
+    for i in range(size):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    return ExactMatrix(tuple(tuple(row) for row in rows))
+
+
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:
     """Exact inverse of the moment matrix via the kernel coefficient sum
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m."""
-    n = table.n
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for m in range(n + 1):
-        coeffs = table.monic[m].coeffs
-        inv_h = 1 / table.norms[m]
-        for j in range(m + 1):
-            if coeffs[j] == 0:
-                continue
-            for k in range(j, m + 1):
-                contrib = coeffs[j] * coeffs[k] * inv_h
-                rows[j][k] += contrib
-                if j != k:
-                    rows[k][j] += contrib
-    return ExactMatrix(tuple(tuple(row) for row in rows))
+    return kernel_sum([p.coeffs for p in table.monic], [1 / h for h in table.norms])
 
 
 def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:

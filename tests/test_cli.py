@@ -18,6 +18,7 @@ import pytest
 
 import hankelinv
 from hankelinv.cli import CliRequest, UsageError, main, parse_rational, run
+from hankelinv.closed_form import MAX_DIGITS
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import FamilySpec
 
@@ -268,6 +269,27 @@ class TestErrata:
         assert code == 2
         assert "jacobi" in err
 
+    @pytest.mark.parametrize("output", ["pretty", "json", "csv"])
+    def test_gamma_pole_corner_reports_nan(self, output):
+        # alpha + beta = -1 puts the printed display on a gamma pole
+        code, out, err = run_cli(
+            ["errata", "--family", "jacobi", "--alpha=-1/2", "--beta=-1/2", "--n", "3",
+             "--output", output]
+        )
+        assert code == 0 and err == ""
+        if output == "json":
+            doc = json.loads(out)
+            assert doc["as_printed"] == "nan"
+            assert doc["exact"] == "1/512"
+            assert doc["agrees"] is False
+        elif output == "csv":
+            rows = dict(line.split(",", 1) for line in out.splitlines())
+            assert rows["as_printed"] == "nan" and rows["exact"] == "1/512"
+            assert rows["verdict"] == "MISMATCH"
+        else:
+            assert "as-printed closed form : nan" in out
+            assert "exact determinant      : 1/512 ~ 0.001953125" in out
+
 
 class TestUsageErrors:
     def test_unknown_family(self):
@@ -309,6 +331,19 @@ class TestUsageErrors:
         code, _, err = run_cli(["det", "--family", "hermite", "--n", "1", "--float", "--digits", "0"])
         assert code == 2
         assert "--digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "--family", "hermite", "--n", "2", "--float", "--unnormalized"],
+            ["errata", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--n", "1"],
+        ],
+        ids=["det-unnormalized", "errata"],
+    )
+    def test_digits_above_maximum(self, argv):
+        code, out, err = run_cli([*argv, "--digits", str(MAX_DIGITS + 1)])
+        assert code == 2 and out == ""
+        assert err == f"error: --digits must be <= {MAX_DIGITS}\n"
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli(["--help"])

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hankelinv.closed_form import (
@@ -46,6 +48,28 @@ SAMPLE = [
 ]
 
 _IDS = [f"{s.family.value}-{i}" for i, s in enumerate(SAMPLE)]
+
+
+def _rationals(lower: Fraction, upper: Fraction = Fraction(10)) -> st.SearchStrategy[Fraction]:
+    """p/q with |p|, q <= 9 and lower < p/q < upper."""
+    values = {Fraction(p, q) for q in range(1, 10) for p in range(-9, 10)}
+    return st.sampled_from(sorted(v for v in values if lower < v < upper))
+
+
+_ALPHA = _rationals(Fraction(-1))
+_LAMBDA = _rationals(Fraction(-1, 2)).filter(bool)
+# alpha + beta = -1 with both parameters in the domain needs -1 < alpha < 0
+_CORNER_ALPHA = _rationals(Fraction(-1), Fraction(0))
+
+SPECS = st.one_of(
+    st.just(HERMITE),
+    st.builds(FamilySpec.laguerre, _ALPHA),
+    st.builds(FamilySpec.gegenbauer, _LAMBDA),
+    st.builds(FamilySpec.jacobi, _ALPHA, _ALPHA),
+    st.builds(FamilySpec.shifted_jacobi, _ALPHA, _ALPHA),
+    _CORNER_ALPHA.map(lambda a: FamilySpec.jacobi(a, -1 - a)),
+    _CORNER_ALPHA.map(lambda a: FamilySpec.shifted_jacobi(a, -1 - a)),
+)
 
 
 class TestExplicitDet:
@@ -110,6 +134,18 @@ class TestExplicitInverse:
         product = explicit_inverse(spec, n) @ moment_matrix(spec, n)
         assert product == ExactMatrix.identity(n + 1)
 
+    @given(spec=SPECS, n=st.integers(0, 10))
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), Fraction(-1, 9)), n=10)
+    @example(spec=FamilySpec.shifted_jacobi(Fraction(-8, 9), Fraction(-1, 9)), n=10)
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), 9), n=10)
+    @example(spec=FamilySpec.shifted_jacobi(9, Fraction(-8, 9)), n=10)
+    @example(spec=FamilySpec.laguerre(Fraction(-8, 9)), n=10)
+    @example(spec=FamilySpec.gegenbauer(Fraction(-4, 9)), n=10)
+    def test_property_matches_elimination(self, spec, n):
+        matrix = moment_matrix(spec, n)
+        assert explicit_inverse(spec, n) == gauss_inverse(matrix)
+        assert explicit_det(spec, n) == bareiss_det(matrix)
+
     def test_hilbert_inverse_is_integer(self):
         inverse = explicit_inverse(HILBERT, 5)
         assert all(v.denominator == 1 for row in inverse.rows for v in row)
@@ -162,6 +198,15 @@ class TestJacobiDetAsPrinted:
         if mp.isfinite(printed):
             assert note.rel_error >= 0
         # the verdict itself is informational and deliberately not asserted
+
+    def test_gamma_pole_corner_is_reported_as_nan(self):
+        # alpha + beta = -1 is in the domain but a pole of the printed display
+        spec = FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2))
+        printed, note = jacobi_det_as_printed(spec, 3)
+        assert mp.isnan(printed)
+        assert note.exact == bareiss_det(moment_matrix(spec, 3)) == Fraction(1, 512)
+        assert note.rel_error == mp.inf
+        assert note.agrees is False
 
     def test_digits_parameter(self):
         _, note = jacobi_det_as_printed(FamilySpec.jacobi(0, 0), 2, digits=40)

@@ -25,6 +25,7 @@ from hankelinv.gram import (
     kernel_coeffs,
     kernel_eval,
     kernel_inverse,
+    kernel_sum,
     moment,
     moment_matrix,
 )
@@ -272,6 +273,18 @@ class TestStandardPolynomialsUnderForm:
                     for b, qb in enumerate(polys[m])
                 )
                 assert value == (norm_squared(spec, k) if k == m else 0)
+
+
+class TestKernelSum:
+    def test_lower_triangular_rows(self):
+        # B(i, j) = sum_k f(k, i) f(k, j) w(k) with f(0, 1) = 0 implied
+        result = kernel_sum([[1], [2, 3]], [Fraction(1, 2), Fraction(1)])
+        assert result == ExactMatrix.from_rows([[Fraction(9, 2), 6], [6, 9]])
+        assert all(type(v) is Fraction for row in result.rows for v in row)
+
+    def test_zero_factors_leave_exact_zeros(self):
+        result = kernel_sum([[1], [0, 1], [-1, 0, 1]], [1, 1, 1])
+        assert result == ExactMatrix.from_rows([[2, 0, -1], [0, 1, 0], [-1, 0, 1]])
 
 
 class TestKernelInverse:
