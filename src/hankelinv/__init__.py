@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from .closed_form import (
     DiscrepancyNote,
-    ExplicitResult,
-    FormulaId,
     explicit_det,
-    explicit_det_result,
     explicit_inverse,
-    explicit_inverse_result,
     jacobi_det_as_printed,
     unnormalized_scale,
 )
@@ -49,7 +45,7 @@ from .orthopoly import (
     poly_coeffs,
     special_value,
 )
-from .special import Rational, ZeroDenominator, barnes_g_int, binomial, hyp_terminating, pochhammer
+from .special import ZeroDenominator, barnes_g_int, binomial, hyp_terminating, pochhammer
 from .verify import CheckResult, VerifyReport, Witness, verify
 
 __version__ = "0.1.0"
@@ -58,15 +54,12 @@ __all__ = [
     "CheckResult",
     "DiscrepancyNote",
     "ExactMatrix",
-    "ExplicitResult",
     "Family",
     "FamilySpec",
-    "FormulaId",
     "InvalidFamilySpec",
     "NotPositiveDefinite",
     "OrthoTable",
     "PolyCoeffs",
-    "Rational",
     "SingularMatrix",
     "VerifyReport",
     "Witness",
@@ -77,9 +70,7 @@ __all__ = [
     "binomial",
     "det_from_norms",
     "explicit_det",
-    "explicit_det_result",
     "explicit_inverse",
-    "explicit_inverse_result",
     "gauss_inverse",
     "gram_schmidt",
     "hyp_terminating",

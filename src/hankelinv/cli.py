@@ -21,9 +21,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -40,46 +40,26 @@ from .gram import det_from_norms, gram_schmidt, kernel_eval, kernel_inverse, mom
 from .orthopoly import Family, FamilySpec, InvalidFamilySpec
 from .verify import VerifyReport, verify
 
-__all__ = ["CliRequest", "UsageError", "run", "main"]
+__all__ = ["UsageError", "run", "main"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class UsageError(ValueError):
     """Bad command line: malformed value, missing argument, invalid parameter."""
 
 
-@dataclass(frozen=True)
-class CliRequest:
-    command: str
-    family: str
-    n: int
-    alpha: str | None = None
-    beta: str | None = None
-    lam: str | None = None
-    method: str = "explicit"
-    output: str = "pretty"
-    as_float: bool = False
-    digits: int = 17
-    unnormalized: bool = False
-    x: str | None = None
-    y: str | None = None
-
-
 def parse_rational(text: str, name: str) -> Fraction:
     """Strict "p/q" / "p" parser; anything else is a usage error."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise UsageError(f"malformed rational for {name}: {text!r} (expected p or p/q)")
-    value = Fraction(text) if "/" not in text else None
-    if value is None:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise UsageError(f"malformed rational for {name}: zero denominator")
-        value = Fraction(int(p), int(q))
-    return value
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"malformed rational for {name}: zero denominator") from None
 
 
-def _make_spec(request: CliRequest) -> FamilySpec:
+def _make_spec(request: argparse.Namespace) -> FamilySpec:
     try:
         family = Family(request.family)
     except ValueError:
@@ -97,19 +77,25 @@ def _make_spec(request: CliRequest) -> FamilySpec:
         raise UsageError(str(exc)) from None
 
 
-def _to_float(value: Fraction, request: CliRequest, scale, power: int) -> float:
+def _to_float(value: Fraction, request: argparse.Namespace, scale, power: int) -> float:
     if scale is not None:
         with mp.workdps(request.digits + 10):
             scaled = mp.mpf(value.numerator) / value.denominator * scale**power
         result = float(scaled)
     else:
-        result = float(value)  # correctly rounded by construction
+        try:
+            result = float(value)  # correctly rounded by construction
+        except OverflowError:
+            result = math.inf
     if request.digits < 17:
         result = float(f"{result:.{request.digits}g}")
+    # a double would overflow to inf or silently round a nonzero value to 0
+    if not math.isfinite(result) or (result == 0 and value != 0):
+        raise UsageError("--float value outside double range; drop --float for the exact value")
     return result
 
 
-def _payload(value, request: CliRequest, scale, power: int):
+def _payload(value, request: argparse.Namespace, scale, power: int):
     if isinstance(value, Fraction):
         if request.as_float:
             return _to_float(value, request, scale, power)
@@ -137,7 +123,7 @@ def _pretty_matrix(payload: list[list[object]]) -> str:
     )
 
 
-def _base_doc(request: CliRequest, spec: FamilySpec) -> dict:
+def _base_doc(request: argparse.Namespace, spec: FamilySpec) -> dict:
     params = {name: str(value) for name, value in spec.params().items()}
     if request.x is not None:
         params["x"] = str(parse_rational(request.x, "x"))
@@ -152,8 +138,9 @@ def _base_doc(request: CliRequest, spec: FamilySpec) -> dict:
     }
 
 
-def run(request: CliRequest) -> int:
-    """Execute one request against stdout; returns the process exit code."""
+def run(request: argparse.Namespace) -> int:
+    """Execute one parsed command line (``build_parser().parse_args``) against
+    stdout; returns the process exit code."""
     if request.n < 0:
         raise UsageError("n must be >= 0")
     if request.unnormalized and not request.as_float:
@@ -232,7 +219,7 @@ def _witness_doc(check):
     }
 
 
-def _run_verify(request: CliRequest, spec: FamilySpec) -> int:
+def _run_verify(request: argparse.Namespace, spec: FamilySpec) -> int:
     report: VerifyReport = verify(spec, request.n)
     if request.output == "json":
         doc = _base_doc(request, spec)
@@ -258,19 +245,21 @@ def _run_verify(request: CliRequest, spec: FamilySpec) -> int:
     return 0 if report.passed else 1
 
 
-def _run_errata(request: CliRequest, spec: FamilySpec) -> int:
+def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
     if spec.family is not Family.JACOBI:
         raise UsageError("errata applies to the jacobi family only")
-    printed, note = jacobi_det_as_printed(spec, request.n, request.digits)
+    note = jacobi_det_as_printed(spec, request.n, request.digits)
+    printed = note.printed
     printed_str = mp.nstr(printed, request.digits) if mp.isfinite(printed) else str(printed)
     exact_float = mp.nstr(mp.mpf(note.exact.numerator) / note.exact.denominator, request.digits)
+    rel_error = mp.nstr(note.rel_error, 5) if mp.isfinite(note.rel_error) else "inf"
     verdict = "match" if note.agrees else "MISMATCH"
     if request.output == "json":
         doc = _base_doc(request, spec)
         doc["as_printed"] = printed_str
         doc["exact"] = str(note.exact)
         doc["exact_float"] = exact_float
-        doc["rel_error"] = mp.nstr(note.rel_error, 5) if mp.isfinite(note.rel_error) else "inf"
+        doc["rel_error"] = rel_error
         doc["tolerance"] = mp.nstr(note.tolerance, 5)
         doc["agrees"] = note.agrees
         _emit_json(doc)
@@ -286,9 +275,8 @@ def _run_errata(request: CliRequest, spec: FamilySpec) -> int:
     else:
         sys.stdout.write(f"as-printed closed form : {printed_str}\n")
         sys.stdout.write(f"exact determinant      : {note.exact} ~ {exact_float}\n")
-        rel = mp.nstr(note.rel_error, 5) if mp.isfinite(note.rel_error) else "inf"
         sys.stdout.write(
-            f"verdict                : {verdict} (rel err {rel}, tolerance {mp.nstr(note.tolerance, 5)})\n"
+            f"verdict                : {verdict} (rel err {rel_error}, tolerance {mp.nstr(note.tolerance, 5)})\n"
         )
     return 0
 
@@ -299,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact moment matrices of the classical orthogonal families: "
         "determinants, inverses, kernels, and cross-route verification.",
     )
+    # only the kernel command takes a point
+    parser.set_defaults(x=None, y=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("gen", "print the normalized moment matrix"),
@@ -344,7 +334,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
             token in _VALUE_OPTIONS
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
-            and _RATIONAL_RE.match(argv[i + 1])
+            and _RATIONAL_RE.fullmatch(argv[i + 1])
         ):
             merged.append(f"{token}={argv[i + 1]}")
             i += 2
@@ -359,24 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        namespace = parser.parse_args(_merge_negative_values(list(argv)))
+        request = parser.parse_args(_merge_negative_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    request = CliRequest(
-        command=namespace.command,
-        family=namespace.family,
-        n=namespace.n,
-        alpha=namespace.alpha,
-        beta=namespace.beta,
-        lam=namespace.lam,
-        method=namespace.method,
-        output=namespace.output,
-        as_float=namespace.as_float,
-        digits=namespace.digits,
-        unnormalized=namespace.unnormalized,
-        x=getattr(namespace, "x", None),
-        y=getattr(namespace, "y", None),
-    )
     try:
         return run(request)
     except UsageError as exc:

@@ -16,7 +16,6 @@ value, reporting — never asserting — the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
@@ -29,64 +28,14 @@ from .orthopoly import Family, FamilySpec, norm_squared, special_value
 from .special import barnes_g_int, pochhammer
 
 __all__ = [
-    "FormulaId",
-    "ExplicitResult",
     "DiscrepancyNote",
     "explicit_det",
     "explicit_inverse",
-    "explicit_det_result",
-    "explicit_inverse_result",
     "jacobi_det_as_printed",
     "unnormalized_scale",
 ]
 
 MAX_DIGITS = 100_000
-
-
-class FormulaId(Enum):
-    """Which printed closed form produced a value."""
-
-    HERMITE_DET = "hermite-det"
-    HERMITE_INV = "hermite-inv"
-    LAGUERRE_DET = "laguerre-det"
-    LAGUERRE_INV = "laguerre-inv"
-    GEGENBAUER_DET = "gegenbauer-det"
-    GEGENBAUER_INV = "gegenbauer-inv"
-    JACOBI_DET_AS_PRINTED = "jacobi-det-as-printed"
-    JACOBI_INV = "jacobi-inv"
-    SHIFTED_JACOBI_DET = "jacobi-shifted-det"
-    SHIFTED_JACOBI_INV = "jacobi-shifted-inv"
-
-
-@dataclass(frozen=True)
-class ExplicitResult:
-    """A closed-form value plus the identity of the display it came from.
-
-    ``formula_id`` is None only for the exact jacobi determinant, which has no
-    trustworthy printed display of its own and is computed as the norm
-    product instead.
-    """
-
-    value: Fraction | ExactMatrix
-    formula_id: FormulaId | None
-    normalized: bool = True
-
-
-_DET_IDS = {
-    Family.HERMITE: FormulaId.HERMITE_DET,
-    Family.LAGUERRE: FormulaId.LAGUERRE_DET,
-    Family.GEGENBAUER: FormulaId.GEGENBAUER_DET,
-    Family.JACOBI: None,
-    Family.SHIFTED_JACOBI: FormulaId.SHIFTED_JACOBI_DET,
-}
-
-_INV_IDS = {
-    Family.HERMITE: FormulaId.HERMITE_INV,
-    Family.LAGUERRE: FormulaId.LAGUERRE_INV,
-    Family.GEGENBAUER: FormulaId.GEGENBAUER_INV,
-    Family.JACOBI: FormulaId.JACOBI_INV,
-    Family.SHIFTED_JACOBI: FormulaId.SHIFTED_JACOBI_INV,
-}
 
 
 def explicit_det(spec: FamilySpec, n: int) -> Fraction:
@@ -243,14 +192,6 @@ _FACTOR_TABLES = {
 }
 
 
-def explicit_det_result(spec: FamilySpec, n: int) -> ExplicitResult:
-    return ExplicitResult(value=explicit_det(spec, n), formula_id=_DET_IDS[spec.family])
-
-
-def explicit_inverse_result(spec: FamilySpec, n: int) -> ExplicitResult:
-    return ExplicitResult(value=explicit_inverse(spec, n), formula_id=_INV_IDS[spec.family])
-
-
 @dataclass(frozen=True)
 class DiscrepancyNote:
     """Comparison of the as-printed jacobi determinant against the exact one."""
@@ -267,9 +208,7 @@ def _to_mpf(value: Fraction) -> mpmath.mpf:
     return mp.mpf(value.numerator) / value.denominator
 
 
-def jacobi_det_as_printed(
-    spec: FamilySpec, n: int, digits: int = 17
-) -> tuple[mpmath.mpf, DiscrepancyNote]:
+def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> DiscrepancyNote:
     """Evaluate the suspect printed jacobi determinant formula verbatim in
     floating point and compare it with the exact Bareiss determinant of the
     corrected matrix.  The verdict is reported, never asserted."""
@@ -322,7 +261,7 @@ def jacobi_det_as_printed(
         else:
             rel_error = mp.inf
         agrees = bool(mp.isfinite(printed) and rel_error <= tolerance)
-    note = DiscrepancyNote(
+    return DiscrepancyNote(
         exact=exact,
         printed=printed,
         rel_error=rel_error,
@@ -330,7 +269,6 @@ def jacobi_det_as_printed(
         agrees=agrees,
         digits=digits,
     )
-    return printed, note
 
 
 def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:

@@ -82,13 +82,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.size)
-            for j in range(i)
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")

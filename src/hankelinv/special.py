@@ -11,17 +11,12 @@ from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
-    "Rational",
     "ZeroDenominator",
     "pochhammer",
     "binomial",
     "barnes_g_int",
     "hyp_terminating",
 ]
-
-# The scalar type of every exact code path.  Fraction already provides the
-# canonical-form guarantees (gcd-reduced, denominator > 0) and exact field ops.
-Rational = Fraction
 
 
 class ZeroDenominator(ArithmeticError):

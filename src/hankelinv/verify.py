@@ -7,6 +7,7 @@ a complete report.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,38 +50,32 @@ class VerifyReport:
         return all(check.passed for check in self.checks)
 
 
-def _compare_matrices(name: str, expected: ExactMatrix, actual: ExactMatrix) -> CheckResult:
-    for i in range(expected.size):
-        for j in range(expected.size):
-            if expected.entry(i, j) != actual.entry(i, j):
-                return CheckResult(
-                    name, False, Witness(i, j, expected.entry(i, j), actual.entry(i, j))
-                )
+# one compared position: (row, col, expected, actual)
+_Cell = tuple[int, int, Fraction, Fraction]
+
+
+def _first_mismatch(name: str, cells: Iterable[_Cell]) -> CheckResult:
+    for row, col, expected, actual in cells:
+        if expected != actual:
+            return CheckResult(name, False, Witness(row, col, expected, actual))
     return CheckResult(name, True)
 
 
-def _compare_scalars(name: str, expected: Fraction, actual: Fraction) -> CheckResult:
-    if expected != actual:
-        return CheckResult(name, False, Witness(-1, -1, expected, actual))
-    return CheckResult(name, True)
+def _entrywise(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
+    size = range(actual.size)
+    return ((i, j, expected.entry(i, j), actual.entry(i, j)) for i in size for j in size)
 
 
-def _symmetry(name: str, matrix: ExactMatrix) -> CheckResult:
-    for i in range(matrix.size):
-        for j in range(i):
-            if matrix.entry(i, j) != matrix.entry(j, i):
-                return CheckResult(
-                    name, False, Witness(i, j, matrix.entry(j, i), matrix.entry(i, j))
-                )
-    return CheckResult(name, True)
+def _mirrored(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """Each entry below the diagonal against its mirror above it."""
+    size = range(matrix.size)
+    return ((i, j, matrix.entry(j, i), matrix.entry(i, j)) for i in size for j in range(i))
 
 
-def _parity(name: str, matrix: ExactMatrix) -> CheckResult:
-    for i in range(matrix.size):
-        for j in range(matrix.size):
-            if (i + j) % 2 and matrix.entry(i, j) != 0:
-                return CheckResult(name, False, Witness(i, j, Fraction(0), matrix.entry(i, j)))
-    return CheckResult(name, True)
+def _odd_zeros(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """Each entry at odd i + j against zero."""
+    size = range(matrix.size)
+    return ((i, j, Fraction(0), matrix.entry(i, j)) for i in size for j in size if (i + j) % 2)
 
 
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
@@ -103,17 +98,17 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     det_oracle = bareiss_det(matrix)
 
     checks = [
-        _symmetry("matrix_symmetric", matrix),
-        _compare_matrices(
-            "inverse_identity", ExactMatrix.identity(n + 1), explicit_inv @ matrix
+        _first_mismatch("matrix_symmetric", _mirrored(matrix)),
+        _first_mismatch(
+            "inverse_identity", _entrywise(ExactMatrix.identity(n + 1), explicit_inv @ matrix)
         ),
-        _compare_matrices("explicit_equals_kernel", explicit_inv, kernel_inv),
-        _compare_matrices("explicit_equals_elimination", explicit_inv, oracle_inv),
-        _compare_scalars("det_explicit_equals_norm_product", det_explicit, det_norms),
-        _compare_scalars("det_explicit_equals_bareiss", det_explicit, det_oracle),
-        _symmetry("inverse_symmetric", explicit_inv),
+        _first_mismatch("explicit_equals_kernel", _entrywise(explicit_inv, kernel_inv)),
+        _first_mismatch("explicit_equals_elimination", _entrywise(explicit_inv, oracle_inv)),
+        _first_mismatch("det_explicit_equals_norm_product", [(-1, -1, det_explicit, det_norms)]),
+        _first_mismatch("det_explicit_equals_bareiss", [(-1, -1, det_explicit, det_oracle)]),
+        _first_mismatch("inverse_symmetric", _mirrored(explicit_inv)),
     ]
     if spec.family in _PARITY_FAMILIES:
-        checks.append(_parity("matrix_checkerboard_zeros", matrix))
-        checks.append(_parity("inverse_checkerboard_zeros", explicit_inv))
+        checks.append(_first_mismatch("matrix_checkerboard_zeros", _odd_zeros(matrix)))
+        checks.append(_first_mismatch("inverse_checkerboard_zeros", _odd_zeros(explicit_inv)))
     return VerifyReport(spec=spec, n=n, checks=tuple(checks))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import hankelinv
-from hankelinv.cli import CliRequest, UsageError, main, parse_rational, run
+from hankelinv.cli import UsageError, build_parser, main, parse_rational, run
 from hankelinv.closed_form import MAX_DIGITS
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import FamilySpec
@@ -44,7 +44,7 @@ class TestParseRational:
     def test_accepted(self, text, expected):
         assert parse_rational(text, "x") == expected
 
-    @pytest.mark.parametrize("text", ["1.5", "1/0", "a", " 1", "1 ", "2/-3", "1e3", ""])
+    @pytest.mark.parametrize("text", ["1.5", "1/0", "a", " 1", "1 ", "1\n", "2/-3", "1e3", ""])
     def test_rejected(self, text):
         with pytest.raises(UsageError):
             parse_rational(text, "x")
@@ -145,6 +145,21 @@ class TestDet:
         )
         assert code == 0
         assert json.loads(out)["det"] == 1.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "--family", "hermite", "--n", "80", "--float"],
+            ["det", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--n", "80", "--float"],
+            ["det", "--family", "hermite", "--n", "170", "--float", "--unnormalized", "--output", "json"],
+        ],
+        ids=["overflow", "underflow-to-zero", "unnormalized-infinity"],
+    )
+    def test_float_outside_double_range_is_usage_error(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "double range" in err
 
 
 class TestInv:
@@ -404,15 +419,19 @@ class TestUnnormalized:
 
 class TestRunApi:
     def test_run_accepts_request_objects(self):
+        request = build_parser().parse_args(["det", "--family", "hermite", "--n", "2"])
         out = io.StringIO()
         with redirect_stdout(out):
-            code = run(CliRequest(command="det", family="hermite", n=2))
+            code = run(request)
         assert code == 0
         assert out.getvalue() == "1/4\n"
 
     def test_run_rejects_bad_request(self):
+        request = build_parser().parse_args(
+            ["det", "--family", "hermite", "--n", "2", "--float", "--digits", "0"]
+        )
         with pytest.raises(UsageError):
-            run(CliRequest(command="det", family="hermite", n=2, digits=0))
+            run(request)
 
 
 class TestModuleEntryPoint:

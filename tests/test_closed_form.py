@@ -10,18 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from _strategies import SPECS, corner_examples
 from hankelinv.closed_form import (
     MAX_DIGITS,
     DiscrepancyNote,
-    FormulaId,
     explicit_det,
-    explicit_det_result,
     explicit_inverse,
-    explicit_inverse_result,
     jacobi_det_as_printed,
     unnormalized_scale,
 )
@@ -48,28 +46,6 @@ SAMPLE = [
 ]
 
 _IDS = [f"{s.family.value}-{i}" for i, s in enumerate(SAMPLE)]
-
-
-def _rationals(lower: Fraction, upper: Fraction = Fraction(10)) -> st.SearchStrategy[Fraction]:
-    """p/q with |p|, q <= 9 and lower < p/q < upper."""
-    values = {Fraction(p, q) for q in range(1, 10) for p in range(-9, 10)}
-    return st.sampled_from(sorted(v for v in values if lower < v < upper))
-
-
-_ALPHA = _rationals(Fraction(-1))
-_LAMBDA = _rationals(Fraction(-1, 2)).filter(bool)
-# alpha + beta = -1 with both parameters in the domain needs -1 < alpha < 0
-_CORNER_ALPHA = _rationals(Fraction(-1), Fraction(0))
-
-SPECS = st.one_of(
-    st.just(HERMITE),
-    st.builds(FamilySpec.laguerre, _ALPHA),
-    st.builds(FamilySpec.gegenbauer, _LAMBDA),
-    st.builds(FamilySpec.jacobi, _ALPHA, _ALPHA),
-    st.builds(FamilySpec.shifted_jacobi, _ALPHA, _ALPHA),
-    _CORNER_ALPHA.map(lambda a: FamilySpec.jacobi(a, -1 - a)),
-    _CORNER_ALPHA.map(lambda a: FamilySpec.shifted_jacobi(a, -1 - a)),
-)
 
 
 class TestExplicitDet:
@@ -135,12 +111,7 @@ class TestExplicitInverse:
         assert product == ExactMatrix.identity(n + 1)
 
     @given(spec=SPECS, n=st.integers(0, 10))
-    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), Fraction(-1, 9)), n=10)
-    @example(spec=FamilySpec.shifted_jacobi(Fraction(-8, 9), Fraction(-1, 9)), n=10)
-    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), 9), n=10)
-    @example(spec=FamilySpec.shifted_jacobi(9, Fraction(-8, 9)), n=10)
-    @example(spec=FamilySpec.laguerre(Fraction(-8, 9)), n=10)
-    @example(spec=FamilySpec.gegenbauer(Fraction(-4, 9)), n=10)
+    @corner_examples(n=10)
     def test_property_matches_elimination(self, spec, n):
         matrix = moment_matrix(spec, n)
         assert explicit_inverse(spec, n) == gauss_inverse(matrix)
@@ -155,33 +126,6 @@ class TestExplicitInverse:
             explicit_inverse(HERMITE, -1)
 
 
-class TestResultRecords:
-    def test_determinant_formula_ids(self):
-        assert explicit_det_result(HERMITE, 2).formula_id is FormulaId.HERMITE_DET
-        assert explicit_det_result(FamilySpec.laguerre(0), 2).formula_id is FormulaId.LAGUERRE_DET
-        assert (
-            explicit_det_result(FamilySpec.gegenbauer(1), 2).formula_id
-            is FormulaId.GEGENBAUER_DET
-        )
-        # no trustworthy printed determinant exists for the plain jacobi family
-        assert explicit_det_result(FamilySpec.jacobi(0, 0), 2).formula_id is None
-        assert explicit_det_result(HILBERT, 2).formula_id is FormulaId.SHIFTED_JACOBI_DET
-
-    def test_inverse_formula_ids(self):
-        assert explicit_inverse_result(HERMITE, 1).formula_id is FormulaId.HERMITE_INV
-        assert (
-            explicit_inverse_result(FamilySpec.jacobi(0, 0), 1).formula_id
-            is FormulaId.JACOBI_INV
-        )
-        assert explicit_inverse_result(HILBERT, 1).formula_id is FormulaId.SHIFTED_JACOBI_INV
-
-    def test_values_and_normalized_flag(self):
-        record = explicit_det_result(HERMITE, 2)
-        assert record.value == Fraction(1, 4)
-        assert record.normalized is True
-        assert explicit_inverse_result(HERMITE, 2).value == explicit_inverse(HERMITE, 2)
-
-
 class TestJacobiDetAsPrinted:
     @pytest.mark.parametrize(
         ("alpha", "beta", "n"),
@@ -189,27 +133,27 @@ class TestJacobiDetAsPrinted:
     )
     def test_report_structure(self, alpha, beta, n):
         spec = FamilySpec.jacobi(alpha, beta)
-        printed, note = jacobi_det_as_printed(spec, n)
+        note = jacobi_det_as_printed(spec, n)
         assert isinstance(note, DiscrepancyNote)
         assert note.exact == bareiss_det(moment_matrix(spec, n))
         assert note.digits == 17
         assert mp.almosteq(note.tolerance, mp.mpf(10) ** (-mp.mpf(17) / 2), rel_eps=mp.mpf(10) ** -10)
         assert isinstance(note.agrees, bool)
-        if mp.isfinite(printed):
+        if mp.isfinite(note.printed):
             assert note.rel_error >= 0
         # the verdict itself is informational and deliberately not asserted
 
     def test_gamma_pole_corner_is_reported_as_nan(self):
         # alpha + beta = -1 is in the domain but a pole of the printed display
         spec = FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2))
-        printed, note = jacobi_det_as_printed(spec, 3)
-        assert mp.isnan(printed)
+        note = jacobi_det_as_printed(spec, 3)
+        assert mp.isnan(note.printed)
         assert note.exact == bareiss_det(moment_matrix(spec, 3)) == Fraction(1, 512)
         assert note.rel_error == mp.inf
         assert note.agrees is False
 
     def test_digits_parameter(self):
-        _, note = jacobi_det_as_printed(FamilySpec.jacobi(0, 0), 2, digits=40)
+        note = jacobi_det_as_printed(FamilySpec.jacobi(0, 0), 2, digits=40)
         assert note.digits == 40
 
     def test_jacobi_only(self):

@@ -5,17 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from _strategies import SPECS, corner_examples
 from hankelinv.gram import ExactMatrix
 from hankelinv.orthopoly import FamilySpec
 from hankelinv.verify import (
     CheckResult,
     VerifyReport,
     Witness,
-    _compare_matrices,
-    _compare_scalars,
-    _parity,
-    _symmetry,
+    _entrywise,
+    _first_mismatch,
+    _mirrored,
+    _odd_zeros,
     verify,
 )
 
@@ -71,35 +74,39 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(FamilySpec.hermite(), -1)
 
+    @given(spec=SPECS, n=st.integers(0, 8))
+    @corner_examples(n=8)
+    def test_property_passes(self, spec, n):
+        assert verify(spec, n).passed
+
 
 class TestCheckHelpers:
     def test_matrix_mismatch_witness(self):
-        result = _compare_matrices(
+        result = _first_mismatch(
             "x",
-            ExactMatrix.identity(2),
-            ExactMatrix.from_rows([[1, 1], [0, 1]]),
+            _entrywise(ExactMatrix.identity(2), ExactMatrix.from_rows([[1, 1], [0, 1]])),
         )
         assert result == CheckResult(
             "x", False, Witness(0, 1, Fraction(0), Fraction(1))
         )
 
     def test_scalar_mismatch_marks_negative_position(self):
-        result = _compare_scalars("d", Fraction(1, 4), Fraction(1, 3))
+        result = _first_mismatch("d", [(-1, -1, Fraction(1, 4), Fraction(1, 3))])
         assert not result.passed
         assert result.witness == Witness(-1, -1, Fraction(1, 4), Fraction(1, 3))
 
     def test_scalar_match(self):
-        assert _compare_scalars("d", Fraction(1, 4), Fraction(1, 4)).passed
+        assert _first_mismatch("d", [(-1, -1, Fraction(1, 4), Fraction(1, 4))]).passed
 
     def test_symmetry_failure(self):
-        result = _symmetry("s", ExactMatrix.from_rows([[1, 2], [3, 4]]))
+        result = _first_mismatch("s", _mirrored(ExactMatrix.from_rows([[1, 2], [3, 4]])))
         assert not result.passed
         assert result.witness == Witness(1, 0, Fraction(2), Fraction(3))
 
     def test_parity_failure(self):
-        result = _parity("p", ExactMatrix.from_rows([[1, 2], [2, 1]]))
+        result = _first_mismatch("p", _odd_zeros(ExactMatrix.from_rows([[1, 2], [2, 1]])))
         assert not result.passed
         assert result.witness == Witness(0, 1, Fraction(0), Fraction(2))
 
     def test_parity_pass(self):
-        assert _parity("p", ExactMatrix.from_rows([[1, 0], [0, 1]])).passed
+        assert _first_mismatch("p", _odd_zeros(ExactMatrix.from_rows([[1, 0], [0, 1]]))).passed
