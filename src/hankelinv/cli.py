@@ -26,8 +26,6 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
 from .closed_form import (
     MAX_DIGITS,
     explicit_det,
@@ -42,7 +40,9 @@ from .verify import VerifyReport, verify
 
 __all__ = ["UsageError", "run", "main"]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+# ASCII digits only: \d would also admit other scripts' digits, which
+# Fraction() accepts
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class UsageError(ValueError):
@@ -79,6 +79,8 @@ def _make_spec(request: argparse.Namespace) -> FamilySpec:
 
 def _to_float(value: Fraction, request: argparse.Namespace, scale, power: int) -> float:
     if scale is not None:
+        from mpmath import mp
+
         with mp.workdps(request.digits + 10):
             scaled = mp.mpf(value.numerator) / value.denominator * scale**power
         result = float(scaled)
@@ -248,6 +250,8 @@ def _run_verify(request: argparse.Namespace, spec: FamilySpec) -> int:
 def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
     if spec.family is not Family.JACOBI:
         raise UsageError("errata applies to the jacobi family only")
+    from mpmath import mp
+
     note = jacobi_det_as_printed(spec, request.n, request.digits)
     printed = note.printed
     printed_str = mp.nstr(printed, request.digits) if mp.isfinite(printed) else str(printed)

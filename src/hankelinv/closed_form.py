@@ -18,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, kernel_sum, moment_matrix
 from .orthopoly import Family, FamilySpec, norm_squared, special_value
 from .special import barnes_g_int, pochhammer
+
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "DiscrepancyNote",
@@ -205,6 +206,8 @@ class DiscrepancyNote:
 
 
 def _to_mpf(value: Fraction) -> mpmath.mpf:
+    from mpmath import mp
+
     return mp.mpf(value.numerator) / value.denominator
 
 
@@ -218,6 +221,8 @@ def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> Discrep
         raise ValueError("n must be >= 0")
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
+    from mpmath import mp
+
     exact = bareiss_det(moment_matrix(spec, n))
     with mp.workdps(digits + 15):
         a = _to_mpf(spec.alpha)
@@ -278,6 +283,8 @@ def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:
     allowed to return a non-rational."""
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
+    from mpmath import mp
+
     with mp.workdps(digits + 10):
         fam = spec.family
         if fam is Family.HERMITE:

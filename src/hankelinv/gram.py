@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .orthopoly import Family, FamilySpec, PolyCoeffs
 from .special import hyp_terminating, pochhammer
@@ -82,19 +84,31 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
+    def scaled_rows(self) -> list[tuple[int, list[int]]]:
+        """Each row as (s, s * row), with s the lcm of the row's denominators,
+        so that s * row is a list of ints."""
+        return [_scaled(row) for row in self.rows]
+
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        # integer dot products of the scaled rows and columns, then one
+        # normalisation per entry
         if self.size != other.size:
             raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
+        cols = [_scaled(col) for col in zip(*other.rows)]
         return ExactMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
+                tuple(Fraction(sum(map(mul, row, col)), r * c) for c, col in cols)
+                for r, row in self.scaled_rows()
             )
         )
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self.rows]
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def moment(spec: FamilySpec, k: int) -> Fraction:

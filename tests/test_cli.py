@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hankelinv
 from hankelinv.cli import UsageError, build_parser, main, parse_rational, run
 from hankelinv.closed_form import MAX_DIGITS
 from hankelinv.gram import moment_matrix
-from hankelinv.orthopoly import FamilySpec
+from hankelinv.orthopoly import Family, FamilySpec
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -44,7 +47,9 @@ class TestParseRational:
     def test_accepted(self, text, expected):
         assert parse_rational(text, "x") == expected
 
-    @pytest.mark.parametrize("text", ["1.5", "1/0", "a", " 1", "1 ", "1\n", "2/-3", "1e3", ""])
+    @pytest.mark.parametrize(
+        "text", ["1.5", "1/0", "a", " 1", "1 ", "1\n", "2/-3", "1e3", "", "１", "٣/4"]
+    )
     def test_rejected(self, text):
         with pytest.raises(UsageError):
             parse_rational(text, "x")
@@ -327,6 +332,20 @@ class TestUsageErrors:
         assert code == 2
         assert "malformed rational" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "--family", "laguerre", "--alpha", "１", "--n", "1"],
+            ["det", "--family", "jacobi", "--alpha", "0", "--beta", "٣/4", "--n", "1"],
+            ["det", "--family", "laguerre", "--alpha", "-١/2", "--n", "1"],
+        ],
+        ids=["fullwidth-one", "arabic-indic-three", "negative-separate-token"],
+    )
+    def test_non_ascii_digits_rejected(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
     def test_negative_n(self):
         code, _, err = run_cli(["det", "--family", "hermite", "--n", "-3"])
         assert code == 2
@@ -432,6 +451,85 @@ class TestRunApi:
         )
         with pytest.raises(UsageError):
             run(request)
+
+
+_GOOD_RATIONALS = ["0", "1", "-1", "-1/2", "1/3", "+2/6", "7/3", "-8/9", "9"]
+_BAD_RATIONALS = ["1.5", "1/0", "abc", "", "１", "٣/4", "1e3", "2/-3", " 1", "-", "--"]
+_PARAMS = {
+    "hermite": [],
+    "laguerre": ["--alpha"],
+    "gegenbauer": ["--lambda"],
+    "jacobi": ["--alpha", "--beta"],
+    "jacobi-shifted": ["--alpha", "--beta"],
+}
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A command line over every command, family (or an unknown one), valid
+    or garbage rational, and flag, at n <= 8."""
+    command = draw(st.sampled_from(["gen", "det", "inv", "kernel", "verify", "errata"]))
+    family = draw(st.sampled_from([*_PARAMS, "legendre"]))
+    argv = [command, "--family", family, "--n", str(draw(st.integers(-1, 8)))]
+    if draw(st.sampled_from([True, True, True, False])):
+        # the family's own parameters, plus the kernel's point
+        options = _PARAMS.get(family, []) + ["--x", "--y"] * (command == "kernel")
+    else:
+        names = st.sampled_from(["--alpha", "--beta", "--lambda", "--x", "--y"])
+        options = draw(st.lists(names, unique=True, max_size=3))
+    # mostly valid values, so that most requests get past parsing
+    value = st.sampled_from(_GOOD_RATIONALS * 2 + _BAD_RATIONALS)
+    for option in options:
+        argv += [option, draw(value)]
+    for flag, choices in [
+        ("--method", ["explicit", "kernel", "oracle"]),
+        ("--output", ["json", "csv", "pretty"]),
+        ("--digits", ["1", "5", "17", "30", "0", "x", str(MAX_DIGITS + 1)]),
+    ]:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(choices))]
+    argv += draw(st.sampled_from([[], ["--float"], ["--float", "--unnormalized"], ["--unnormalized"]]))
+    return argv
+
+
+class TestNeverTracebacks:
+    @settings(max_examples=300)
+    @given(_argvs())
+    def test_property_exit_contract(self, argv):
+        code, _, err = run_cli(argv)  # any exception escaping main fails here
+        assert code in (0, 2) or (code == 1 and argv[0] == "verify")
+        if code == 0:
+            assert err == ""
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+class TestLazyMpmath:
+    def test_exact_requests_do_not_import_mpmath(self):
+        # the float-unnormalized request checks that the probe would see
+        # mpmath once it is loaded
+        script = "\n".join(
+            [
+                "import sys",
+                "import hankelinv",
+                "assert 'mpmath' not in sys.modules, 'import hankelinv'",
+                "from hankelinv.cli import main",
+                "assert main(['det', '--family', 'hermite', '--n', '2']) == 0",
+                "assert main(['verify', '--family', 'laguerre', '--alpha', '1/2', '--n', '3']) == 0",
+                "assert 'mpmath' not in sys.modules, 'exact request'",
+                "assert main(['det', '--family', 'hermite', '--n', '2', '--float', '--unnormalized']) == 0",
+                "assert 'mpmath' in sys.modules, 'float request'",
+            ]
+        )
+        package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestModuleEntryPoint:
