@@ -14,6 +14,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -502,6 +503,25 @@ class TestNeverTracebacks:
             assert err == ""
         if code == 2:
             assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenOutput:
+    """Every byte ``main`` writes for a fixed set of requests: each family at
+    n = 0 and 3 through gen/det/inv in every output, the other methods,
+    kernel, verify, errata (the alpha + beta = -1 pole too), the float
+    options, one request per kind of usage error, and --help.  argparse
+    wraps usage and help text to the terminal width, so the width is pinned."""
+
+    @pytest.mark.parametrize(
+        "case", _GOLDEN, ids=["-".join([f"{i:03}", *case["argv"][:1]]) for i, case in enumerate(_GOLDEN)]
+    )
+    def test_byte_identical(self, case, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(case["argv"])
+        assert {"argv": case["argv"], "exit": code, "stdout": out, "stderr": err} == case
 
 
 class TestLazyMpmath:
