@@ -41,8 +41,9 @@ from .verify import VerifyReport, verify
 __all__ = ["UsageError", "run", "main"]
 
 # ASCII digits only: \d would also admit other scripts' digits, which
-# Fraction() accepts
+# Fraction() and int() accept
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class UsageError(ValueError):
@@ -57,6 +58,17 @@ def parse_rational(text: str, name: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise UsageError(f"malformed rational for {name}: zero denominator") from None
+
+
+def _parse_int(text: str) -> int:
+    """argparse type for --n and --digits: an optional sign and ASCII digits.
+    int() alone also takes other scripts' digits, blanks and underscores."""
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _make_spec(request: argparse.Namespace) -> FamilySpec:
@@ -106,38 +118,41 @@ def _payload(value, request: argparse.Namespace, scale, power: int):
     return [[_payload(entry, request, scale, power) for entry in row] for row in value.rows]
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc) + "\n")
-
-
-def _emit_csv(rows: list[list[object]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
-def _pretty_matrix(payload: list[list[object]]) -> str:
+def _pretty_matrix(payload: list[list[object]]) -> list[str]:
     cells = [[str(entry) for entry in row] for row in payload]
     widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
-    return "\n".join(
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in cells
-    )
+    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in cells]
 
 
-def _base_doc(request: argparse.Namespace, spec: FamilySpec) -> dict:
-    params = {name: str(value) for name, value in spec.params().items()}
-    if request.x is not None:
-        params["x"] = str(parse_rational(request.x, "x"))
-    if request.y is not None:
-        params["y"] = str(parse_rational(request.y, "y"))
-    return {
-        "family": spec.family.value,
-        "n": request.n,
-        "params": params,
-        "method": request.method,
-        "normalized": not request.unnormalized,
-    }
+def _emit(
+    request: argparse.Namespace,
+    spec: FamilySpec,
+    fields: dict,
+    rows: list[list[object]],
+    lines: list[str],
+    point: dict[str, Fraction] | None = None,
+) -> None:
+    """Write one command's output in the requested format: ``fields`` follow
+    the request's own fields in the JSON document, ``rows`` are the CSV rows
+    and ``lines`` the pretty text.  ``point`` is the kernel's (x, y)."""
+    if request.output == "json":
+        params = {name: str(value) for name, value in {**spec.params(), **(point or {})}.items()}
+        doc = {
+            "family": spec.family.value,
+            "n": request.n,
+            "params": params,
+            "method": request.method,
+            "normalized": not request.unnormalized,
+            **fields,
+        }
+        text = json.dumps(doc) + "\n"
+    elif request.output == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        text = buffer.getvalue()
+    else:
+        text = "".join(line + "\n" for line in lines)
+    sys.stdout.write(text)
 
 
 def run(request: argparse.Namespace) -> int:
@@ -152,6 +167,11 @@ def run(request: argparse.Namespace) -> int:
     if request.digits > MAX_DIGITS:
         raise UsageError(f"--digits must be <= {MAX_DIGITS}")
     spec = _make_spec(request)
+    point = {
+        name: parse_rational(text, name)
+        for name, text in (("x", request.x), ("y", request.y))
+        if text is not None
+    }
 
     if request.command == "verify":
         return _run_verify(request, spec)
@@ -179,11 +199,9 @@ def run(request: argparse.Namespace) -> int:
         else:
             value = gauss_inverse(moment_matrix(spec, request.n))
     elif request.command == "kernel":
-        if request.x is None or request.y is None:
+        if len(point) < 2:
             raise UsageError("kernel requires --x and --y")
-        x = parse_rational(request.x, "x")
-        y = parse_rational(request.y, "y")
-        value = kernel_eval(gram_schmidt(spec, request.n), x, y)
+        value = kernel_eval(gram_schmidt(spec, request.n), point["x"], point["y"])
     else:  # pragma: no cover - argparse limits the choices
         raise UsageError(f"unknown command: {request.command}")
 
@@ -192,21 +210,12 @@ def run(request: argparse.Namespace) -> int:
     # inverse / kernel as the reciprocal
     power = {"gen": 1, "det": request.n + 1, "inv": -1, "kernel": -1}[request.command]
     payload = _payload(value, request, scale, power)
-
-    if request.output == "json":
-        doc = _base_doc(request, spec)
-        if request.command == "det":
-            doc["det"] = payload
-        else:
-            doc["result"] = payload
-        _emit_json(doc)
-    elif request.output == "csv":
-        _emit_csv(payload if isinstance(payload, list) else [[payload]])
+    if isinstance(payload, list):
+        rows, lines = payload, _pretty_matrix(payload)
     else:
-        if isinstance(payload, list):
-            sys.stdout.write(_pretty_matrix(payload) + "\n")
-        else:
-            sys.stdout.write(f"{payload}\n")
+        rows, lines = [[payload]], [str(payload)]
+    key = "det" if request.command == "det" else "result"
+    _emit(request, spec, {key: payload}, rows, lines, point)
     return 0
 
 
@@ -223,27 +232,21 @@ def _witness_doc(check):
 
 def _run_verify(request: argparse.Namespace, spec: FamilySpec) -> int:
     report: VerifyReport = verify(spec, request.n)
-    if request.output == "json":
-        doc = _base_doc(request, spec)
-        doc["checks"] = [
-            {"name": c.name, "passed": c.passed, "witness": _witness_doc(c)}
-            for c in report.checks
-        ]
-        doc["passed"] = report.passed
-        _emit_json(doc)
-    elif request.output == "csv":
-        _emit_csv([[c.name, "pass" if c.passed else "fail"] for c in report.checks])
-    else:
-        width = max(len(c.name) for c in report.checks)
-        for c in report.checks:
-            line = f"{c.name.ljust(width)}  {'pass' if c.passed else 'FAIL'}"
-            if c.witness is not None:
-                w = c.witness
-                where = "det" if w.row < 0 else f"({w.row},{w.col})"
-                line += f"  at {where}: expected {w.expected}, got {w.actual}"
-            sys.stdout.write(line + "\n")
-        passed = sum(c.passed for c in report.checks)
-        sys.stdout.write(f"{passed}/{len(report.checks)} checks passed\n")
+    checks = [
+        {"name": c.name, "passed": c.passed, "witness": _witness_doc(c)} for c in report.checks
+    ]
+    rows = [[c.name, "pass" if c.passed else "fail"] for c in report.checks]
+    width = max(len(c.name) for c in report.checks)
+    lines = []
+    for c in report.checks:
+        line = f"{c.name.ljust(width)}  {'pass' if c.passed else 'FAIL'}"
+        if c.witness is not None:
+            w = c.witness
+            where = "det" if w.row < 0 else f"({w.row},{w.col})"
+            line += f"  at {where}: expected {w.expected}, got {w.actual}"
+        lines.append(line)
+    lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed")
+    _emit(request, spec, {"checks": checks, "passed": report.passed}, rows, lines)
     return 0 if report.passed else 1
 
 
@@ -257,31 +260,28 @@ def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
     printed_str = mp.nstr(printed, request.digits) if mp.isfinite(printed) else str(printed)
     exact_float = mp.nstr(mp.mpf(note.exact.numerator) / note.exact.denominator, request.digits)
     rel_error = mp.nstr(note.rel_error, 5) if mp.isfinite(note.rel_error) else "inf"
+    tolerance = mp.nstr(note.tolerance, 5)
     verdict = "match" if note.agrees else "MISMATCH"
-    if request.output == "json":
-        doc = _base_doc(request, spec)
-        doc["as_printed"] = printed_str
-        doc["exact"] = str(note.exact)
-        doc["exact_float"] = exact_float
-        doc["rel_error"] = rel_error
-        doc["tolerance"] = mp.nstr(note.tolerance, 5)
-        doc["agrees"] = note.agrees
-        _emit_json(doc)
-    elif request.output == "csv":
-        _emit_csv(
-            [
-                ["as_printed", printed_str],
-                ["exact", str(note.exact)],
-                ["exact_float", exact_float],
-                ["verdict", verdict],
-            ]
-        )
-    else:
-        sys.stdout.write(f"as-printed closed form : {printed_str}\n")
-        sys.stdout.write(f"exact determinant      : {note.exact} ~ {exact_float}\n")
-        sys.stdout.write(
-            f"verdict                : {verdict} (rel err {rel_error}, tolerance {mp.nstr(note.tolerance, 5)})\n"
-        )
+    fields = {
+        "as_printed": printed_str,
+        "exact": str(note.exact),
+        "exact_float": exact_float,
+        "rel_error": rel_error,
+        "tolerance": tolerance,
+        "agrees": note.agrees,
+    }
+    rows = [
+        ["as_printed", printed_str],
+        ["exact", str(note.exact)],
+        ["exact_float", exact_float],
+        ["verdict", verdict],
+    ]
+    lines = [
+        f"as-printed closed form : {printed_str}",
+        f"exact determinant      : {note.exact} ~ {exact_float}",
+        f"verdict                : {verdict} (rel err {rel_error}, tolerance {tolerance})",
+    ]
+    _emit(request, spec, fields, rows, lines)
     return 0
 
 
@@ -308,14 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             choices=[f.value for f in Family],
         )
-        cmd.add_argument("--n", required=True, type=int, help="largest index; matrix is (n+1)x(n+1)")
+        cmd.add_argument(
+            "--n", required=True, type=_parse_int, help="largest index; matrix is (n+1)x(n+1)"
+        )
         cmd.add_argument("--alpha")
         cmd.add_argument("--beta")
         cmd.add_argument("--lambda", dest="lam")
         cmd.add_argument("--method", choices=["explicit", "kernel", "oracle"], default="explicit")
         cmd.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
         cmd.add_argument("--float", dest="as_float", action="store_true")
-        cmd.add_argument("--digits", type=int, default=17)
+        cmd.add_argument("--digits", type=_parse_int, default=17)
         cmd.add_argument("--unnormalized", action="store_true")
         if name == "kernel":
             cmd.add_argument("--x", required=True)

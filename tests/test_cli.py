@@ -25,6 +25,7 @@ from hankelinv.cli import UsageError, build_parser, main, parse_rational, run
 from hankelinv.closed_form import MAX_DIGITS
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec
+from hankelinv.verify import CheckResult, VerifyReport, Witness
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -244,6 +245,65 @@ class TestVerifyCommand:
         assert len(doc["checks"]) == 7
         assert all(c["passed"] and c["witness"] is None for c in doc["checks"])
 
+    @pytest.fixture
+    def failing_report(self, monkeypatch):
+        # no real spec fails verify, so a report with one failing matrix
+        # check and one failing determinant check stands in for it
+        def fake_verify(spec, n):
+            return VerifyReport(
+                spec,
+                n,
+                (
+                    CheckResult("matrix_symmetric", True),
+                    CheckResult("inverse_identity", False, Witness(1, 0, Fraction(2), Fraction(3))),
+                    CheckResult(
+                        "det_explicit_equals_bareiss",
+                        False,
+                        Witness(-1, -1, Fraction(1, 4), Fraction(1, 3)),
+                    ),
+                ),
+            )
+
+        monkeypatch.setattr("hankelinv.cli.verify", fake_verify)
+
+    def test_failure_pretty(self, failing_report):
+        code, out, err = run_cli(["verify", "--family", "hermite", "--n", "2"])
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "matrix_symmetric             pass",
+            "inverse_identity             FAIL  at (1,0): expected 2, got 3",
+            "det_explicit_equals_bareiss  FAIL  at det: expected 1/4, got 1/3",
+            "1/3 checks passed",
+        ]
+
+    def test_failure_json(self, failing_report):
+        code, out, err = run_cli(["verify", "--family", "hermite", "--n", "2", "--output", "json"])
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["checks"] == [
+            {"name": "matrix_symmetric", "passed": True, "witness": None},
+            {
+                "name": "inverse_identity",
+                "passed": False,
+                "witness": {"row": 1, "col": 0, "expected": "2", "actual": "3"},
+            },
+            {
+                "name": "det_explicit_equals_bareiss",
+                "passed": False,
+                "witness": {"row": -1, "col": -1, "expected": "1/4", "actual": "1/3"},
+            },
+        ]
+
+    def test_failure_csv(self, failing_report):
+        code, out, err = run_cli(["verify", "--family", "hermite", "--n", "2", "--output", "csv"])
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "matrix_symmetric,pass",
+            "inverse_identity,fail",
+            "det_explicit_equals_bareiss,fail",
+        ]
+
     def test_invalid_lambda_is_usage_error(self):
         code, _, err = run_cli(["verify", "--family", "gegenbauer", "--lambda", "0", "--n", "3"])
         assert code == 2
@@ -346,6 +406,17 @@ class TestUsageErrors:
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+    @pytest.mark.parametrize("text", ["２", " 2_0 ", "1_7", "٣"])
+    @pytest.mark.parametrize("option", ["--n", "--digits"])
+    def test_non_ascii_or_loose_int_rejected(self, option, text):
+        # int() would read these as 2, 20, 17 and 3
+        values = {"--n": "2", "--digits": "5", option: text}
+        argv = ["det", "--family", "hermite", "--float", "--n", values["--n"], "--digits", values["--digits"]]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
 
     def test_negative_n(self):
         code, _, err = run_cli(["det", "--family", "hermite", "--n", "-3"])
@@ -454,6 +525,8 @@ class TestRunApi:
             run(request)
 
 
+# integers that int() reads but --n and --digits refuse
+_LOOSE_INTS = ["２", " 2_0 ", "1_7", "٣"]
 _GOOD_RATIONALS = ["0", "1", "-1", "-1/2", "1/3", "+2/6", "7/3", "-8/9", "9"]
 _BAD_RATIONALS = ["1.5", "1/0", "abc", "", "１", "٣/4", "1e3", "2/-3", " 1", "-", "--"]
 _PARAMS = {
@@ -471,7 +544,8 @@ def _argvs(draw) -> list[str]:
     or garbage rational, and flag, at n <= 8."""
     command = draw(st.sampled_from(["gen", "det", "inv", "kernel", "verify", "errata"]))
     family = draw(st.sampled_from([*_PARAMS, "legendre"]))
-    argv = [command, "--family", family, "--n", str(draw(st.integers(-1, 8)))]
+    n = draw(st.sampled_from([str(n) for n in range(-1, 9)] * 3 + _LOOSE_INTS))
+    argv = [command, "--family", family, "--n", n]
     if draw(st.sampled_from([True, True, True, False])):
         # the family's own parameters, plus the kernel's point
         options = _PARAMS.get(family, []) + ["--x", "--y"] * (command == "kernel")
@@ -485,7 +559,7 @@ def _argvs(draw) -> list[str]:
     for flag, choices in [
         ("--method", ["explicit", "kernel", "oracle"]),
         ("--output", ["json", "csv", "pretty"]),
-        ("--digits", ["1", "5", "17", "30", "0", "x", str(MAX_DIGITS + 1)]),
+        ("--digits", ["1", "5", "17", "30", "0", "x", str(MAX_DIGITS + 1), *_LOOSE_INTS]),
     ]:
         if draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(choices))]
