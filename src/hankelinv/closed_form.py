@@ -81,9 +81,11 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
     """Closed-form inverse of the normalized moment matrix.
 
     Every printed inverse is a finite sum over k = max(i, j)..n of the form
-    B(i, j) = sum_k f(k, i) f(k, j) w(k), built on the shifted-parameter
-    anchor values of ``orthopoly.special_value``.  The family's factor table
-    f and weights w are built once, then summed by ``gram.kernel_sum``."""
+    B(i, j) = sum_k f(k, i) f(k, j) w(k), built on anchor values of the
+    family polynomials with shifted parameters: ``orthopoly.special_value``
+    per degree for hermite, rising factorials for gegenbauer, and the printed
+    three-term recurrence for jacobi.  The family's factor table f and
+    weights w are built once, then summed by ``gram.kernel_sum``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     factors, weights = _FACTOR_TABLES[spec.family](spec, n)
@@ -118,6 +120,17 @@ def _laguerre_table(spec: FamilySpec, n: int) -> _Table:
     return factors, weights
 
 
+def _gegenbauer_anchors(lam: Fraction, n: int) -> list[list[Fraction]]:
+    """Row i holds C_d^(lam+i)(0) for d = 0..n-i: (-1)^m (lam+i)_m / m! at
+    d = 2m, and 0 at odd d."""
+    rows = []
+    for i in range(n + 1):
+        rising = _rising(lam + i, (n - i) // 2)
+        even = [(-1) ** m * r / factorial(m) for m, r in enumerate(rising)]
+        rows.append([even[d // 2] if d % 2 == 0 else Fraction(0) for d in range(n - i + 1)])
+    return rows
+
+
 def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
     # f(k, i) = 2^i (lam)_i / i! * C_{k-i}^(lam+i)(0),
     # w(k) = k! (lam + k) / ((2 lam)_k lam): the printed prefactor rescaled for
@@ -126,9 +139,9 @@ def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
     rising = _rising(lam, n)
     double = _rising(2 * lam, n)
     prefactor = [2**i * rising[i] / factorial(i) for i in range(n + 1)]
+    anchors = _gegenbauer_anchors(lam, n)
     factors = [
-        [prefactor[i] * special_value(spec, k - i, shift=i) for i in range(k + 1)]
-        for k in range(n + 1)
+        [prefactor[i] * anchors[i][k - i] for i in range(k + 1)] for k in range(n + 1)
     ]
     weights = [factorial(k) * (lam + k) / (double[k] * lam) for k in range(n + 1)]
     return factors, weights
@@ -145,6 +158,32 @@ def _rising_rows(c: Fraction, n: int) -> list[list[Fraction]]:
     return [_rising(k + c, k) for k in range(n + 1)]
 
 
+def _jacobi_anchors(a: Fraction, b: Fraction, n: int) -> list[list[Fraction]]:
+    """Row i holds P_d^(a+i, b+i)(0) for d = 0..n-i, from P_0 = 1,
+    P_1(0) = (a-b)/2 and the three-term recurrence (DLMF 18.9.1) at x = 0:
+
+        2 (d+1) (d+s+1) (2d+s) P_{d+1}(0)
+            = (a^2 - b^2) (2d+s+1) P_d(0) - 2 (d+a) (d+b) (2d+s+2) P_{d-1}(0)
+
+    with a, b the shifted parameters and s = a + b.  For d >= 1 the divisor is
+    nonzero on the whole domain, the alpha + beta = -1 corner included."""
+    rows = []
+    for i in range(n + 1):
+        a_i, b_i = a + i, b + i
+        s = a_i + b_i
+        row = [Fraction(1), (a_i - b_i) / 2]
+        for d in range(1, n - i):
+            row.append(
+                (
+                    (a_i * a_i - b_i * b_i) * (2 * d + s + 1) * row[d]
+                    - 2 * (d + a_i) * (d + b_i) * (2 * d + s + 2) * row[d - 1]
+                )
+                / (2 * (d + 1) * (d + s + 1) * (2 * d + s))
+            )
+        rows.append(row[: n - i + 1])
+    return rows
+
+
 def _jacobi_table(spec: FamilySpec, n: int) -> _Table:
     # f(k, i) = (-1)^i / (2^i i!) * (k+c)_i P_{k-i}^(a+i, b+i)(0),
     # w(k) = k! (2k+c) (c)_k / c / ((a+1)_k (b+1)_k),  c = a + b + 1
@@ -152,8 +191,9 @@ def _jacobi_table(spec: FamilySpec, n: int) -> _Table:
     c = a + b + 1
     upper = _rising_rows(c, n)
     prefactor = [Fraction((-1) ** i, 2**i * factorial(i)) for i in range(n + 1)]
+    anchors = _jacobi_anchors(a, b, n)
     factors = [
-        [prefactor[i] * upper[k][i] * special_value(spec, k - i, shift=i) for i in range(k + 1)]
+        [prefactor[i] * upper[k][i] * anchors[i][k - i] for i in range(k + 1)]
         for k in range(n + 1)
     ]
     rising_a, rising_b = _rising(a + 1, n), _rising(b + 1, n)
@@ -213,7 +253,7 @@ def _to_mpf(value: Fraction) -> mpmath.mpf:
 
 def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> DiscrepancyNote:
     """Evaluate the suspect printed jacobi determinant formula verbatim in
-    floating point and compare it with the exact Bareiss determinant of the
+    floating point and compare it with the exact elimination determinant of the
     corrected matrix.  The verdict is reported, never asserted."""
     if spec.family is not Family.JACOBI:
         raise ValueError("the as-printed determinant comparison is jacobi-only")

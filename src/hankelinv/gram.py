@@ -1,14 +1,16 @@
 """Moment matrices and the kernel-polynomial engine.
 
-Builds the normalized Hankel moment matrix of a family, orthogonalizes the
-family basis against it by classical Gram-Schmidt, and recovers the exact
-inverse through the Christoffel-Darboux kernel sum
+Builds the normalized Hankel moment matrix of a family from its moment
+sequence, which each family's two-step moment recurrence produces entry by
+entry.  The engine reads only those 2n+1 moments: the Chebyshev algorithm
+turns them into the recurrence coefficients and squared norms h_m of the monic
+orthogonal polynomials, whose coefficients a_{m,i} follow from the three-term
+recurrence.  The exact inverse is then the Christoffel-Darboux kernel sum
 
-    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m,
+    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m.
 
-where a_{m,i} are the basis coefficients of the monic orthogonal polynomial
-of degree m and h_m its squared norm.  This engine is the authoritative
-exact-inverse path; the closed forms in ``closed_form`` must agree with it.
+This engine is the authoritative exact-inverse path; the closed forms in
+``closed_form`` must agree with it.
 
 The engine works against the abstract basis index.  For both Jacobi variants
 the matrix entries are the sign-folded sequence entry(i,j) =
@@ -26,7 +28,6 @@ from math import lcm
 from operator import mul
 
 from .orthopoly import Family, FamilySpec, PolyCoeffs
-from .special import hyp_terminating, pochhammer
 
 __all__ = [
     "ExactMatrix",
@@ -126,35 +127,54 @@ def moment(spec: FamilySpec, k: int) -> Fraction:
 def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
     """Entry value of the moment matrix: moment_matrix(spec, n).entry(i, j)
     equals hankel_moment(spec, i + j).  Differs from ``moment`` only by the
-    (-1)^k sign fold of the two Jacobi variants."""
+    (-1)^k sign fold of the two Jacobi variants.  The k-th entry of the
+    family's moment recurrence (see ``_moment_sequence``)."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _moment_sequence(spec, k + 1)[k]
+
+
+def _moment_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
+    """hankel_moment(spec, k) for k = 0..count-1 by the family's two-step
+    relation d(k) mu_{k+1} = e(k) mu_k + f(k) mu_{k-1}, mu_0 = 1, mu_{-1} = 0:
+
+      hermite         2 mu_{k+1} = k mu_{k-1}
+      laguerre        mu_{k+1} = (a+k+1) mu_k
+      gegenbauer      (2l+k+1) mu_{k+1} = k mu_{k-1}
+      jacobi          (a+b+k+2) mu_{k+1} = (a-b) mu_k + k mu_{k-1}
+      jacobi-shifted  (a+b+k+2) mu_{k+1} = (a+k+1) mu_k
+
+    The first four restate the closed forms (1/2)_m, (a+1)_k,
+    (1/2)_m / (l+1)_m and (a+1)_k / (a+b+2)_k as running ratios; the jacobi
+    relation is the one its Beta-integral moments 2F1(-k, b+1; a+b+2; 2)
+    satisfy.  Every divisor d(k) is > 0 on the whole parameter domain."""
     fam = spec.family
+    a, b, lam = spec.alpha, spec.beta, spec.lam
     if fam is Family.HERMITE:
-        if k % 2:
-            return Fraction(0)
-        return pochhammer(Fraction(1, 2), k // 2)
-    if fam is Family.LAGUERRE:
-        return pochhammer(spec.alpha + 1, k)
-    if fam is Family.GEGENBAUER:
-        if k % 2:
-            return Fraction(0)
-        m = k // 2
-        return pochhammer(Fraction(1, 2), m) / pochhammer(spec.lam + 1, m)
-    a, b = spec.alpha, spec.beta
-    if fam is Family.JACOBI:
-        # lower parameter a+b+2: fixed by the Beta-integral expansion of the
-        # moments (a+b+1 would make the alpha=beta=0 matrix singular)
-        return hyp_terminating(k, [b + 1], [a + b + 2], 2)
-    return pochhammer(a + 1, k) / pochhammer(a + b + 2, k)
+        step = lambda k: (2, 0, k)
+    elif fam is Family.LAGUERRE:
+        step = lambda k: (1, a + k + 1, 0)
+    elif fam is Family.GEGENBAUER:
+        step = lambda k: (2 * lam + k + 1, 0, k)
+    elif fam is Family.JACOBI:
+        step = lambda k: (a + b + k + 2, a - b, k)
+    else:
+        step = lambda k: (a + b + k + 2, a + k + 1, 0)
+    seq = [Fraction(1)]
+    before = Fraction(0)
+    for k in range(count - 1):
+        d, e, f = step(k)
+        seq.append((e * seq[k] + f * before) / d)
+        before = seq[k]
+    return seq
 
 
 def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     """The (n+1) x (n+1) normalized Hankel/Gram matrix of the family."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    seq = [hankel_moment(spec, k) for k in range(2 * n + 1)]
-    return ExactMatrix(tuple(tuple(seq[i + j] for j in range(n + 1)) for i in range(n + 1)))
+    seq = _moment_sequence(spec, 2 * n + 1)
+    return ExactMatrix(tuple(tuple(seq[i : i + n + 1]) for i in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -173,28 +193,50 @@ class OrthoTable:
 
 
 def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
-    """Classical Gram-Schmidt of the family basis against the Hankel form
-    <e_a, e_b> = hankel_moment(a + b).  Exact rational arithmetic throughout."""
+    """Monic orthogonal polynomials of the family basis under the Hankel form
+    <e_a, e_b> = hankel_moment(a + b), by the Chebyshev algorithm (Gautschi,
+    Orthogonal Polynomials, 2004, section 2.1.7).
+
+    From the 2n+1 moments alone it builds the mixed moments
+    sigma_k(l) = <p_k, e_l>, which give the recurrence coefficients
+    a_k = sigma_k(k+1) / sigma_k(k) - sigma_{k-1}(k) / sigma_{k-1}(k-1),
+    b_k = sigma_k(k) / sigma_{k-1}(k-1) and the norms h_k = sigma_k(k) in
+    O(n^2) steps; the monic coefficients follow from
+    p_{k+1} = (t - a_k) p_k - b_k p_{k-1}.  Exact rational arithmetic
+    throughout."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    seq = [hankel_moment(spec, k) for k in range(2 * n + 1)]
+    size = 2 * n + 1
+    # sigma_k(l) for l = k..2n-k, and sigma_{k-1}; sigma_0 is the moments
+    sigma, sigma_before = _moment_sequence(spec, size), [Fraction(0)] * size
+    p, p_before = [Fraction(1)], []
+    # stands in for h_{-1}: at k = 0 it only meets sigma_{-1} = 0 and p_{-1} = 0
+    norm_before = Fraction(1)
     monic: list[list[Fraction]] = []
     norms: list[Fraction] = []
-    for m in range(n + 1):
-        coeffs = [Fraction(0)] * m + [Fraction(1)]
-        for r in range(m):
-            # <e_m, monic_r> via the moment sequence
-            proj = sum(monic[r][a] * seq[m + a] for a in range(r + 1)) / norms[r]
-            for a in range(r + 1):
-                coeffs[a] -= proj * monic[r][a]
-        # by orthogonality h_m = <monic_m, e_m>
-        h = sum(coeffs[a] * seq[m + a] for a in range(m + 1))
+    for k in range(n + 1):
+        h = sigma[k]
         if h <= 0:
             raise NotPositiveDefinite(
-                f"norm of degree {m} came out {h}; the moment matrix is not positive definite"
+                f"norm of degree {k} came out {h}; the moment matrix is not positive definite"
             )
-        monic.append(coeffs)
+        monic.append(p)
         norms.append(h)
+        if k == n:
+            break
+        a_k = sigma[k + 1] / h - sigma_before[k] / norm_before
+        b_k = h / norm_before
+        p_next = [Fraction(0)] + p
+        for i, c in enumerate(p):
+            p_next[i] -= a_k * c
+        for i, c in enumerate(p_before):
+            p_next[i] -= b_k * c
+        sigma_next = [Fraction(0)] * size
+        for l in range(k + 1, size - k - 1):
+            sigma_next[l] = sigma[l + 1] - a_k * sigma[l] - b_k * sigma_before[l]
+        sigma_before, sigma = sigma, sigma_next
+        p_before, p = p, p_next
+        norm_before = h
     return OrthoTable(
         spec=spec,
         n=n,
@@ -209,19 +251,23 @@ def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction
     ``factors`` is lower triangular: row k holds f(k, 0..k) and f(k, i) = 0
     for i > k, so row k contributes to the entries with max(i, j) <= k.  Both
     the kernel engine (monic coefficients, w = 1 / h) and the closed forms
-    (printed factor tables) sum their inverses here."""
+    (printed factor tables) sum their inverses here.
+
+    Runs on ints: column i is scaled by the lcm c_i of its denominators and
+    the weights by their common denominator D, so that
+    B(i, j) = sum_k G(k, i) V(k) G(k, j) / (c_i c_j D), one Fraction per
+    entry."""
     size = len(factors)
+    # column i holds G(k, i) for k = i..n
+    columns = [_scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
+    common, scaled_weights = _scaled(weights)
     rows = [[Fraction(0)] * size for _ in range(size)]
-    for row, weight in zip(factors, weights):
-        nonzero = [(i, f) for i, f in enumerate(row) if f]
-        for start, (i, f_i) in enumerate(nonzero):
-            scaled = f_i * weight
-            target = rows[i]
-            for j, f_j in nonzero[start:]:
-                target[j] += scaled * f_j
-    for i in range(size):
-        for j in range(i):
-            rows[i][j] = rows[j][i]
+    for i, (c_i, col_i) in enumerate(columns):
+        weighted = list(map(mul, col_i, scaled_weights[i:]))
+        for j in range(i, size):
+            c_j, col_j = columns[j]
+            total = sum(map(mul, weighted[j - i :], col_j))
+            rows[i][j] = rows[j][i] = Fraction(total, c_i * c_j * common)
     return ExactMatrix(tuple(tuple(row) for row in rows))
 
 

@@ -83,7 +83,7 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
 
       a. explicit_inverse x moment_matrix equals the identity exactly
       b. explicit, kernel, and elimination inverses agree entrywise
-      c. explicit, norm-product, and Bareiss determinants agree
+      c. explicit, norm-product, and elimination (bareiss_det) determinants agree
       d. symmetry everywhere; checkerboard zeros for the even-weight families
     """
     if n < 0:

@@ -1,9 +1,12 @@
-"""Straight Fraction versions of the elimination oracle and the matrix
-product, kept as references for the integer kernels in the library.
+"""Straight Fraction versions of the library's fast paths, kept as
+references: the elimination oracle, the matrix product, the moment
+sequences, classical Gram-Schmidt, the kernel sum, and the shifted-parameter
+anchor values of the closed forms.
 
-Every scalar operation here is a normalised Fraction operation: slow, but
-plainly the textbook algorithms, so the property tests can compare the
-row-scaled integer code against them entry for entry.
+Every scalar operation here is a normalised Fraction operation, and every
+value comes from its defining formula: slow, but plainly the textbook
+algorithms, so the property tests can compare the integer and recurrence
+code against them entry for entry.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hankelinv.elimination import SingularMatrix
-from hankelinv.gram import ExactMatrix
+from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
+from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
+from hankelinv.special import hyp_terminating, pochhammer
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
@@ -68,3 +73,78 @@ def matmul(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(
         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in left.rows)
     )
+
+
+def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
+    """Moment-matrix entry of index sum k from its closed form: rising
+    factorials, and for jacobi the terminating Gauss sum of the Beta-integral
+    expansion."""
+    fam = spec.family
+    if fam is Family.HERMITE:
+        if k % 2:
+            return Fraction(0)
+        return pochhammer(Fraction(1, 2), k // 2)
+    if fam is Family.LAGUERRE:
+        return pochhammer(spec.alpha + 1, k)
+    if fam is Family.GEGENBAUER:
+        if k % 2:
+            return Fraction(0)
+        m = k // 2
+        return pochhammer(Fraction(1, 2), m) / pochhammer(spec.lam + 1, m)
+    a, b = spec.alpha, spec.beta
+    if fam is Family.JACOBI:
+        return hyp_terminating(k, [b + 1], [a + b + 2], 2)
+    return pochhammer(a + 1, k) / pochhammer(a + b + 2, k)
+
+
+def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
+    """Classical Gram-Schmidt of the basis against the Hankel form
+    <e_a, e_b> = hankel_moment(a + b)."""
+    seq = [hankel_moment(spec, k) for k in range(2 * n + 1)]
+    monic: list[list[Fraction]] = []
+    norms: list[Fraction] = []
+    for m in range(n + 1):
+        coeffs = [Fraction(0)] * m + [Fraction(1)]
+        for r in range(m):
+            # <e_m, monic_r> via the moment sequence
+            proj = sum(monic[r][a] * seq[m + a] for a in range(r + 1)) / norms[r]
+            for a in range(r + 1):
+                coeffs[a] -= proj * monic[r][a]
+        # by orthogonality h_m = <monic_m, e_m>
+        h = sum(coeffs[a] * seq[m + a] for a in range(m + 1))
+        if h <= 0:
+            raise NotPositiveDefinite(
+                f"norm of degree {m} came out {h}; the moment matrix is not positive definite"
+            )
+        monic.append(coeffs)
+        norms.append(h)
+    return OrthoTable(
+        spec=spec,
+        n=n,
+        monic=tuple(PolyCoeffs(tuple(c)) for c in monic),
+        norms=tuple(norms),
+    )
+
+
+def kernel_sum(factors, weights) -> ExactMatrix:
+    """B(i, j) = sum_k f(k, i) f(k, j) w(k) by Fraction multiply-adds over
+    the lower-triangular rows f(k, 0..k)."""
+    size = len(factors)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for row, weight in zip(factors, weights):
+        nonzero = [(i, f) for i, f in enumerate(row) if f]
+        for start, (i, f_i) in enumerate(nonzero):
+            scaled = f_i * weight
+            target = rows[i]
+            for j, f_j in nonzero[start:]:
+                target[j] += scaled * f_j
+    for i in range(size):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    return ExactMatrix(tuple(tuple(row) for row in rows))
+
+
+def shifted_anchors(spec: FamilySpec, n: int) -> list[list[Fraction]]:
+    """Row i holds the anchor values of degrees 0..n-i with every parameter
+    raised by i, one ``special_value`` call per entry."""
+    return [[special_value(spec, d, shift=i) for d in range(n - i + 1)] for i in range(n + 1)]

@@ -1,11 +1,16 @@
-"""Property tests: the row-scaled integer kernels (``bareiss_det``,
-``gauss_inverse``, ``ExactMatrix.__matmul__``) against the straight Fraction
-references in ``_fraction_reference``, entry for entry.
+"""Property tests: the integer and recurrence kernels against the straight
+Fraction references in ``_fraction_reference``, entry for entry.
 
-Matrices are square, of size 1..8, with mixed denominators and signs, and
-are reshaped on purpose: a zero row or column, a zero leading pivot that
-forces a row swap, a row that is a combination of two others (singular), or
-a symmetric copy.  Left as drawn they are non-symmetric.
+* ``bareiss_det``, ``gauss_inverse`` and ``ExactMatrix.__matmul__`` on
+  square matrices of size 1..8 with mixed denominators and signs, reshaped on
+  purpose: a zero row or column, a zero leading pivot that forces a row swap,
+  a row that is a combination of two others (singular), or a symmetric copy.
+  Left as drawn they are non-symmetric.
+* ``kernel_sum`` on lower-triangular factor tables of size 1..10, drawn the
+  same way and taken from the closed forms.
+* The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
+  recurrence anchors of the jacobi and gegenbauer inverses, over each
+  family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
 """
 
 from __future__ import annotations
@@ -18,8 +23,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _fraction_reference as reference
+from _strategies import CORNERS, SPECS, corner_examples
+from hankelinv import closed_form, gram
 from hankelinv.elimination import SingularMatrix, bareiss_det, gauss_inverse
-from hankelinv.gram import ExactMatrix
+from hankelinv.gram import (
+    ExactMatrix,
+    NotPositiveDefinite,
+    gram_schmidt,
+    hankel_moment,
+    kernel_sum,
+    moment_matrix,
+)
+from hankelinv.orthopoly import Family, FamilySpec
 
 _ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -87,6 +102,9 @@ def _with_examples(test):
     return test
 
 
+_N = st.integers(0, 10)
+
+
 class TestBareissDetMatchesFraction:
     @given(matrices())
     @_with_examples
@@ -94,6 +112,12 @@ class TestBareissDetMatchesFraction:
         det = bareiss_det(matrix)
         assert type(det) is Fraction
         assert det == reference.bareiss_det(matrix)
+
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_moment_matrices(self, spec, n):
+        matrix = moment_matrix(spec, n)
+        assert bareiss_det(matrix) == reference.bareiss_det(matrix)
 
 
 class TestGaussInverseMatchesFraction:
@@ -128,3 +152,86 @@ class TestMatmulMatchesFraction:
         for left, right in ((matrix, eye), (eye, matrix)):
             with pytest.raises(ValueError, match="size mismatch"):
                 left @ right
+
+
+@st.composite
+def factor_tables(draw) -> tuple[list[list[Fraction]], list[Fraction]]:
+    size = draw(st.integers(1, 10))
+    factors = [draw(st.lists(_ENTRIES, min_size=k + 1, max_size=k + 1)) for k in range(size)]
+    return factors, draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+
+
+class TestKernelSumMatchesFraction:
+    @given(factor_tables())
+    @example(([[Fraction(0)], [Fraction(0), Fraction(0)]], [Fraction(1), Fraction(0)]))
+    def test_property(self, table):
+        factors, weights = table
+        result = kernel_sum(factors, weights)
+        assert result == reference.kernel_sum(factors, weights) and _all_fractions(result)
+
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_closed_form_tables(self, spec, n):
+        factors, weights = closed_form._FACTOR_TABLES[spec.family](spec, n)
+        assert kernel_sum(factors, weights) == reference.kernel_sum(factors, weights)
+
+
+class TestMomentRecurrenceMatchesClosedForm:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_property(self, spec, n):
+        expected = [reference.hankel_moment(spec, k) for k in range(2 * n + 1)]
+        assert [hankel_moment(spec, k) for k in range(2 * n + 1)] == expected
+        matrix = moment_matrix(spec, n)
+        assert matrix.rows == tuple(tuple(expected[i : i + n + 1]) for i in range(n + 1))
+        assert _all_fractions(matrix)
+
+
+class TestChebyshevMatchesGramSchmidt:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_property(self, spec, n):
+        assert gram_schmidt(spec, n) == reference.gram_schmidt(spec, n)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            [1, 0, -1, 0, 1, 0, 1],  # h_1 = -1
+            [1, 1, 1, 1, 1, 1, 1],  # h_1 = 0
+            [1, 0, 1, 0, 1, 0, 1],  # h_2 = 0
+        ],
+    )
+    def test_not_positive_definite(self, monkeypatch, seq):
+        # an indefinite moment sequence stops both at the same degree with the
+        # same message
+        seq = [Fraction(v) for v in seq]
+        monkeypatch.setattr(gram, "_moment_sequence", lambda spec, count: seq[:count])
+        monkeypatch.setattr(reference, "hankel_moment", lambda spec, k: seq[k])
+        spec = FamilySpec.hermite()
+        with pytest.raises(NotPositiveDefinite) as expected:
+            reference.gram_schmidt(spec, 3)
+        with pytest.raises(NotPositiveDefinite) as actual:
+            gram_schmidt(spec, 3)
+        assert str(actual.value) == str(expected.value)
+
+
+_ANCHORS = {
+    Family.JACOBI: lambda spec, n: closed_form._jacobi_anchors(spec.alpha, spec.beta, n),
+    Family.GEGENBAUER: lambda spec, n: closed_form._gegenbauer_anchors(spec.lam, n),
+}
+
+
+def _anchored_corners(test):
+    for spec in CORNERS:
+        if spec.family in _ANCHORS:
+            test = example(spec=spec, n=10)(test)
+    return test
+
+
+class TestAnchorRecurrenceMatchesSpecialValue:
+    @given(spec=SPECS.filter(lambda spec: spec.family in _ANCHORS), n=_N)
+    @_anchored_corners
+    def test_property(self, spec, n):
+        anchors = _ANCHORS[spec.family](spec, n)
+        assert anchors == reference.shifted_anchors(spec, n)
+        assert all(type(v) is Fraction for row in anchors for v in row)

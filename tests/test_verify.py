@@ -79,6 +79,23 @@ class TestVerify:
     def test_property_passes(self, spec, n):
         assert verify(spec, n).passed
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec.hermite(),
+            FamilySpec.laguerre(Fraction(7, 3)),
+            FamilySpec.gegenbauer(Fraction(3, 2)),
+            FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5)),
+            FamilySpec.shifted_jacobi(Fraction(1, 3), Fraction(1, 5)),
+            # alpha + beta = -1
+            FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+            FamilySpec.shifted_jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+        ],
+        ids=lambda spec: "-".join([spec.family.value, *map(str, spec.params().values())]),
+    )
+    def test_passes_at_n_40(self, spec):
+        assert verify(spec, 40).passed
+
 
 class TestCheckHelpers:
     def test_matrix_mismatch_witness(self):
