@@ -42,7 +42,6 @@ from .orthopoly import (
     InvalidFamilySpec,
     PolyCoeffs,
     norm_squared,
-    poly_coeffs,
     special_value,
 )
 from .special import ZeroDenominator, barnes_g_int, binomial, hyp_terminating, pochhammer
@@ -83,7 +82,6 @@ __all__ = [
     "moment_matrix",
     "norm_squared",
     "pochhammer",
-    "poly_coeffs",
     "special_value",
     "unnormalized_scale",
     "verify",

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, kernel_sum, moment_matrix
-from .orthopoly import Family, FamilySpec, norm_squared, special_value
-from .special import barnes_g_int, pochhammer
+from .orthopoly import Family, FamilySpec, _norm_sequence, special_value
+from .special import barnes_g_int, pochhammer, rising_factorials
 
 if TYPE_CHECKING:
     import mpmath
@@ -45,7 +45,9 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
     hermite and laguerre come literally from the printed superfactorial /
     rising-factorial products; the other families use the printed products
     with each factor reduced to the rational monic-norm value
-    norm_squared(k) / (leading coefficient)^2.
+    h_k / (leading coefficient)^2, the norms h_0..h_n read from one
+    ``orthopoly`` norm sequence and the leading coefficients from one list of
+    rising factorials.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -58,22 +60,22 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
             result *= factorial(k) * pochhammer(spec.alpha + 1, k)
         return result
     if fam is Family.GEGENBAUER:
-        lam = spec.lam
-        result = Fraction(1)
-        for k in range(n + 1):
-            # leading coefficient of the degree-k polynomial: 2^k (lam)_k / k!
-            result *= norm_squared(spec, k) * Fraction(factorial(k)) ** 2 / (
-                Fraction(4) ** k * pochhammer(lam, k) ** 2
-            )
-        return result
-    a, b = spec.alpha, spec.beta
-    c = a + b + 1
+        # leading coefficient of the degree-k polynomial: 2^k (lam)_k / k!
+        rising = rising_factorials(spec.lam, n)
+        leads = [2**k * rising[k] / factorial(k) for k in range(n + 1)]
+    else:
+        # leading coefficient (k+c)_k / k!, times 2^-k in the jacobi monomial
+        # basis; for k >= 1, (k+c)_k = (c+1)_{2k-1} / (c+1)_{k-1} has no pole
+        # at c = 0
+        c = spec.alpha + spec.beta + 1
+        rising = rising_factorials(c + 1, 2 * n - 1)
+        scale = 2 if fam is Family.JACOBI else 1
+        leads = [Fraction(1)] + [
+            rising[2 * k - 1] / (rising[k - 1] * factorial(k) * scale**k) for k in range(1, n + 1)
+        ]
     result = Fraction(1)
-    for k in range(n + 1):
-        lead = pochhammer(k + c, k) / factorial(k)  # times 2^-k in the monomial basis
-        if fam is Family.JACOBI:
-            lead /= Fraction(2) ** k
-        result *= norm_squared(spec, k) / lead**2
+    for norm, lead in zip(_norm_sequence(spec, n + 1), leads):
+        result *= norm / lead**2
     return result
 
 
@@ -96,14 +98,6 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
 _Table = tuple[list[list[Fraction]], list[Fraction]]
 
 
-def _rising(start: Fraction, n: int) -> list[Fraction]:
-    """[(start)_0, (start)_1, ..., (start)_n] by the step (x)_{k+1} = (x)_k (x + k)."""
-    out = [Fraction(1)]
-    for k in range(n):
-        out.append(out[-1] * (start + k))
-    return out
-
-
 def _hermite_table(spec: FamilySpec, n: int) -> _Table:
     # f(k, i) = 2^i C(k, i) H_{k-i}(0),  w(k) = 1 / (k! 2^k)
     anchor = [special_value(spec, m) for m in range(n + 1)]
@@ -114,7 +108,7 @@ def _hermite_table(spec: FamilySpec, n: int) -> _Table:
 
 def _laguerre_table(spec: FamilySpec, n: int) -> _Table:
     # f(k, i) = (-1)^i C(k, i) / (a+1)_i,  w(k) = (a+1)_k / k!
-    rising = _rising(spec.alpha + 1, n)
+    rising = rising_factorials(spec.alpha + 1, n)
     factors = [[(-1) ** i * comb(k, i) / rising[i] for i in range(k + 1)] for k in range(n + 1)]
     weights = [rising[k] / factorial(k) for k in range(n + 1)]
     return factors, weights
@@ -125,7 +119,7 @@ def _gegenbauer_anchors(lam: Fraction, n: int) -> list[list[Fraction]]:
     d = 2m, and 0 at odd d."""
     rows = []
     for i in range(n + 1):
-        rising = _rising(lam + i, (n - i) // 2)
+        rising = rising_factorials(lam + i, (n - i) // 2)
         even = [(-1) ** m * r / factorial(m) for m, r in enumerate(rising)]
         rows.append([even[d // 2] if d % 2 == 0 else Fraction(0) for d in range(n - i + 1)])
     return rows
@@ -136,8 +130,8 @@ def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
     # w(k) = k! (lam + k) / ((2 lam)_k lam): the printed prefactor rescaled for
     # the mass-1 matrix, whose Gamma ratios collapse to 1/lam
     lam = spec.lam
-    rising = _rising(lam, n)
-    double = _rising(2 * lam, n)
+    rising = rising_factorials(lam, n)
+    double = rising_factorials(2 * lam, n)
     prefactor = [2**i * rising[i] / factorial(i) for i in range(n + 1)]
     anchors = _gegenbauer_anchors(lam, n)
     factors = [
@@ -149,13 +143,13 @@ def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
 
 def _jacobi_weights(c: Fraction, n: int) -> list[Fraction]:
     """(2k + c) (c)_k / c, the removable c = 0 pole cancelled, for k = 0..n."""
-    tail = _rising(c + 1, n - 1)
+    tail = rising_factorials(c + 1, n - 1)
     return [Fraction(1)] + [(2 * k + c) * tail[k - 1] for k in range(1, n + 1)]
 
 
 def _rising_rows(c: Fraction, n: int) -> list[list[Fraction]]:
     """Row k holds (k + c)_i for i = 0..k."""
-    return [_rising(k + c, k) for k in range(n + 1)]
+    return [rising_factorials(k + c, k) for k in range(n + 1)]
 
 
 def _jacobi_anchors(a: Fraction, b: Fraction, n: int) -> list[list[Fraction]]:
@@ -196,7 +190,7 @@ def _jacobi_table(spec: FamilySpec, n: int) -> _Table:
         [prefactor[i] * upper[k][i] * anchors[i][k - i] for i in range(k + 1)]
         for k in range(n + 1)
     ]
-    rising_a, rising_b = _rising(a + 1, n), _rising(b + 1, n)
+    rising_a, rising_b = rising_factorials(a + 1, n), rising_factorials(b + 1, n)
     weights = [
         factorial(k) * wf / (rising_a[k] * rising_b[k])
         for k, wf in enumerate(_jacobi_weights(c, n))
@@ -212,7 +206,7 @@ def _shifted_jacobi_table(spec: FamilySpec, n: int) -> _Table:
     a, b = spec.alpha, spec.beta
     c = a + b + 1
     upper = _rising_rows(c, n)
-    rising_a, rising_b = _rising(a + 1, n), _rising(b + 1, n)
+    rising_a, rising_b = rising_factorials(a + 1, n), rising_factorials(b + 1, n)
     factors = [
         [(-1) ** i * comb(k, i) * upper[k][i] / rising_a[i] for i in range(k + 1)]
         for k in range(n + 1)

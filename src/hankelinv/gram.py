@@ -77,11 +77,6 @@ class ExactMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    @property
-    def n(self) -> int:
-        """Largest index: the matrix is (n+1) x (n+1)."""
-        return self.size - 1
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 

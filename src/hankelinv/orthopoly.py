@@ -1,9 +1,9 @@
 """The five classical orthogonal-polynomial families.
 
-Holds the validated family/parameter record (FamilySpec), closed-form values
-of the standard-normalization polynomials at the family anchor point,
-coefficient expansions in the family basis, and the squared norms under the
-probability-normalized weight.  All of it exact.
+Holds the validated family/parameter record (FamilySpec), the coefficient
+record of a polynomial in the family basis (PolyCoeffs), closed-form values of
+the standard-normalization polynomials at the family anchor point, and their
+squared norms under the probability-normalized weight.  All of it exact.
 
 Conventions
 -----------
@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .special import binomial, hyp_terminating, pochhammer
+from .special import hyp_terminating, pochhammer
 
 __all__ = [
     "Family",
@@ -29,7 +29,6 @@ __all__ = [
     "InvalidFamilySpec",
     "PolyCoeffs",
     "special_value",
-    "poly_coeffs",
     "norm_squared",
 ]
 
@@ -166,10 +165,10 @@ def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
 
     Closed forms used:
       hermite        H_{2m}(0) = (-1)^m (2m)!/m!, odd degrees vanish
-      laguerre       L_k^(a)(0) = (a+1)_k / k!
       gegenbauer     C_{2m}^(l)(0) = (-1)^m (l)_m / m!, odd degrees vanish
       jacobi         P_k^(a,b)(0) via the terminating Gauss sum at 1/2
-      jacobi-shifted P_k^(a,b)(1) = (a+1)_k / k!
+      laguerre       L_k^(a)(0) = (a+1)_k / k!
+      jacobi-shifted P_k^(a,b)(1) = (a+1)_k / k!, the same value
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
@@ -181,9 +180,6 @@ def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
             return Fraction(0)
         m = k // 2
         return Fraction((-1) ** m * factorial(2 * m), factorial(m))
-    if fam is Family.LAGUERRE:
-        a = spec.alpha + shift
-        return pochhammer(a + 1, k) / factorial(k)
     if fam is Family.GEGENBAUER:
         if k % 2:
             return Fraction(0)
@@ -197,108 +193,46 @@ def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
             / factorial(k)
             * hyp_terminating(k, [k + a + b + 1], [a + 1], Fraction(1, 2))
         )
-    # shifted jacobi: value at 1
-    a = spec.alpha + shift
-    return pochhammer(a + 1, k) / factorial(k)
-
-
-def _gauss_to_monomials(pref: Fraction, k: int, upper2: Fraction, lower: Fraction) -> list[Fraction]:
-    """Expand pref * sum_s (-k)_s (upper2)_s / ((lower)_s s!) * ((1-x)/2)^s
-    into monomial coefficients."""
-    coeffs = [Fraction(0)] * (k + 1)
-    for s in range(k + 1):
-        r = (
-            pochhammer(Fraction(-k), s)
-            * pochhammer(upper2, s)
-            / (pochhammer(lower, s) * factorial(s))
-        )
-        if r == 0:
-            continue
-        scaled = pref * r / Fraction(2) ** s
-        for j in range(s + 1):
-            coeffs[j] += scaled * binomial(s, j) * (-1) ** j
-    return coeffs
-
-
-def poly_coeffs(spec: FamilySpec, k: int) -> PolyCoeffs:
-    """Degree-k standard-normalization family polynomial expanded in the
-    family basis, straight from the hypergeometric series definitions."""
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
-    fam = spec.family
-    if fam is Family.HERMITE:
-        # (2x)^k * sum_m (-k/2)_m ((1-k)/2)_m (-1/x^2)^m / m!
-        coeffs = [Fraction(0)] * (k + 1)
-        for m in range(k // 2 + 1):
-            coeffs[k - 2 * m] = (
-                Fraction(2) ** k
-                * pochhammer(Fraction(-k, 2), m)
-                * pochhammer(Fraction(1 - k, 2), m)
-                * (-1) ** m
-                / factorial(m)
-            )
-        return PolyCoeffs(tuple(coeffs))
-    if fam is Family.LAGUERRE:
-        a = spec.alpha
-        pref = pochhammer(a + 1, k) / factorial(k)
-        coeffs = [
-            pref * pochhammer(Fraction(-k), s) / (pochhammer(a + 1, s) * factorial(s))
-            for s in range(k + 1)
-        ]
-        return PolyCoeffs(tuple(coeffs))
-    if fam is Family.GEGENBAUER:
-        lam = spec.lam
-        pref = pochhammer(2 * lam, k) / factorial(k)
-        coeffs = _gauss_to_monomials(pref, k, 2 * lam + k, lam + Fraction(1, 2))
-        return PolyCoeffs(tuple(coeffs))
-    a, b = spec.alpha, spec.beta
-    pref = pochhammer(a + 1, k) / factorial(k)
-    if fam is Family.JACOBI:
-        coeffs = _gauss_to_monomials(pref, k, k + a + b + 1, a + 1)
-        return PolyCoeffs(tuple(coeffs))
-    # shifted jacobi: the Gauss argument (1-x)/2 equals -(x-1)/2, so the series
-    # lands in the (x-1) basis term by term with no re-expansion
-    coeffs = [
-        pref
-        * pochhammer(Fraction(-k), s)
-        * pochhammer(k + a + b + 1, s)
-        / (pochhammer(a + 1, s) * factorial(s))
-        * Fraction(-1, 2) ** s
-        for s in range(k + 1)
-    ]
-    return PolyCoeffs(tuple(coeffs))
+    # laguerre at 0 and shifted jacobi at 1
+    return pochhammer(spec.alpha + shift + 1, k) / factorial(k)
 
 
 def norm_squared(spec: FamilySpec, m: int) -> Fraction:
     """Squared norm h_m of the degree-m standard-normalization polynomial
-    under the probability-normalized weight (so h_0 = 1 for every family).
-
-    Computed as the telescoping product of the exact ratios h_m / h_{m-1}:
-      hermite     h_m = 2^m m!
-      laguerre    h_m = (alpha+1)_m / m!
-      gegenbauer  h_m = prod_{r=1..m} (2l+r-1)(l+r-1) / (r (l+r))
-      jacobi both h_1/h_0 = (a+1)(b+1)/(a+b+3), then for m >= 2
-                  h_m/h_{m-1} = (a+m)(b+m)(a+b+2m-1) / (m (a+b+2m+1)(a+b+m))
-    (the m = 1 Jacobi ratio is written with its removable a+b+1 factor
-    cancelled, so alpha+beta = -1 stays finite).
-    """
+    under the probability-normalized weight (so h_0 = 1 for every family):
+    the m-th entry of the family's norm sequence (see ``_norm_sequence``)."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    return _norm_sequence(spec, m + 1)[m]
+
+
+def _norm_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
+    """norm_squared(spec, m) for m = 0..count-1 as one running product of the
+    exact ratios h_m / h_{m-1}, from h_0 = 1:
+
+      hermite     2m, so h_m = 2^m m!
+      laguerre    (a+m) / m, so h_m = (a+1)_m / m!
+      gegenbauer  (2l+m-1)(l+m-1) / (m (l+m))
+      jacobi both (a+1)(b+1) / (a+b+3) at m = 1, then for m >= 2
+                  (a+m)(b+m)(a+b+2m-1) / (m (a+b+2m+1)(a+b+m))
+
+    The m = 1 Jacobi ratio is written with its removable a+b+1 factor
+    cancelled, so alpha+beta = -1 stays finite."""
     fam = spec.family
+    a, b, lam = spec.alpha, spec.beta, spec.lam
     if fam is Family.HERMITE:
-        return Fraction(2) ** m * factorial(m)
-    if fam is Family.LAGUERRE:
-        return pochhammer(spec.alpha + 1, m) / factorial(m)
-    if fam is Family.GEGENBAUER:
-        lam = spec.lam
-        result = Fraction(1)
-        for r in range(1, m + 1):
-            result *= (2 * lam + r - 1) * (lam + r - 1) / (r * (lam + r))
-        return result
-    a, b = spec.alpha, spec.beta
-    result = Fraction(1)
-    if m >= 1:
-        result *= (a + 1) * (b + 1) / (a + b + 3)
-    for r in range(2, m + 1):
-        result *= (a + r) * (b + r) * (a + b + 2 * r - 1) / (r * (a + b + 2 * r + 1) * (a + b + r))
-    return result
+        ratio = lambda m: 2 * m
+    elif fam is Family.LAGUERRE:
+        ratio = lambda m: (a + m) / m
+    elif fam is Family.GEGENBAUER:
+        ratio = lambda m: (2 * lam + m - 1) * (lam + m - 1) / (m * (lam + m))
+    else:
+        ratio = lambda m: (
+            (a + 1) * (b + 1) / (a + b + 3)
+            if m == 1
+            else (a + m) * (b + m) * (a + b + 2 * m - 1) / (m * (a + b + 2 * m + 1) * (a + b + m))
+        )
+    seq = [Fraction(1)]
+    for m in range(1, count):
+        seq.append(seq[-1] * ratio(m))
+    return seq

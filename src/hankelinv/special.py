@@ -1,8 +1,8 @@
 """Exact scalar building blocks: rising factorials, binomials, integer Barnes-G
 values, and terminating hypergeometric sums over arbitrary-precision rationals.
 
-Every function returns a ``fractions.Fraction`` in canonical form (reduced,
-positive denominator) and never touches floating point.
+Every value returned is a ``fractions.Fraction`` in canonical form (reduced,
+positive denominator); nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from math import comb, factorial
 __all__ = [
     "ZeroDenominator",
     "pochhammer",
+    "rising_factorials",
     "binomial",
     "barnes_g_int",
     "hyp_terminating",
@@ -24,18 +25,25 @@ class ZeroDenominator(ArithmeticError):
 
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial ``(a)_n = a (a+1) ... (a+n-1)``, with ``(a)_0 = 1``.
+    """Rising factorial ``(a)_n = a (a+1) ... (a+n-1)``, with ``(a)_0 = 1``:
+    the last entry of ``rising_factorials(a, n)``.
 
     Only ``n >= 0`` is supported; the negative-index extension is deliberately
     out of scope.
     """
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
+    return rising_factorials(a, n)[-1]
+
+
+def rising_factorials(a: Fraction | int, n: int) -> list[Fraction]:
+    """``[(a)_0, (a)_1, ..., (a)_n]`` by the step ``(a)_{k+1} = (a)_k (a + k)``;
+    just ``[1]`` for ``n < 0``."""
     a = Fraction(a)
-    result = Fraction(1)
-    for j in range(n):
-        result *= a + j
-    return result
+    out = [Fraction(1)]
+    for k in range(n):
+        out.append(out[-1] * (a + k))
+    return out
 
 
 def binomial(n: int, k: int) -> Fraction:

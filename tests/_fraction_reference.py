@@ -1,7 +1,8 @@
 """Straight Fraction versions of the library's fast paths, kept as
 references: the elimination oracle, the matrix product, the moment
-sequences, classical Gram-Schmidt, the kernel sum, and the shifted-parameter
-anchor values of the closed forms.
+sequences, classical Gram-Schmidt, the kernel sum, the shifted-parameter
+anchor values of the closed forms, and the closed-form determinant with one
+telescoping norm product per degree.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -12,11 +13,12 @@ code against them entry for entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from hankelinv.elimination import SingularMatrix
 from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
-from hankelinv.special import hyp_terminating, pochhammer
+from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
@@ -148,3 +150,57 @@ def shifted_anchors(spec: FamilySpec, n: int) -> list[list[Fraction]]:
     """Row i holds the anchor values of degrees 0..n-i with every parameter
     raised by i, one ``special_value`` call per entry."""
     return [[special_value(spec, d, shift=i) for d in range(n - i + 1)] for i in range(n + 1)]
+
+
+def norm_squared(spec: FamilySpec, m: int) -> Fraction:
+    """Squared norm h_m as the telescoping product of the ratios
+    h_r / h_{r-1}, r = 1..m, rebuilt from degree 1 (the jacobi ratio at
+    r = 1 with its removable a+b+1 factor cancelled)."""
+    fam = spec.family
+    if fam is Family.HERMITE:
+        return Fraction(2) ** m * factorial(m)
+    if fam is Family.LAGUERRE:
+        return pochhammer(spec.alpha + 1, m) / factorial(m)
+    if fam is Family.GEGENBAUER:
+        lam = spec.lam
+        result = Fraction(1)
+        for r in range(1, m + 1):
+            result *= (2 * lam + r - 1) * (lam + r - 1) / (r * (lam + r))
+        return result
+    a, b = spec.alpha, spec.beta
+    result = Fraction(1)
+    if m >= 1:
+        result *= (a + 1) * (b + 1) / (a + b + 3)
+    for r in range(2, m + 1):
+        result *= (a + r) * (b + r) * (a + b + 2 * r - 1) / (r * (a + b + 2 * r + 1) * (a + b + r))
+    return result
+
+
+def explicit_det(spec: FamilySpec, n: int) -> Fraction:
+    """Closed-form determinant with a fresh norm product and a fresh rising
+    factorial per degree k: prod_k h_k / (leading coefficient)^2."""
+    fam = spec.family
+    if fam is Family.HERMITE:
+        return barnes_g_int(n + 2) / Fraction(2) ** (n * (n + 1) // 2)
+    if fam is Family.LAGUERRE:
+        result = Fraction(1)
+        for k in range(n + 1):
+            result *= factorial(k) * pochhammer(spec.alpha + 1, k)
+        return result
+    if fam is Family.GEGENBAUER:
+        lam = spec.lam
+        result = Fraction(1)
+        for k in range(n + 1):
+            # leading coefficient of the degree-k polynomial: 2^k (lam)_k / k!
+            result *= norm_squared(spec, k) * Fraction(factorial(k)) ** 2 / (
+                Fraction(4) ** k * pochhammer(lam, k) ** 2
+            )
+        return result
+    c = spec.alpha + spec.beta + 1
+    result = Fraction(1)
+    for k in range(n + 1):
+        lead = pochhammer(k + c, k) / factorial(k)  # times 2^-k in the monomial basis
+        if fam is Family.JACOBI:
+            lead /= Fraction(2) ** k
+        result *= norm_squared(spec, k) / lead**2
+    return result

@@ -1,15 +1,17 @@
 """Independent polynomial oracles for the test suite.
 
 Everything here is built from the textbook three-term recurrences and
-elementary coefficient-list algebra, on purpose sharing no code with the
-hypergeometric-series routes inside the package.  Coefficient lists are
-little-endian: ``poly[s]`` multiplies ``x**s``.
+elementary coefficient-list algebra, on purpose sharing no arithmetic with
+the closed forms inside the package.  Coefficient lists are little-endian:
+``poly[s]`` multiplies ``x**s``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+
+from hankelinv.orthopoly import Family, FamilySpec
 
 
 def poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -130,3 +132,16 @@ def jacobi_polys(n_max: int, alpha: Fraction | int, beta: Fraction | int) -> lis
         rhs = poly_add(rhs, poly_scale(polys[n - 1], -c_prev))
         polys.append([v / c_lead for v in rhs])
     return polys
+
+
+def oracle_polys(spec: FamilySpec, n_max: int) -> list[list[Fraction]]:
+    """The family's standard polynomials of degree 0..n_max in powers of x;
+    both jacobi variants get the jacobi polynomials."""
+    fam = spec.family
+    if fam is Family.HERMITE:
+        return hermite_polys(n_max)
+    if fam is Family.LAGUERRE:
+        return laguerre_polys(n_max, spec.alpha)
+    if fam is Family.GEGENBAUER:
+        return gegenbauer_polys(n_max, spec.lam)
+    return jacobi_polys(n_max, spec.alpha, spec.beta)

@@ -67,6 +67,11 @@ class TestExplicitDet:
             (FamilySpec.gegenbauer(1), 2, Fraction(1, 64)),
             (FamilySpec.jacobi(0, 0), 2, Fraction(4, 135)),
             (HILBERT, 2, Fraction(1, 2160)),
+            # the corners: alpha + beta = -1 and lambda near -1/2
+            (FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), 1, Fraction(4, 9)),
+            (FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), 2, Fraction(320, 6561)),
+            (FamilySpec.shifted_jacobi(Fraction(-1, 3), Fraction(-2, 3)), 2, Fraction(5, 6561)),
+            (FamilySpec.gegenbauer(Fraction(-4, 9)), 2, Fraction(729, 14000)),
         ],
     )
     def test_frozen_values(self, spec, n, expected):

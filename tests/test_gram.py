@@ -3,7 +3,7 @@
 Cross-routes used here:
   * numeric quadrature of the actual weight functions (mpmath) for moments,
   * the recurrence/bilinear-form consistency triangle tying hankel_moment,
-    poly_coeffs and norm_squared together,
+    the three-term-recurrence polynomials and norm_squared together,
   * classical determinant/kernel identities (bordered determinant and the
     Christoffel-Darboux difference form) evaluated in exact arithmetic.
 """
@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from _recurrences import oracle_polys, taylor_shift
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import (
     ExactMatrix,
@@ -29,7 +30,7 @@ from hankelinv.gram import (
     moment,
     moment_matrix,
 )
-from hankelinv.orthopoly import Family, FamilySpec, norm_squared, poly_coeffs
+from hankelinv.orthopoly import Family, FamilySpec, norm_squared
 
 HERMITE = FamilySpec.hermite()
 LAGUERRE = FamilySpec.laguerre(Fraction(1, 2))
@@ -240,26 +241,27 @@ class TestGramSchmidt:
 
 
 class TestStandardPolynomialsUnderForm:
-    """hankel_moment, poly_coeffs and norm_squared come from three unrelated
-    closed forms; the bilinear form must still see the standard polynomials
-    as an orthogonal family with exactly the norm_squared lengths."""
+    """hankel_moment, the three-term recurrences and norm_squared are three
+    unrelated routes; the bilinear form must still see the standard
+    polynomials as an orthogonal family with exactly the norm_squared
+    lengths."""
 
     @staticmethod
-    def _form_coeffs(spec, k):
+    def _form_coeffs(spec, poly):
         # family-basis coefficients rewritten in the variable the Hankel
         # sequence describes: x, -x (jacobi), or (1-x)/2 (jacobi-shifted)
-        coeffs = poly_coeffs(spec, k).coeffs
         if spec.family is Family.JACOBI:
-            return [c * (-1) ** s for s, c in enumerate(coeffs)]
+            return [c * (-1) ** s for s, c in enumerate(poly)]
         if spec.family is Family.SHIFTED_JACOBI:
-            return [c * (-2) ** s for s, c in enumerate(coeffs)]
-        return list(coeffs)
+            # the family basis is (x-1)^s
+            return [c * (-2) ** s for s, c in enumerate(taylor_shift(poly, 1))]
+        return poly
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
     def test_orthogonality_and_norms(self, spec):
         n = 6
         seq = [hankel_moment(spec, k) for k in range(2 * n + 1)]
-        polys = [self._form_coeffs(spec, k) for k in range(n + 1)]
+        polys = [self._form_coeffs(spec, poly) for poly in oracle_polys(spec, n)]
         for k in range(n + 1):
             for m in range(k + 1):
                 value = sum(

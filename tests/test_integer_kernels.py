@@ -11,6 +11,9 @@ Fraction references in ``_fraction_reference``, entry for entry.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
   recurrence anchors of the jacobi and gegenbauer inverses, over each
   family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
+* The one-pass ``explicit_det`` at n <= 12 and the running-product
+  ``norm_squared`` at degrees m <= 30, over the same parameters, against one
+  telescoping product per degree.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 import _fraction_reference as reference
 from _strategies import CORNERS, SPECS, corner_examples
 from hankelinv import closed_form, gram
+from hankelinv.closed_form import explicit_det
 from hankelinv.elimination import SingularMatrix, bareiss_det, gauss_inverse
 from hankelinv.gram import (
     ExactMatrix,
@@ -34,7 +38,7 @@ from hankelinv.gram import (
     kernel_sum,
     moment_matrix,
 )
-from hankelinv.orthopoly import Family, FamilySpec
+from hankelinv.orthopoly import Family, FamilySpec, norm_squared
 
 _ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -235,3 +239,22 @@ class TestAnchorRecurrenceMatchesSpecialValue:
         anchors = _ANCHORS[spec.family](spec, n)
         assert anchors == reference.shifted_anchors(spec, n)
         assert all(type(v) is Fraction for row in anchors for v in row)
+
+
+class TestExplicitDetMatchesPerDegree:
+    @given(spec=SPECS, n=st.integers(0, 12))
+    @corner_examples(12)
+    def test_property(self, spec, n):
+        det = explicit_det(spec, n)
+        assert type(det) is Fraction
+        assert det == reference.explicit_det(spec, n)
+
+
+class TestNormSequenceMatchesTelescoping:
+    # n is the largest degree m checked
+    @given(spec=SPECS, n=st.integers(0, 30))
+    @corner_examples(30)
+    def test_property(self, spec, n):
+        norms = [norm_squared(spec, m) for m in range(n + 1)]
+        assert all(type(h) is Fraction for h in norms)
+        assert norms == [reference.norm_squared(spec, m) for m in range(n + 1)]

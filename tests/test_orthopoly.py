@@ -1,7 +1,7 @@
-"""Tests for family specs, polynomial expansions, anchor values and norms.
+"""Tests for family specs, the coefficient record, anchor values and norms.
 
-The polynomial-valued routes are checked against an independent oracle that
-generates the same polynomials purely from their three-term recurrences
+Anchor values are checked against an independent oracle that generates the
+family polynomials purely from their three-term recurrences
 (tests/_recurrences.py).
 """
 
@@ -11,21 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from _recurrences import (
-    gegenbauer_polys,
-    hermite_polys,
-    jacobi_polys,
-    laguerre_polys,
-    poly_eval,
-    taylor_shift,
-)
+from _recurrences import oracle_polys, poly_eval
 from hankelinv.orthopoly import (
     Family,
     FamilySpec,
     InvalidFamilySpec,
     PolyCoeffs,
     norm_squared,
-    poly_coeffs,
     special_value,
 )
 
@@ -117,18 +109,6 @@ class TestPolyCoeffs:
         assert PolyCoeffs((Fraction(0),)).eval_at(3) == 0
 
 
-# one oracle per family: the degree-k polynomial in monomial coefficients
-def _oracle_polys(spec: FamilySpec, n_max: int) -> list[list[Fraction]]:
-    fam = spec.family
-    if fam is Family.HERMITE:
-        return hermite_polys(n_max)
-    if fam is Family.LAGUERRE:
-        return laguerre_polys(n_max, spec.alpha)
-    if fam is Family.GEGENBAUER:
-        return gegenbauer_polys(n_max, spec.lam)
-    return jacobi_polys(n_max, spec.alpha, spec.beta)
-
-
 ALL_SPECS = [HERMITE, LAGUERRE, GEGENBAUER, JACOBI, SHIFTED]
 
 
@@ -136,7 +116,7 @@ class TestSpecialValue:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
     def test_matches_recurrence_oracle(self, spec):
         anchor = spec.basis_origin
-        oracle = _oracle_polys(spec, 15)
+        oracle = oracle_polys(spec, 15)
         for k in range(16):
             assert special_value(spec, k) == poly_eval(oracle[k], anchor)
 
@@ -185,41 +165,6 @@ class TestSpecialValue:
             special_value(HERMITE, 2, shift=-1)
 
 
-class TestPolyCoeffsValues:
-    @pytest.mark.parametrize(
-        "spec",
-        [HERMITE, LAGUERRE, GEGENBAUER, JACOBI],
-        ids=lambda s: s.family.value,
-    )
-    def test_matches_recurrence_oracle(self, spec):
-        oracle = _oracle_polys(spec, 10)
-        for k in range(11):
-            assert poly_coeffs(spec, k).coeffs == tuple(oracle[k])
-
-    def test_shifted_jacobi_matches_rebased_oracle(self):
-        # expand the recurrence polynomials around 1 independently
-        oracle = jacobi_polys(10, SHIFTED.alpha, SHIFTED.beta)
-        for k in range(11):
-            assert poly_coeffs(SHIFTED, k).coeffs == tuple(taylor_shift(oracle[k], 1))
-
-    def test_hermite_degree_two(self):
-        assert poly_coeffs(HERMITE, 2).coeffs == (Fraction(-2), Fraction(0), Fraction(4))
-
-    def test_shifted_jacobi_degree_one(self):
-        a, b = Fraction(2), Fraction(3)
-        spec = FamilySpec.shifted_jacobi(a, b)
-        assert poly_coeffs(spec, 1).coeffs == (a + 1, (a + b + 2) / 2)
-
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
-    def test_anchor_coefficient_is_special_value(self, spec):
-        for k in range(9):
-            assert poly_coeffs(spec, k).coeffs[0] == special_value(spec, k)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            poly_coeffs(HERMITE, -1)
-
-
 class TestNormSquared:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
     def test_degree_zero_is_one(self, spec):
@@ -237,6 +182,10 @@ class TestNormSquared:
             (FamilySpec.jacobi(0, 0), 1, Fraction(1, 3)),
             (FamilySpec.jacobi(0, 0), 2, Fraction(1, 5)),
             (FamilySpec.shifted_jacobi(0, 0), 1, Fraction(1, 3)),
+            # alpha + beta = -1, where the general m = 1 ratio has a 0/0
+            (FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), 1, Fraction(1, 9)),
+            (FamilySpec.shifted_jacobi(Fraction(-1, 3), Fraction(-2, 3)), 2, Fraction(5, 81)),
+            (FamilySpec.gegenbauer(Fraction(-4, 9)), 2, Fraction(8, 567)),
         ],
     )
     def test_frozen_values(self, spec, m, expected):

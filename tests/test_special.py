@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from hankelinv.special import (
     binomial,
     hyp_terminating,
     pochhammer,
+    rising_factorials,
 )
 
 
@@ -40,6 +42,18 @@ class TestPochhammer:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             pochhammer(1, -1)
+
+
+class TestRisingFactorials:
+    @pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(-7, 5), 4, 0, -2])
+    def test_entries_are_the_products(self, a):
+        values = rising_factorials(a, 7)
+        assert all(type(v) is Fraction for v in values)
+        assert values == [prod((Fraction(a) + j for j in range(k)), start=Fraction(1)) for k in range(8)]
+        assert values[-1] == pochhammer(a, 7)
+
+    def test_negative_n_gives_the_empty_product(self):
+        assert rising_factorials(Fraction(1, 2), -1) == [1]
 
 
 class TestBinomial:
