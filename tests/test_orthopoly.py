@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from _recurrences import oracle_polys, poly_eval
+from _recurrences import oracle_polys, poly_eval, taylor_shift
 from hankelinv.orthopoly import (
     Family,
     FamilySpec,
@@ -163,6 +163,18 @@ class TestSpecialValue:
             special_value(HERMITE, -1)
         with pytest.raises(ValueError):
             special_value(HERMITE, 2, shift=-1)
+
+
+class TestPolyCoeffsValues:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    def test_anchor_coefficient_is_special_value(self, spec):
+        # expand the recurrence polynomials around the basis origin; the
+        # constant coefficient of that expansion is the anchor value
+        oracle = oracle_polys(spec, 8)
+        for k in range(9):
+            rebased = PolyCoeffs(tuple(taylor_shift(oracle[k], spec.basis_origin)))
+            assert rebased.degree == k
+            assert rebased.coeffs[0] == special_value(spec, k)
 
 
 class TestNormSquared:
