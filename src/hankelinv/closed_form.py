@@ -5,7 +5,9 @@ These are independent second routes to the values the kernel engine in
 the elimination oracle).  Transcendental-looking printed factors (pi, Gamma
 and Barnes-G at non-integer points) cancel under the mass-1 normalization, so
 each determinant is reduced factor-by-factor to a rational product before
-evaluation.
+evaluation.  The inverses are built from factor tables of exact rationals;
+the jacobi anchor values among them come from the printed three-term
+recurrence run on ints, one gcd per step.
 
 One published display is known to be suspect: the closed form for the jacobi
 determinant.  ``jacobi_det_as_printed`` keeps it verbatim (including its
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import TYPE_CHECKING
 
 from .elimination import bareiss_det
@@ -160,19 +162,31 @@ def _jacobi_anchors(a: Fraction, b: Fraction, n: int) -> list[list[Fraction]]:
             = (a^2 - b^2) (2d+s+1) P_d(0) - 2 (d+a) (d+b) (2d+s+2) P_{d-1}(0)
 
     with a, b the shifted parameters and s = a + b.  For d >= 1 the divisor is
-    nonzero on the whole domain, the alpha + beta = -1 corner included."""
+    nonzero on the whole domain, the alpha + beta = -1 corner included.
+
+    Runs on ints: with a = A/q and b = B/q over their common denominator q,
+    each coefficient times q^3 is an integer, so a step is integer products
+    over the two previous values' numerators and denominators and one gcd."""
+    q = lcm(a.denominator, b.denominator)
     rows = []
     for i in range(n + 1):
-        a_i, b_i = a + i, b + i
+        a_i = a.numerator * (q // a.denominator) + i * q
+        b_i = b.numerator * (q // b.denominator) + i * q
         s = a_i + b_i
-        row = [Fraction(1), (a_i - b_i) / 2]
+        squares = a_i * a_i - b_i * b_i
+        row = [Fraction(1), Fraction(a_i - b_i, 2 * q)]
         for d in range(1, n - i):
+            dq = d * q
+            after = 2 * (d + 1) * (dq + s + q) * (2 * dq + s) * q
+            now = squares * (2 * dq + s + q)
+            before = 2 * (dq + a_i) * (dq + b_i) * (2 * dq + s + 2 * q)
+            p, p_before = row[d], row[d - 1]
             row.append(
-                (
-                    (a_i * a_i - b_i * b_i) * (2 * d + s + 1) * row[d]
-                    - 2 * (d + a_i) * (d + b_i) * (2 * d + s + 2) * row[d - 1]
+                Fraction(
+                    now * p.numerator * p_before.denominator
+                    - before * p_before.numerator * p.denominator,
+                    after * p.denominator * p_before.denominator,
                 )
-                / (2 * (d + 1) * (d + s + 1) * (2 * d + s))
             )
         rows.append(row[: n - i + 1])
     return rows

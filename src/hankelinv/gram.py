@@ -5,7 +5,9 @@ sequence, which each family's two-step moment recurrence produces entry by
 entry.  The engine reads only those 2n+1 moments: the Chebyshev algorithm
 turns them into the recurrence coefficients and squared norms h_m of the monic
 orthogonal polynomials, whose coefficients a_{m,i} follow from the three-term
-recurrence.  The exact inverse is then the Christoffel-Darboux kernel sum
+recurrence.  Both recurrences run on primitive integer rows, and Fractions
+appear again only in the norms and coefficients they return.  The exact
+inverse is then the Christoffel-Darboux kernel sum
 
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .orthopoly import Family, FamilySpec, PolyCoeffs
@@ -197,20 +199,30 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     a_k = sigma_k(k+1) / sigma_k(k) - sigma_{k-1}(k) / sigma_{k-1}(k-1),
     b_k = sigma_k(k) / sigma_{k-1}(k-1) and the norms h_k = sigma_k(k) in
     O(n^2) steps; the monic coefficients follow from
-    p_{k+1} = (t - a_k) p_k - b_k p_{k-1}.  Exact rational arithmetic
-    throughout."""
+    p_{k+1} = (t - a_k) p_k - b_k p_{k-1}.
+
+    Both recurrences run on primitive integer rows.  Each row sigma_k is one
+    integer vector S_k over one positive denominator D_k.  With
+    u = S_k(k) S_{k-1}(k-1) and A = S_k(k+1) S_{k-1}(k-1) - S_{k-1}(k) S_k(k),
+    so that a_k = A / u,
+
+        sigma_{k+1}(l) (D_k u) = u S_k(l+1) - A S_k(l) - S_k(k)^2 S_{k-1}(l),
+
+    and one gcd over the new row and its denominator reduces it.  Each p_k is
+    a primitive integer vector with a positive leading coefficient, divided by
+    that coefficient only when the output Fractions are built."""
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n + 1
-    # sigma_k(l) for l = k..2n-k, and sigma_{k-1}; sigma_0 is the moments
-    sigma, sigma_before = _moment_sequence(spec, size), [Fraction(0)] * size
-    p, p_before = [Fraction(1)], []
-    # stands in for h_{-1}: at k = 0 it only meets sigma_{-1} = 0 and p_{-1} = 0
-    norm_before = Fraction(1)
-    monic: list[list[Fraction]] = []
+    # sigma[j] = S_k(k + j) and sigma_before[j] = S_{k-1}(k - 1 + j); at k = 0
+    # the stand-in S_{-1} = (1, 0, 0, ...) over 1 gives u = S_0(0), A = S_0(1)
+    denom, sigma = _scaled(_moment_sequence(spec, size))
+    denom_before, sigma_before = 1, [1] + [0] * (size + 1)
+    p, p_before = [1], []
+    monic: list[list[int]] = []
     norms: list[Fraction] = []
     for k in range(n + 1):
-        h = sigma[k]
+        h = Fraction(sigma[0], denom)
         if h <= 0:
             raise NotPositiveDefinite(
                 f"norm of degree {k} came out {h}; the moment matrix is not positive definite"
@@ -219,25 +231,38 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
         norms.append(h)
         if k == n:
             break
-        a_k = sigma[k + 1] / h - sigma_before[k] / norm_before
-        b_k = h / norm_before
-        p_next = [Fraction(0)] + p
-        for i, c in enumerate(p):
-            p_next[i] -= a_k * c
-        for i, c in enumerate(p_before):
-            p_next[i] -= b_k * c
-        sigma_next = [Fraction(0)] * size
-        for l in range(k + 1, size - k - 1):
-            sigma_next[l] = sigma[l + 1] - a_k * sigma[l] - b_k * sigma_before[l]
-        sigma_before, sigma = sigma, sigma_next
-        p_before, p = p, p_next
-        norm_before = h
+        head, head_before = sigma[0], sigma_before[0]
+        u, a_top, square = _primitive(
+            [head * head_before, sigma[1] * head_before - sigma_before[1] * head, head * head]
+        )
+        # p_{k+1} times D_k u lead(p_k) lead(p_{k-1}), u and A over the same content
+        lead_before = p_before[-1] if p_before else 1
+        c_shift, c_a, c_b = _primitive(
+            [u * denom * lead_before, a_top * denom * lead_before, square * denom_before * p[-1]]
+        )
+        p_next = [
+            c_shift * s - c_a * x - c_b * y
+            for s, x, y in zip([0, *p], [*p, 0], [*p_before, 0, 0])
+        ]
+        sigma_next = [
+            u * x2 - a_top * x1 - square * y
+            for x1, x2, y in zip(sigma[1:], sigma[2:], sigma_before[2:])
+        ]
+        sigma_before, denom_before = sigma, denom
+        denom, *sigma = _primitive([denom * u, *sigma_next])
+        p_before, p = p, _primitive(p_next)
     return OrthoTable(
         spec=spec,
         n=n,
-        monic=tuple(PolyCoeffs(tuple(c)) for c in monic),
+        monic=tuple(PolyCoeffs(tuple(Fraction(c, q[-1]) for c in q)) for q in monic),
         norms=tuple(norms),
     )
+
+
+def _primitive(values: list[int]) -> list[int]:
+    """The integers divided by their content, the gcd of them all."""
+    content = gcd(*values)
+    return [v // content for v in values]
 
 
 def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> ExactMatrix:

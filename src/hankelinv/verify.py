@@ -61,9 +61,21 @@ def _first_mismatch(name: str, cells: Iterable[_Cell]) -> CheckResult:
     return CheckResult(name, True)
 
 
+def _check(name: str, holds: bool, cells: Iterable[_Cell]) -> CheckResult:
+    """A check decided on whole rows; only a failed one scans ``cells`` for
+    its witness."""
+    return CheckResult(name, True) if holds else _first_mismatch(name, cells)
+
+
 def _entrywise(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
     size = range(actual.size)
     return ((i, j, expected.entry(i, j), actual.entry(i, j)) for i in size for j in size)
+
+
+def _against_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """Each entry against the identity's."""
+    size = range(matrix.size)
+    return ((i, j, Fraction(int(i == j)), matrix.entry(i, j)) for i in size for j in size)
 
 
 def _mirrored(matrix: ExactMatrix) -> Iterator[_Cell]:
@@ -76,6 +88,20 @@ def _odd_zeros(matrix: ExactMatrix) -> Iterator[_Cell]:
     """Each entry at odd i + j against zero."""
     size = range(matrix.size)
     return ((i, j, Fraction(0), matrix.entry(i, j)) for i in size for j in size if (i + j) % 2)
+
+
+def _is_symmetric(matrix: ExactMatrix) -> bool:
+    return tuple(zip(*matrix.rows)) == matrix.rows
+
+
+def _is_identity(matrix: ExactMatrix) -> bool:
+    rows = matrix.rows
+    return all(row[i] == 1 and row.count(0) == len(rows) - 1 for i, row in enumerate(rows))
+
+
+def _has_odd_zeros(matrix: ExactMatrix) -> bool:
+    rows = matrix.rows
+    return not any(row[j] for i, row in enumerate(rows) for j in range((i + 1) % 2, len(rows), 2))
 
 
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
@@ -96,19 +122,30 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     det_explicit = explicit_det(spec, n)
     det_norms = det_from_norms(table)
     det_oracle = bareiss_det(matrix)
+    product = explicit_inv @ matrix
 
     checks = [
-        _first_mismatch("matrix_symmetric", _mirrored(matrix)),
-        _first_mismatch(
-            "inverse_identity", _entrywise(ExactMatrix.identity(n + 1), explicit_inv @ matrix)
+        _check("matrix_symmetric", _is_symmetric(matrix), _mirrored(matrix)),
+        _check("inverse_identity", _is_identity(product), _against_identity(product)),
+        _check(
+            "explicit_equals_kernel",
+            explicit_inv.rows == kernel_inv.rows,
+            _entrywise(explicit_inv, kernel_inv),
         ),
-        _first_mismatch("explicit_equals_kernel", _entrywise(explicit_inv, kernel_inv)),
-        _first_mismatch("explicit_equals_elimination", _entrywise(explicit_inv, oracle_inv)),
+        _check(
+            "explicit_equals_elimination",
+            explicit_inv.rows == oracle_inv.rows,
+            _entrywise(explicit_inv, oracle_inv),
+        ),
         _first_mismatch("det_explicit_equals_norm_product", [(-1, -1, det_explicit, det_norms)]),
         _first_mismatch("det_explicit_equals_bareiss", [(-1, -1, det_explicit, det_oracle)]),
-        _first_mismatch("inverse_symmetric", _mirrored(explicit_inv)),
+        _check("inverse_symmetric", _is_symmetric(explicit_inv), _mirrored(explicit_inv)),
     ]
     if spec.family in _PARITY_FAMILIES:
-        checks.append(_first_mismatch("matrix_checkerboard_zeros", _odd_zeros(matrix)))
-        checks.append(_first_mismatch("inverse_checkerboard_zeros", _odd_zeros(explicit_inv)))
+        checks += [
+            _check("matrix_checkerboard_zeros", _has_odd_zeros(matrix), _odd_zeros(matrix)),
+            _check(
+                "inverse_checkerboard_zeros", _has_odd_zeros(explicit_inv), _odd_zeros(explicit_inv)
+            ),
+        ]
     return VerifyReport(spec=spec, n=n, checks=tuple(checks))

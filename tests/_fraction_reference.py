@@ -1,8 +1,9 @@
 """Straight Fraction versions of the library's fast paths, kept as
 references: the elimination oracle, the matrix product, the moment
-sequences, classical Gram-Schmidt, the kernel sum, the shifted-parameter
-anchor values of the closed forms, and the closed-form determinant with one
-telescoping norm product per degree.
+sequences, classical Gram-Schmidt, the Chebyshev algorithm, the kernel sum,
+the shifted-parameter anchor values of the closed forms, the jacobi anchor
+recurrence, and the closed-form determinant with one telescoping norm
+product per degree.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -128,6 +129,51 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     )
 
 
+def chebyshev(spec: FamilySpec, n: int) -> OrthoTable:
+    """The Chebyshev algorithm (Gautschi 2004, section 2.1.7) on Fractions:
+    mixed moments sigma_k(l), recurrence coefficients a_k, b_k and norms
+    h_k = sigma_k(k) from the 2n+1 moments, then the monic coefficients from
+    p_{k+1} = (t - a_k) p_k - b_k p_{k-1}."""
+    size = 2 * n + 1
+    # sigma_k(l) for l = k..2n-k, and sigma_{k-1}; sigma_0 is the moments
+    sigma = [hankel_moment(spec, k) for k in range(size)]
+    sigma_before = [Fraction(0)] * size
+    p, p_before = [Fraction(1)], []
+    # stands in for h_{-1}: at k = 0 it only meets sigma_{-1} = 0 and p_{-1} = 0
+    norm_before = Fraction(1)
+    monic: list[list[Fraction]] = []
+    norms: list[Fraction] = []
+    for k in range(n + 1):
+        h = sigma[k]
+        if h <= 0:
+            raise NotPositiveDefinite(
+                f"norm of degree {k} came out {h}; the moment matrix is not positive definite"
+            )
+        monic.append(p)
+        norms.append(h)
+        if k == n:
+            break
+        a_k = sigma[k + 1] / h - sigma_before[k] / norm_before
+        b_k = h / norm_before
+        p_next = [Fraction(0)] + p
+        for i, c in enumerate(p):
+            p_next[i] -= a_k * c
+        for i, c in enumerate(p_before):
+            p_next[i] -= b_k * c
+        sigma_next = [Fraction(0)] * size
+        for l in range(k + 1, size - k - 1):
+            sigma_next[l] = sigma[l + 1] - a_k * sigma[l] - b_k * sigma_before[l]
+        sigma_before, sigma = sigma, sigma_next
+        p_before, p = p, p_next
+        norm_before = h
+    return OrthoTable(
+        spec=spec,
+        n=n,
+        monic=tuple(PolyCoeffs(tuple(c)) for c in monic),
+        norms=tuple(norms),
+    )
+
+
 def kernel_sum(factors, weights) -> ExactMatrix:
     """B(i, j) = sum_k f(k, i) f(k, j) w(k) by Fraction multiply-adds over
     the lower-triangular rows f(k, 0..k)."""
@@ -150,6 +196,29 @@ def shifted_anchors(spec: FamilySpec, n: int) -> list[list[Fraction]]:
     """Row i holds the anchor values of degrees 0..n-i with every parameter
     raised by i, one ``special_value`` call per entry."""
     return [[special_value(spec, d, shift=i) for d in range(n - i + 1)] for i in range(n + 1)]
+
+
+def jacobi_anchors(a: Fraction, b: Fraction, n: int) -> list[list[Fraction]]:
+    """Row i holds P_d^(a+i, b+i)(0) for d = 0..n-i by the three-term
+    recurrence (DLMF 18.9.1) at x = 0 on Fractions, with s = a + b:
+
+        2 (d+1) (d+s+1) (2d+s) P_{d+1}(0)
+            = (a^2 - b^2) (2d+s+1) P_d(0) - 2 (d+a) (d+b) (2d+s+2) P_{d-1}(0)"""
+    rows = []
+    for i in range(n + 1):
+        a_i, b_i = a + i, b + i
+        s = a_i + b_i
+        row = [Fraction(1), (a_i - b_i) / 2]
+        for d in range(1, n - i):
+            row.append(
+                (
+                    (a_i * a_i - b_i * b_i) * (2 * d + s + 1) * row[d]
+                    - 2 * (d + a_i) * (d + b_i) * (2 * d + s + 2) * row[d - 1]
+                )
+                / (2 * (d + 1) * (d + s + 1) * (2 * d + s))
+            )
+        rows.append(row[: n - i + 1])
+    return rows
 
 
 def norm_squared(spec: FamilySpec, m: int) -> Fraction:

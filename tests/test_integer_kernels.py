@@ -11,6 +11,9 @@ Fraction references in ``_fraction_reference``, entry for entry.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
   recurrence anchors of the jacobi and gegenbauer inverses, over each
   family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
+* The integer-row ``gram_schmidt`` and ``_jacobi_anchors`` against the same
+  recurrences on Fractions, over the same parameters and at n = 24, 40 and
+  60 for the five parameter points of ROADMAP's layer table.
 * The one-pass ``explicit_det`` at n <= 12 and the running-product
   ``norm_squared`` at degrees m <= 30, over the same parameters, against one
   telescoping product per degree.
@@ -203,20 +206,78 @@ class TestChebyshevMatchesGramSchmidt:
             [1, 0, -1, 0, 1, 0, 1],  # h_1 = -1
             [1, 1, 1, 1, 1, 1, 1],  # h_1 = 0
             [1, 0, 1, 0, 1, 0, 1],  # h_2 = 0
+            [1, 0, 1, 0, 0, 0, 1],  # h_2 = -1 after h_0 = h_1 = 1
         ],
     )
     def test_not_positive_definite(self, monkeypatch, seq):
-        # an indefinite moment sequence stops both at the same degree with the
-        # same message
+        # an indefinite moment sequence stops all three at the same degree
+        # with the same message
         seq = [Fraction(v) for v in seq]
         monkeypatch.setattr(gram, "_moment_sequence", lambda spec, count: seq[:count])
         monkeypatch.setattr(reference, "hankel_moment", lambda spec, k: seq[k])
         spec = FamilySpec.hermite()
         with pytest.raises(NotPositiveDefinite) as expected:
             reference.gram_schmidt(spec, 3)
+        with pytest.raises(NotPositiveDefinite) as chebyshev:
+            reference.chebyshev(spec, 3)
         with pytest.raises(NotPositiveDefinite) as actual:
             gram_schmidt(spec, 3)
-        assert str(actual.value) == str(expected.value)
+        assert str(actual.value) == str(chebyshev.value) == str(expected.value)
+
+
+# the five parameter points of ROADMAP's layer table
+_TABLE_POINTS = [
+    FamilySpec.hermite(),
+    FamilySpec.laguerre(Fraction(7, 3)),
+    FamilySpec.gegenbauer(Fraction(3, 2)),
+    FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5)),
+    FamilySpec.shifted_jacobi(Fraction(1, 3), Fraction(1, 5)),
+]
+
+
+def _large_examples(specs):
+    """Decorator: run the test on every spec at n = 24, 40 and 60."""
+
+    def apply(test):
+        for spec in specs:
+            for n in (24, 40, 60):
+                test = example(spec=spec, n=n)(test)
+        return test
+
+    return apply
+
+
+class TestIntegerChebyshevMatchesFraction:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    @_large_examples(_TABLE_POINTS)
+    def test_property(self, spec, n):
+        table = gram_schmidt(spec, n)
+        assert table == reference.chebyshev(spec, n)
+        assert all(type(h) is Fraction for h in table.norms)
+        assert all(type(c) is Fraction for p in table.monic for c in p.coeffs)
+
+
+def _has_beta(spec: FamilySpec) -> bool:
+    return spec.beta is not None
+
+
+def _jacobi_corners(test):
+    for spec in filter(_has_beta, CORNERS):
+        test = example(spec=spec, n=10)(test)
+    return test
+
+
+class TestIntegerJacobiAnchorsMatchFraction:
+    # both jacobi variants, read as the (alpha, beta) of the recurrence; the
+    # two table points share (1/3, 1/5), so one of them is enough
+    @given(spec=SPECS.filter(_has_beta), n=_N)
+    @_jacobi_corners
+    @_large_examples(_TABLE_POINTS[3:4])
+    def test_property(self, spec, n):
+        anchors = closed_form._jacobi_anchors(spec.alpha, spec.beta, n)
+        assert anchors == reference.jacobi_anchors(spec.alpha, spec.beta, n)
+        assert all(type(v) is Fraction for row in anchors for v in row)
 
 
 _ANCHORS = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _strategies import SPECS, corner_examples
+from hankelinv.closed_form import explicit_inverse
 from hankelinv.gram import ExactMatrix
 from hankelinv.orthopoly import FamilySpec
 from hankelinv.verify import (
@@ -95,6 +97,51 @@ class TestVerify:
     )
     def test_passes_at_n_40(self, spec):
         assert verify(spec, 40).passed
+
+
+# the module, not the function ``hankelinv.verify`` that the package exports
+_VERIFY_MODULE = importlib.import_module("hankelinv.verify")
+
+
+class TestWitnessOfAFailedRoute:
+    """A closed-form inverse with entry (0, 1) raised by 1 fails every check
+    that reads it, each with the first offending entry as its witness."""
+
+    @pytest.fixture(autouse=True)
+    def corrupt_explicit_inverse(self, monkeypatch):
+        def corrupted(spec, n):
+            rows = explicit_inverse(spec, n).to_lists()
+            rows[0][1] += 1
+            return ExactMatrix.from_rows(rows)
+
+        monkeypatch.setattr(_VERIFY_MODULE, "explicit_inverse", corrupted)
+
+    @staticmethod
+    def _witnesses(spec, n):
+        report = verify(spec, n)
+        assert not report.passed
+        return {c.name: c.witness for c in report.checks if not c.passed}
+
+    def test_hilbert(self):
+        # the inverse 3 x 3 Hilbert matrix has B(0, 1) = -36; row 0 of the
+        # product is e_0 + (row 1 of the Hilbert matrix) = (3/2, 1/3, 1/4)
+        assert self._witnesses(FamilySpec.shifted_jacobi(0, 0), 2) == {
+            "inverse_identity": Witness(0, 0, Fraction(1), Fraction(3, 2)),
+            "explicit_equals_kernel": Witness(0, 1, Fraction(-35), Fraction(-36)),
+            "explicit_equals_elimination": Witness(0, 1, Fraction(-35), Fraction(-36)),
+            "inverse_symmetric": Witness(1, 0, Fraction(-35), Fraction(-36)),
+        }
+
+    def test_checkerboard(self):
+        # hermite has B(0, 1) = 0, and row 1 of its matrix is (0, 1/2, 0), so
+        # row 0 of the product is (1, 1/2, 0)
+        assert self._witnesses(FamilySpec.hermite(), 2) == {
+            "inverse_identity": Witness(0, 1, Fraction(0), Fraction(1, 2)),
+            "explicit_equals_kernel": Witness(0, 1, Fraction(1), Fraction(0)),
+            "explicit_equals_elimination": Witness(0, 1, Fraction(1), Fraction(0)),
+            "inverse_symmetric": Witness(1, 0, Fraction(1), Fraction(0)),
+            "inverse_checkerboard_zeros": Witness(0, 1, Fraction(0), Fraction(1)),
+        }
 
 
 class TestCheckHelpers:
