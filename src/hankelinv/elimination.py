@@ -1,10 +1,10 @@
-"""Independent elimination oracle: determinant by forward elimination and
-Gauss-Jordan inverse.
+"""Independent elimination oracle: one elimination sweep on primitive integer
+rows, run forward for the determinant and as Gauss-Jordan for the inverse.
 
-Both run on Python ints: each row is first scaled by the lcm of its
-denominators (``ExactMatrix.scaled_rows``) and kept a primitive integer vector
-through one update, row <- (p * row - q * pivot_row) / content.  Fractions
-appear again only in the result.
+Each row is first scaled by the lcm of its denominators
+(``ExactMatrix.scaled_rows``) and kept a primitive integer vector through one
+update, row <- (p * row - q * pivot_row) / content.  Fractions appear again
+only in the result.
 
 Deliberately knows nothing about moments, polynomial families, or kernels, so
 it can arbitrate between the engine and the closed forms.
@@ -39,73 +39,75 @@ def _eliminate(
     return p, content, combined
 
 
+def _sweep(rows: list[list[int]], jordan: bool) -> tuple[int, int]:
+    """Eliminate the square left block of the integer ``rows`` in place,
+    pivoting in each column on the first nonzero entry at or below the
+    diagonal.  Rows below the pivot are cleared, and with ``jordan`` the rows
+    above it too, so the left block ends diagonal.
+
+    Returns the left block's determinant as (numerator, denominator) =
+    (sign * prod(pivots) * prod(contents), prod(p)), as each update of a row
+    below a pivot multiplies the block's determinant by p / content and each
+    row exchange flips its sign.  Raises SingularMatrix when a column has no
+    pivot.
+    """
+    size = len(rows)
+    numerator, denominator = 1, 1
+    for k in range(size):
+        pivot_index = next((r for r in range(k, size) if rows[r][k]), None)
+        if pivot_index is None:
+            raise SingularMatrix(f"no pivot in column {k}")
+        if pivot_index != k:
+            rows[k], rows[pivot_index] = rows[pivot_index], rows[k]
+            numerator = -numerator
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        numerator *= pivot
+        # entries left of column k are already 0 below the pivot
+        pivot_tail = pivot_row[k + 1 :]
+        for row in rows[k + 1 :]:
+            if row[k]:
+                p, content, row[k + 1 :] = _eliminate(row[k + 1 :], pivot_tail, pivot, row[k])
+                row[k] = 0
+                numerator *= content
+                denominator *= p
+        if jordan:
+            for i in range(k):
+                if rows[i][k]:
+                    _, _, rows[i] = _eliminate(rows[i], pivot_row, pivot, rows[i][k])
+    return numerator, denominator
+
+
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
     """Exact determinant by forward elimination on primitive integer rows.
 
-    Runs on the scaled integer rows, so det(matrix) is their determinant over
-    the product of the row scales.  Each update p * row - q * pivot_row
-    multiplies the determinant by p and each division by a content divides it,
-    so det = sign * prod(pivots) * prod(contents) / (prod(p) * prod(scales)).
-    Unlike the Bareiss recurrence, whose leading minors carry the product of
-    every row scale, the entries stay as small as the rows allow.  Row
-    exchanges flip the tracked sign; a fully zero pivot column means
-    determinant 0.
+    Runs ``_sweep`` on the scaled integer rows, so det(matrix) is their
+    determinant over the product of the row scales.  Unlike the Bareiss
+    recurrence, whose leading minors carry the product of every row scale,
+    the entries stay as small as the rows allow.  Row exchanges flip the
+    sign; a column without a pivot means determinant 0.
     """
-    size = matrix.size
     scaled = matrix.scaled_rows()
-    # rows[k:] hold the columns k.. of the block still to eliminate
-    rows = [row for _, row in scaled]
-    sign = 1
-    numerator, denominator = 1, prod(scale for scale, _ in scaled)
-    for k in range(size):
-        if rows[k][0] == 0:
-            for r in range(k + 1, size):
-                if rows[r][0] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot, *pivot_tail = rows[k]
-        numerator *= pivot
-        for i in range(k + 1, size):
-            factor, *tail = rows[i]
-            if factor == 0:
-                rows[i] = tail
-                continue
-            p, content, rows[i] = _eliminate(tail, pivot_tail, pivot, factor)
-            numerator *= content
-            denominator *= p
-    return Fraction(sign * numerator, denominator)
+    try:
+        numerator, denominator = _sweep([row for _, row in scaled], jordan=False)
+    except SingularMatrix:
+        return Fraction(0)
+    return Fraction(numerator, denominator * prod(scale for scale, _ in scaled))
 
 
 def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination on the augmented integer
-    matrix [diag(s) M | diag(s)], pivoting on the first nonzero entry of each
-    column.
+    """Exact inverse by Gauss-Jordan elimination (``_sweep``) on the augmented
+    integer matrix [diag(s) M | diag(s)].
 
-    Each row stays a primitive integer vector through the same update as the
-    determinant's (``_eliminate``).  The left half ends diagonal, and row i of
-    the inverse is the right half over its diagonal entry.
+    The left half ends diagonal, and row i of the inverse is the right half
+    over its diagonal entry.
     """
     size = matrix.size
-    a = [
+    rows = [
         row + [scale if i == j else 0 for j in range(size)]
         for i, (scale, row) in enumerate(matrix.scaled_rows())
     ]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot_values = a[col]
-        pivot = pivot_values[col]
-        for r in range(size):
-            factor = a[r][col]
-            if r == col or factor == 0:
-                continue
-            _, _, a[r] = _eliminate(a[r], pivot_values, pivot, factor)
+    _sweep(rows, jordan=True)
     return ExactMatrix(
-        tuple(tuple(Fraction(v, row[i]) for v in row[size:]) for i, row in enumerate(a))
+        tuple(tuple(Fraction(v, row[i]) for v in row[size:]) for i, row in enumerate(rows))
     )

@@ -140,7 +140,8 @@ class PolyCoeffs:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("PolyCoeffs cannot be empty")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         if self.coeffs[-1] == 0 and len(self.coeffs) > 1:
             raise ValueError("leading coefficient must be nonzero")
 

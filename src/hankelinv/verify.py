@@ -1,19 +1,21 @@
 """Cross-route verification: run every exact path against the others and the
 elimination oracle, and report per-check results with witnesses.
 
-Mismatches are reported, never raised, so a failing closed form still yields
-a complete report.
+Each matrix check is one comparison of expected rows with actual rows: the
+identity, the other route's inverse, the rows mirrored below the diagonal, or
+the rows with zeros at odd i + j.  Equal rows pass; otherwise the first
+differing entry in row-major order is the witness.  Mismatches are reported,
+never raised, so a failing closed form still yields a complete report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import bareiss_det, gauss_inverse
-from .gram import ExactMatrix, det_from_norms, gram_schmidt, kernel_inverse, moment_matrix
+from .gram import det_from_norms, gram_schmidt, kernel_inverse, moment_matrix
 from .orthopoly import Family, FamilySpec
 
 __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
@@ -50,58 +52,47 @@ class VerifyReport:
         return all(check.passed for check in self.checks)
 
 
-# one compared position: (row, col, expected, actual)
-_Cell = tuple[int, int, Fraction, Fraction]
+# square rows of Fractions; expected rows may hold the ints 0 and 1
+_Rows = tuple[tuple[Fraction | int, ...], ...]
 
 
-def _first_mismatch(name: str, cells: Iterable[_Cell]) -> CheckResult:
-    for row, col, expected, actual in cells:
-        if expected != actual:
-            return CheckResult(name, False, Witness(row, col, expected, actual))
+def _compare(name: str, expected: _Rows, actual: _Rows) -> CheckResult:
+    """Pass on equal rows; otherwise the first differing entry in row-major
+    order is the witness."""
+    if actual != expected:
+        for i, (want, got) in enumerate(zip(expected, actual)):
+            for j, (e, a) in enumerate(zip(want, got)):
+                if e != a:
+                    return CheckResult(name, False, Witness(i, j, Fraction(e), a))
     return CheckResult(name, True)
 
 
-def _check(name: str, holds: bool, cells: Iterable[_Cell]) -> CheckResult:
-    """A check decided on whole rows; only a failed one scans ``cells`` for
-    its witness."""
-    return CheckResult(name, True) if holds else _first_mismatch(name, cells)
+def _compare_det(name: str, expected: Fraction, actual: Fraction) -> CheckResult:
+    """A determinant check; its witness sits at (-1, -1)."""
+    if expected == actual:
+        return CheckResult(name, True)
+    return CheckResult(name, False, Witness(-1, -1, expected, actual))
 
 
-def _entrywise(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
-    size = range(actual.size)
-    return ((i, j, expected.entry(i, j), actual.entry(i, j)) for i in size for j in size)
+def _identity(size: int) -> _Rows:
+    """The size x size identity as rows of ints."""
+    return tuple((0,) * i + (1,) + (0,) * (size - 1 - i) for i in range(size))
 
 
-def _against_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
-    """Each entry against the identity's."""
-    size = range(matrix.size)
-    return ((i, j, Fraction(int(i == j)), matrix.entry(i, j)) for i in size for j in size)
+def _symmetrized(rows: _Rows) -> _Rows:
+    """The rows with each entry below the diagonal replaced by its mirror."""
+    return tuple(col[:i] + row[i:] for i, (row, col) in enumerate(zip(rows, zip(*rows))))
 
 
-def _mirrored(matrix: ExactMatrix) -> Iterator[_Cell]:
-    """Each entry below the diagonal against its mirror above it."""
-    size = range(matrix.size)
-    return ((i, j, matrix.entry(j, i), matrix.entry(i, j)) for i in size for j in range(i))
-
-
-def _odd_zeros(matrix: ExactMatrix) -> Iterator[_Cell]:
-    """Each entry at odd i + j against zero."""
-    size = range(matrix.size)
-    return ((i, j, Fraction(0), matrix.entry(i, j)) for i in size for j in size if (i + j) % 2)
-
-
-def _is_symmetric(matrix: ExactMatrix) -> bool:
-    return tuple(zip(*matrix.rows)) == matrix.rows
-
-
-def _is_identity(matrix: ExactMatrix) -> bool:
-    rows = matrix.rows
-    return all(row[i] == 1 and row.count(0) == len(rows) - 1 for i, row in enumerate(rows))
-
-
-def _has_odd_zeros(matrix: ExactMatrix) -> bool:
-    rows = matrix.rows
-    return not any(row[j] for i, row in enumerate(rows) for j in range((i + 1) % 2, len(rows), 2))
+def _odd_zeroed(rows: _Rows) -> _Rows:
+    """The rows with each entry at odd i + j replaced by 0."""
+    expected = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        odd = slice(1 - i % 2, None, 2)  # the columns j with i + j odd
+        row[odd] = [0] * len(row[odd])
+        expected.append(tuple(row))
+    return tuple(expected)
 
 
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
@@ -122,30 +113,21 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     det_explicit = explicit_det(spec, n)
     det_norms = det_from_norms(table)
     det_oracle = bareiss_det(matrix)
-    product = explicit_inv @ matrix
 
     checks = [
-        _check("matrix_symmetric", _is_symmetric(matrix), _mirrored(matrix)),
-        _check("inverse_identity", _is_identity(product), _against_identity(product)),
-        _check(
-            "explicit_equals_kernel",
-            explicit_inv.rows == kernel_inv.rows,
-            _entrywise(explicit_inv, kernel_inv),
-        ),
-        _check(
-            "explicit_equals_elimination",
-            explicit_inv.rows == oracle_inv.rows,
-            _entrywise(explicit_inv, oracle_inv),
-        ),
-        _first_mismatch("det_explicit_equals_norm_product", [(-1, -1, det_explicit, det_norms)]),
-        _first_mismatch("det_explicit_equals_bareiss", [(-1, -1, det_explicit, det_oracle)]),
-        _check("inverse_symmetric", _is_symmetric(explicit_inv), _mirrored(explicit_inv)),
+        _compare("matrix_symmetric", _symmetrized(matrix.rows), matrix.rows),
+        _compare("inverse_identity", _identity(n + 1), (explicit_inv @ matrix).rows),
+        _compare("explicit_equals_kernel", explicit_inv.rows, kernel_inv.rows),
+        _compare("explicit_equals_elimination", explicit_inv.rows, oracle_inv.rows),
+        _compare_det("det_explicit_equals_norm_product", det_explicit, det_norms),
+        _compare_det("det_explicit_equals_bareiss", det_explicit, det_oracle),
+        _compare("inverse_symmetric", _symmetrized(explicit_inv.rows), explicit_inv.rows),
     ]
     if spec.family in _PARITY_FAMILIES:
         checks += [
-            _check("matrix_checkerboard_zeros", _has_odd_zeros(matrix), _odd_zeros(matrix)),
-            _check(
-                "inverse_checkerboard_zeros", _has_odd_zeros(explicit_inv), _odd_zeros(explicit_inv)
+            _compare("matrix_checkerboard_zeros", _odd_zeroed(matrix.rows), matrix.rows),
+            _compare(
+                "inverse_checkerboard_zeros", _odd_zeroed(explicit_inv.rows), explicit_inv.rows
             ),
         ]
     return VerifyReport(spec=spec, n=n, checks=tuple(checks))

@@ -2,8 +2,8 @@
 references: the elimination oracle, the matrix product, the moment
 sequences, classical Gram-Schmidt, the Chebyshev algorithm, the kernel sum,
 the shifted-parameter anchor values of the closed forms, the jacobi anchor
-recurrence, and the closed-form determinant with one telescoping norm
-product per degree.
+recurrence, the closed-form determinant with one telescoping norm product
+per degree, and the cell-by-cell scans of verify's checks.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -13,6 +13,7 @@ code against them entry for entry.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import factorial
 
@@ -20,6 +21,7 @@ from hankelinv.elimination import SingularMatrix
 from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
 from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
+from hankelinv.verify import CheckResult, Witness
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
@@ -273,3 +275,39 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
             lead /= Fraction(2) ** k
         result *= norm_squared(spec, k) / lead**2
     return result
+
+
+# one compared position of a verify check: (row, col, expected, actual)
+_Cell = tuple[int, int, Fraction, Fraction]
+
+
+def first_mismatch(name: str, cells: Iterable[_Cell]) -> CheckResult:
+    """The check's result, with the first cell whose two values differ as the
+    witness."""
+    for row, col, expected, actual in cells:
+        if expected != actual:
+            return CheckResult(name, False, Witness(row, col, expected, actual))
+    return CheckResult(name, True)
+
+
+def entrywise(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
+    size = range(actual.size)
+    return ((i, j, expected.entry(i, j), actual.entry(i, j)) for i in size for j in size)
+
+
+def against_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """Each entry against the identity's."""
+    size = range(matrix.size)
+    return ((i, j, Fraction(int(i == j)), matrix.entry(i, j)) for i in size for j in size)
+
+
+def mirrored(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """Each entry below the diagonal against its mirror above it."""
+    size = range(matrix.size)
+    return ((i, j, matrix.entry(j, i), matrix.entry(i, j)) for i in size for j in range(i))
+
+
+def odd_zeros(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """Each entry at odd i + j against zero."""
+    size = range(matrix.size)
+    return ((i, j, Fraction(0), matrix.entry(i, j)) for i in size for j in size if (i + j) % 2)

@@ -108,6 +108,11 @@ class TestPolyCoeffs:
     def test_constant_zero_allowed(self):
         assert PolyCoeffs((Fraction(0),)).eval_at(3) == 0
 
+    def test_int_coefficients_become_fractions(self):
+        p = PolyCoeffs((1, Fraction(-2, 3), 3))
+        assert p.coeffs == (1, Fraction(-2, 3), 3)
+        assert all(type(c) is Fraction for c in p.coeffs)
+
 
 ALL_SPECS = [HERMITE, LAGUERRE, GEGENBAUER, JACOBI, SHIFTED]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import _fraction_reference as reference
 from _strategies import SPECS, corner_examples
 from hankelinv.closed_form import explicit_inverse
 from hankelinv.gram import ExactMatrix
@@ -17,10 +18,11 @@ from hankelinv.verify import (
     CheckResult,
     VerifyReport,
     Witness,
-    _entrywise,
-    _first_mismatch,
-    _mirrored,
-    _odd_zeros,
+    _compare,
+    _compare_det,
+    _identity,
+    _odd_zeroed,
+    _symmetrized,
     verify,
 )
 
@@ -146,31 +148,104 @@ class TestWitnessOfAFailedRoute:
 
 class TestCheckHelpers:
     def test_matrix_mismatch_witness(self):
-        result = _first_mismatch(
+        result = _compare(
             "x",
-            _entrywise(ExactMatrix.identity(2), ExactMatrix.from_rows([[1, 1], [0, 1]])),
+            ExactMatrix.identity(2).rows,
+            ExactMatrix.from_rows([[1, 1], [0, 1]]).rows,
         )
         assert result == CheckResult(
             "x", False, Witness(0, 1, Fraction(0), Fraction(1))
         )
 
     def test_scalar_mismatch_marks_negative_position(self):
-        result = _first_mismatch("d", [(-1, -1, Fraction(1, 4), Fraction(1, 3))])
+        result = _compare_det("d", Fraction(1, 4), Fraction(1, 3))
         assert not result.passed
         assert result.witness == Witness(-1, -1, Fraction(1, 4), Fraction(1, 3))
 
     def test_scalar_match(self):
-        assert _first_mismatch("d", [(-1, -1, Fraction(1, 4), Fraction(1, 4))]).passed
+        assert _compare_det("d", Fraction(1, 4), Fraction(1, 4)).passed
 
     def test_symmetry_failure(self):
-        result = _first_mismatch("s", _mirrored(ExactMatrix.from_rows([[1, 2], [3, 4]])))
+        rows = ExactMatrix.from_rows([[1, 2], [3, 4]]).rows
+        result = _compare("s", _symmetrized(rows), rows)
         assert not result.passed
         assert result.witness == Witness(1, 0, Fraction(2), Fraction(3))
 
     def test_parity_failure(self):
-        result = _first_mismatch("p", _odd_zeros(ExactMatrix.from_rows([[1, 2], [2, 1]])))
+        rows = ExactMatrix.from_rows([[1, 2], [2, 1]]).rows
+        result = _compare("p", _odd_zeroed(rows), rows)
         assert not result.passed
         assert result.witness == Witness(0, 1, Fraction(0), Fraction(2))
 
     def test_parity_pass(self):
-        assert _first_mismatch("p", _odd_zeros(ExactMatrix.from_rows([[1, 0], [0, 1]]))).passed
+        rows = ExactMatrix.from_rows([[1, 0], [0, 1]]).rows
+        assert _compare("p", _odd_zeroed(rows), rows).passed
+
+
+_ENTRIES = st.sampled_from(sorted({Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)}))
+
+
+@st.composite
+def _changed(draw, rows: list[list[Fraction]], most: int = 3) -> list[list[Fraction]]:
+    """A copy of ``rows`` with up to ``most`` entries moved by a nonzero step."""
+    rows = [list(row) for row in rows]
+    size = len(rows)
+    for _ in range(draw(st.integers(0, most))):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        rows[i][j] += draw(_ENTRIES.filter(bool))
+    return rows
+
+
+@st.composite
+def _square(draw) -> ExactMatrix:
+    """A 1 x 1 to 8 x 8 Fraction matrix: random or the identity, made
+    symmetric or not, with zeros at odd i + j or not, then with a few entries
+    changed, so each check both passes and fails."""
+    size = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        rows = ExactMatrix.identity(size).to_lists()
+    else:
+        rows = [[draw(_ENTRIES) for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+    if draw(st.booleans()):
+        rows = [[0 if (i + j) % 2 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return ExactMatrix.from_rows(draw(_changed(rows)))
+
+
+class TestCompareMatchesCellScan:
+    """Each matrix check gives the same CheckResult, witness and its types
+    included, as the reference scan of its cells."""
+
+    @staticmethod
+    def _same(result, expected):
+        assert repr(result) == repr(expected)
+
+    @given(matrix=_square(), data=st.data())
+    def test_entrywise(self, matrix, data):
+        other = ExactMatrix.from_rows(data.draw(_changed(matrix.to_lists())))
+        self._same(
+            _compare("b", matrix.rows, other.rows),
+            reference.first_mismatch("b", reference.entrywise(matrix, other)),
+        )
+
+    @given(matrix=_square())
+    def test_identity(self, matrix):
+        self._same(
+            _compare("a", _identity(matrix.size), matrix.rows),
+            reference.first_mismatch("a", reference.against_identity(matrix)),
+        )
+
+    @given(matrix=_square())
+    def test_symmetric(self, matrix):
+        self._same(
+            _compare("s", _symmetrized(matrix.rows), matrix.rows),
+            reference.first_mismatch("s", reference.mirrored(matrix)),
+        )
+
+    @given(matrix=_square())
+    def test_checkerboard_zeros(self, matrix):
+        self._same(
+            _compare("p", _odd_zeroed(matrix.rows), matrix.rows),
+            reference.first_mismatch("p", reference.odd_zeros(matrix)),
+        )
