@@ -1,10 +1,11 @@
 """Independent elimination oracle: one elimination sweep on primitive integer
-rows, run forward for the determinant and as Gauss-Jordan for the inverse.
+rows, run forward for the determinant alone and as Gauss-Jordan for the
+inverse, which yields the determinant as well.
 
 Each row is first scaled by the lcm of its denominators
 (``ExactMatrix.scaled_rows``) and kept a primitive integer vector through one
-update, row <- (p * row - q * pivot_row) / content.  Fractions appear again
-only in the result.
+update, row <- (p * row - q * pivot_row) / content.  The inverse comes out in
+``ExactMatrix``'s stored integer form, and the determinant is one Fraction.
 
 Deliberately knows nothing about moments, polynomial families, or kernels, so
 it can arbitrate between the engine and the closed forms.
@@ -45,11 +46,13 @@ def _sweep(rows: list[list[int]], jordan: bool) -> tuple[int, int]:
     diagonal.  Rows below the pivot are cleared, and with ``jordan`` the rows
     above it too, so the left block ends diagonal.
 
-    Returns the left block's determinant as (numerator, denominator) =
-    (sign * prod(pivots) * prod(contents), prod(p)), as each update of a row
-    below a pivot multiplies the block's determinant by p / content and each
-    row exchange flips its sign.  Raises SingularMatrix when a column has no
-    pivot.
+    Returns the determinant of the left block as given, as (numerator,
+    denominator) = (sign * prod(pivots) * prod(contents), prod(p)) over the
+    updates of rows below a pivot: each multiplies the block's determinant by
+    p / content, and each row exchange flips its sign.  The updates above a
+    pivot touch only rows whose pivots are already counted and which no later
+    step reads, so both modes return the same value.  Raises SingularMatrix
+    when a column has no pivot.
     """
     size = len(rows)
     numerator, denominator = 1, 1
@@ -96,18 +99,30 @@ def bareiss_det(matrix: ExactMatrix) -> Fraction:
 
 
 def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination (``_sweep``) on the augmented
-    integer matrix [diag(s) M | diag(s)].
+    """Exact inverse by Gauss-Jordan elimination (``_sweep``); see
+    ``_inverse_and_det``."""
+    return _inverse_and_det(matrix)[0]
+
+
+def _inverse_and_det(matrix: ExactMatrix) -> tuple[ExactMatrix, Fraction]:
+    """Inverse and determinant from one Gauss-Jordan ``_sweep`` on the
+    augmented integer matrix [diag(s) M | diag(s)].
 
     The left half ends diagonal, and row i of the inverse is the right half
-    over its diagonal entry.
+    over its diagonal entry.  Every update keeps the rows primitive, so that
+    pair, its sign made positive, is already the stored form of the row.  The
+    rows below each pivot go through the same updates as in a forward sweep
+    of the augmented matrix, so the sweep's determinant is that of diag(s) M.
     """
     size = matrix.size
+    scaled = matrix.scaled_rows()
     rows = [
         row + [scale if i == j else 0 for j in range(size)]
-        for i, (scale, row) in enumerate(matrix.scaled_rows())
+        for i, (scale, row) in enumerate(scaled)
     ]
-    _sweep(rows, jordan=True)
-    return ExactMatrix(
-        tuple(tuple(Fraction(v, row[i]) for v in row[size:]) for i, row in enumerate(rows))
+    numerator, denominator = _sweep(rows, jordan=True)
+    inverse = ExactMatrix._from_scaled(
+        (row[i], tuple(row[size:])) if row[i] > 0 else (-row[i], tuple(-v for v in row[size:]))
+        for i, row in enumerate(rows)
     )
+    return inverse, Fraction(numerator, denominator * prod(scale for scale, _ in scaled))

@@ -12,7 +12,8 @@ inverse is then the Christoffel-Darboux kernel sum
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m.
 
 This engine is the authoritative exact-inverse path; the closed forms in
-``closed_form`` must agree with it.
+``closed_form`` must agree with it.  Every route's matrices are
+``ExactMatrix`` values, stored as reduced integer rows.
 
 The engine works against the abstract basis index.  For both Jacobi variants
 the matrix entries are the sign-folded sequence entry(i,j) =
@@ -23,7 +24,7 @@ families entry(i,j) = moment(i+j).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -51,53 +52,87 @@ class NotPositiveDefinite(ArithmeticError):
     """A pivot norm came out <= 0; unreachable for a valid FamilySpec."""
 
 
-@dataclass(frozen=True)
+# one stored row: (s, N) with s > 0 and gcd(s, *N) = 1, the row being N / s
+_ScaledRow = tuple[int, tuple[int, ...]]
+
+
 class ExactMatrix:
-    """Immutable square matrix of Fractions, row-major."""
+    """Immutable square matrix of rationals, row-major.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    Row i is stored as (s_i, N_i): a positive scale and a tuple of ints with
+    gcd(s_i, *N_i) = 1, so that N_i / s_i is the row and s_i is the lcm of
+    its denominators.  This form is unique, so ``==`` and ``hash`` compare
+    ints; ``rows``, the Fractions, is built on its first read."""
 
-    def __post_init__(self) -> None:
-        size = len(self.rows)
-        if size == 0 or any(len(row) != size for row in self.rows):
+    __slots__ = ("_stored", "_rows")
+
+    def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
+        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
+        size = len(rows)
+        if size == 0 or any(len(row) != size for row in rows):
             raise ValueError("ExactMatrix must be square and nonempty")
+        self._stored = tuple((scale, tuple(ints)) for scale, ints in map(_scaled, rows))
+        self._rows = rows
+
+    @classmethod
+    def _from_scaled(cls, rows: Iterable[_ScaledRow]) -> "ExactMatrix":
+        """The matrix of square rows already in the stored form."""
+        matrix = cls.__new__(cls)
+        matrix._stored = tuple(rows)
+        matrix._rows = None
+        return matrix
 
     @classmethod
     def from_rows(cls, rows: list[list[Fraction | int]]) -> "ExactMatrix":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, size: int) -> "ExactMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-                for i in range(size)
-            )
-        )
+        return cls._from_scaled((1, (0,) * i + (1,) + (0,) * (size - 1 - i)) for i in range(size))
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._stored)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(
+                tuple(Fraction(v, scale) for v in ints) for scale, ints in self._stored
+            )
+        return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
     def scaled_rows(self) -> list[tuple[int, list[int]]]:
         """Each row as (s, s * row), with s the lcm of the row's denominators,
-        so that s * row is a list of ints."""
-        return [_scaled(row) for row in self.rows]
+        so that s * row is a list of ints.  The lists are fresh copies."""
+        return [(scale, list(ints)) for scale, ints in self._stored]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self._stored == other._stored
+
+    def __hash__(self) -> int:
+        return hash(self._stored)
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(rows={self.rows!r})"
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        # integer dot products of the scaled rows and columns, then one
-        # normalisation per entry
+        # the right factor over the lcm of its row scales, then integer dot
+        # products of the left rows with its columns and one gcd per row
         if self.size != other.size:
             raise ValueError("size mismatch")
-        cols = [_scaled(col) for col in zip(*other.rows)]
-        return ExactMatrix(
-            tuple(
-                tuple(Fraction(sum(map(mul, row, col)), r * c) for c, col in cols)
-                for r, row in self.scaled_rows()
-            )
+        common = lcm(*(scale for scale, _ in other._stored))
+        cols = list(
+            zip(*([v * (common // scale) for v in ints] for scale, ints in other._stored))
+        )
+        return ExactMatrix._from_scaled(
+            _reduced(scale * common, [sum(map(mul, ints, col)) for col in cols])
+            for scale, ints in self._stored
         )
 
     def to_lists(self) -> list[list[Fraction]]:
@@ -107,6 +142,12 @@ class ExactMatrix:
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _reduced(scale: int, ints: list[int]) -> _ScaledRow:
+    """The row ints / scale, for a positive scale, in the stored form."""
+    scale, *ints = _primitive([scale, *ints])
+    return scale, tuple(ints)
 
 
 def moment(spec: FamilySpec, k: int) -> Fraction:
@@ -170,8 +211,8 @@ def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     """The (n+1) x (n+1) normalized Hankel/Gram matrix of the family."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    seq = _moment_sequence(spec, 2 * n + 1)
-    return ExactMatrix(tuple(tuple(seq[i : i + n + 1]) for i in range(n + 1)))
+    denom, seq = _scaled(_moment_sequence(spec, 2 * n + 1))
+    return ExactMatrix._from_scaled(_reduced(denom, seq[i : i + n + 1]) for i in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -262,6 +303,8 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
 def _primitive(values: list[int]) -> list[int]:
     """The integers divided by their content, the gcd of them all."""
     content = gcd(*values)
+    if content == 1:
+        return values
     return [v // content for v in values]
 
 
@@ -275,20 +318,25 @@ def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction
 
     Runs on ints: column i is scaled by the lcm c_i of its denominators and
     the weights by their common denominator D, so that
-    B(i, j) = sum_k G(k, i) V(k) G(k, j) / (c_i c_j D), one Fraction per
-    entry."""
+    B(i, j) = T(i, j) / (c_i c_j D) with T(i, j) = sum_k G(k, i) V(k) G(k, j).
+    Row i is stored over c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one
+    gcd per row."""
     size = len(factors)
     # column i holds G(k, i) for k = i..n
     columns = [_scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
     common, scaled_weights = _scaled(weights)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i, (c_i, col_i) in enumerate(columns):
+    totals = [[0] * size for _ in range(size)]
+    for i, (_, col_i) in enumerate(columns):
         weighted = list(map(mul, col_i, scaled_weights[i:]))
         for j in range(i, size):
-            c_j, col_j = columns[j]
-            total = sum(map(mul, weighted[j - i :], col_j))
-            rows[i][j] = rows[j][i] = Fraction(total, c_i * c_j * common)
-    return ExactMatrix(tuple(tuple(row) for row in rows))
+            totals[i][j] = totals[j][i] = sum(map(mul, weighted[j - i :], columns[j][1]))
+    scales = [c for c, _ in columns]
+    shared = lcm(*scales)
+    spread = [shared // c for c in scales]
+    return ExactMatrix._from_scaled(
+        _reduced(c_i * common * shared, list(map(mul, row, spread)))
+        for c_i, row in zip(scales, totals)
+    )
 
 
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:

@@ -1,11 +1,15 @@
 """Cross-route verification: run every exact path against the others and the
 elimination oracle, and report per-check results with witnesses.
 
-Each matrix check is one comparison of expected rows with actual rows: the
-identity, the other route's inverse, the rows mirrored below the diagonal, or
-the rows with zeros at odd i + j.  Equal rows pass; otherwise the first
-differing entry in row-major order is the witness.  Mismatches are reported,
-never raised, so a failing closed form still yields a complete report.
+Each matrix check is decided on the stored integer rows of ``ExactMatrix``:
+equality with the identity or with the other route's inverse by ``==``,
+symmetry by cross-multiplying mirrored entries over their row scales, and
+checkerboard zeros by the integers at odd i + j.  Only a failed check reads
+the Fraction rows: it compares the expected rows (the identity, the other
+route's inverse, the rows mirrored below the diagonal, or the rows with zeros
+at odd i + j) with the actual rows, and the first differing entry in
+row-major order is the witness.  Mismatches are reported, never raised, so a
+failing closed form still yields a complete report.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import explicit_det, explicit_inverse
-from .elimination import bareiss_det, gauss_inverse
-from .gram import det_from_norms, gram_schmidt, kernel_inverse, moment_matrix
+from .elimination import _inverse_and_det
+from .gram import ExactMatrix, det_from_norms, gram_schmidt, kernel_inverse, moment_matrix
 from .orthopoly import Family, FamilySpec
 
 __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
@@ -52,7 +56,7 @@ class VerifyReport:
         return all(check.passed for check in self.checks)
 
 
-# square rows of Fractions; expected rows may hold the ints 0 and 1
+# square rows of Fractions; expected rows may hold the int 0
 _Rows = tuple[tuple[Fraction | int, ...], ...]
 
 
@@ -74,11 +78,6 @@ def _compare_det(name: str, expected: Fraction, actual: Fraction) -> CheckResult
     return CheckResult(name, False, Witness(-1, -1, expected, actual))
 
 
-def _identity(size: int) -> _Rows:
-    """The size x size identity as rows of ints."""
-    return tuple((0,) * i + (1,) + (0,) * (size - 1 - i) for i in range(size))
-
-
 def _symmetrized(rows: _Rows) -> _Rows:
     """The rows with each entry below the diagonal replaced by its mirror."""
     return tuple(col[:i] + row[i:] for i, (row, col) in enumerate(zip(rows, zip(*rows))))
@@ -95,12 +94,43 @@ def _odd_zeroed(rows: _Rows) -> _Rows:
     return tuple(expected)
 
 
+def _check_equal(name: str, expected: ExactMatrix, actual: ExactMatrix) -> CheckResult:
+    """Pass on equal matrices; a failure is scanned for its witness."""
+    if expected == actual:
+        return CheckResult(name, True)
+    return _compare(name, expected.rows, actual.rows)
+
+
+def _check_symmetric(name: str, matrix: ExactMatrix) -> CheckResult:
+    """Pass when N_i(j) s_j = N_j(i) s_i below the diagonal, i.e. each entry
+    equals its mirror; a failure is scanned for its witness."""
+    scaled = matrix.scaled_rows()
+    if all(
+        ints[j] * scaled[j][0] == scaled[j][1][i] * scale
+        for i, (scale, ints) in enumerate(scaled)
+        for j in range(i)
+    ):
+        return CheckResult(name, True)
+    rows = matrix.rows
+    return _compare(name, _symmetrized(rows), rows)
+
+
+def _check_odd_zeros(name: str, matrix: ExactMatrix) -> CheckResult:
+    """Pass when every entry at odd i + j is 0; a failure is scanned for its
+    witness."""
+    if not any(any(ints[1 - i % 2 :: 2]) for i, (_, ints) in enumerate(matrix.scaled_rows())):
+        return CheckResult(name, True)
+    rows = matrix.rows
+    return _compare(name, _odd_zeroed(rows), rows)
+
+
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
     """Run the full battery for one (family, parameters, n):
 
       a. explicit_inverse x moment_matrix equals the identity exactly
       b. explicit, kernel, and elimination inverses agree entrywise
-      c. explicit, norm-product, and elimination (bareiss_det) determinants agree
+      c. explicit, norm-product, and elimination determinants agree (the last
+         from the same Gauss-Jordan sweep as the elimination inverse)
       d. symmetry everywhere; checkerboard zeros for the even-weight families
     """
     if n < 0:
@@ -109,25 +139,22 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     table = gram_schmidt(spec, n)
     explicit_inv = explicit_inverse(spec, n)
     kernel_inv = kernel_inverse(table)
-    oracle_inv = gauss_inverse(matrix)
+    oracle_inv, det_oracle = _inverse_and_det(matrix)
     det_explicit = explicit_det(spec, n)
     det_norms = det_from_norms(table)
-    det_oracle = bareiss_det(matrix)
 
     checks = [
-        _compare("matrix_symmetric", _symmetrized(matrix.rows), matrix.rows),
-        _compare("inverse_identity", _identity(n + 1), (explicit_inv @ matrix).rows),
-        _compare("explicit_equals_kernel", explicit_inv.rows, kernel_inv.rows),
-        _compare("explicit_equals_elimination", explicit_inv.rows, oracle_inv.rows),
+        _check_symmetric("matrix_symmetric", matrix),
+        _check_equal("inverse_identity", ExactMatrix.identity(n + 1), explicit_inv @ matrix),
+        _check_equal("explicit_equals_kernel", explicit_inv, kernel_inv),
+        _check_equal("explicit_equals_elimination", explicit_inv, oracle_inv),
         _compare_det("det_explicit_equals_norm_product", det_explicit, det_norms),
         _compare_det("det_explicit_equals_bareiss", det_explicit, det_oracle),
-        _compare("inverse_symmetric", _symmetrized(explicit_inv.rows), explicit_inv.rows),
+        _check_symmetric("inverse_symmetric", explicit_inv),
     ]
     if spec.family in _PARITY_FAMILIES:
         checks += [
-            _compare("matrix_checkerboard_zeros", _odd_zeroed(matrix.rows), matrix.rows),
-            _compare(
-                "inverse_checkerboard_zeros", _odd_zeroed(explicit_inv.rows), explicit_inv.rows
-            ),
+            _check_odd_zeros("matrix_checkerboard_zeros", matrix),
+            _check_odd_zeros("inverse_checkerboard_zeros", explicit_inv),
         ]
     return VerifyReport(spec=spec, n=n, checks=tuple(checks))

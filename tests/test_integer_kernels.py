@@ -1,11 +1,14 @@
 """Property tests: the integer and recurrence kernels against the straight
 Fraction references in ``_fraction_reference``, entry for entry.
 
-* ``bareiss_det``, ``gauss_inverse`` and ``ExactMatrix.__matmul__`` on
-  square matrices of size 1..8 with mixed denominators and signs, reshaped on
-  purpose: a zero row or column, a zero leading pivot that forces a row swap,
-  a row that is a combination of two others (singular), or a symmetric copy.
-  Left as drawn they are non-symmetric.
+* ``bareiss_det``, ``gauss_inverse``, the one-sweep ``_inverse_and_det``
+  and ``ExactMatrix.__matmul__`` on square matrices of size 1..8 with mixed
+  denominators and signs, reshaped on purpose: a zero row or column, a zero
+  leading pivot that forces a row swap, a row that is a combination of two
+  others (singular), or a symmetric copy.  Left as drawn they are
+  non-symmetric.
+* ``ExactMatrix``'s stored form, reduced integer rows, on the same matrices
+  and on what each producer builds.
 * ``kernel_sum`` on lower-triangular factor tables of size 1..10, drawn the
   same way and taken from the closed forms.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
@@ -32,7 +35,7 @@ import _fraction_reference as reference
 from _strategies import CORNERS, SPECS, corner_examples
 from hankelinv import closed_form, gram
 from hankelinv.closed_form import explicit_det
-from hankelinv.elimination import SingularMatrix, bareiss_det, gauss_inverse
+from hankelinv.elimination import SingularMatrix, _inverse_and_det, bareiss_det, gauss_inverse
 from hankelinv.gram import (
     ExactMatrix,
     NotPositiveDefinite,
@@ -89,11 +92,29 @@ def _all_fractions(matrix: ExactMatrix) -> bool:
     return all(type(v) is Fraction for row in matrix.rows for v in row)
 
 
+def _with_examples(test):
+    for matrix in _EXAMPLES:
+        test = example(matrix)(test)
+    return test
+
+
+_N = st.integers(0, 10)
+
+
+def _stored_form(matrix: ExactMatrix) -> bool:
+    """Every row is (s, N) with s > 0 and gcd(s, *N) = 1."""
+    return all(scale > 0 and gcd(scale, *ints) == 1 for scale, ints in matrix.scaled_rows())
+
+
 class TestScaledRows:
+    """The stored form: each row as (s, N), s > 0, gcd(s, *N) = 1, row N / s."""
+
     @given(matrices())
+    @_with_examples
     def test_rows_scale_to_ints_by_their_lcm(self, matrix):
+        assert _stored_form(matrix)
         for (scale, ints), row in zip(matrix.scaled_rows(), matrix.rows):
-            assert scale >= 1 and all(type(v) is int for v in ints)
+            assert all(type(v) is int for v in ints)
             assert [Fraction(v, scale) for v in ints] == list(row)
             # no smaller scale clears every denominator
             assert gcd(*(scale // v.denominator for v in row)) == 1
@@ -102,14 +123,50 @@ class TestScaledRows:
         matrix = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)], [4, 0]])
         assert matrix.scaled_rows() == [(6, [3, -2]), (1, [4, 0])]
 
+    @given(matrices())
+    @_with_examples
+    def test_round_trip(self, matrix):
+        copy = ExactMatrix.from_rows(matrix.to_lists())
+        assert copy == matrix and hash(copy) == hash(matrix)
+        assert ExactMatrix(matrix.rows) == matrix
 
-def _with_examples(test):
-    for matrix in _EXAMPLES:
-        test = example(matrix)(test)
-    return test
+    @given(matrices())
+    @_with_examples
+    def test_scaled_rows_are_copies(self, matrix):
+        before = matrix.scaled_rows()
+        for scale, ints in matrix.scaled_rows():
+            ints[:] = [v + 1 for v in ints]
+        assert matrix.scaled_rows() == before
+        assert matrix == ExactMatrix.from_rows(matrix.to_lists())
 
+    @given(matrices())
+    @_with_examples
+    def test_rows_are_fractions(self, matrix):
+        assert _all_fractions(matrix)
+        assert [[matrix.entry(i, j) for j in range(matrix.size)] for i in range(matrix.size)] == (
+            matrix.to_lists()
+        )
 
-_N = st.integers(0, 10)
+    @given(st.integers(1, 8).flatmap(lambda size: st.tuples(matrices(size), matrices(size))))
+    def test_products_and_inverses_are_stored_reduced(self, pair):
+        left, right = pair
+        built = [left @ right]
+        try:
+            built.append(gauss_inverse(left))
+        except SingularMatrix:
+            pass
+        for matrix in built:
+            assert _stored_form(matrix)
+            copy = ExactMatrix.from_rows(matrix.to_lists())
+            assert copy == matrix and hash(copy) == hash(matrix)
+
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_moment_matrices_and_kernel_sums_are_stored_reduced(self, spec, n):
+        assert _stored_form(moment_matrix(spec, n))
+        assert _stored_form(closed_form.explicit_inverse(spec, n))
+        assert _stored_form(ExactMatrix.identity(n + 1))
+
 
 
 class TestBareissDetMatchesFraction:
@@ -141,6 +198,29 @@ class TestGaussInverseMatchesFraction:
             return
         actual = gauss_inverse(matrix)
         assert actual == expected and _all_fractions(actual)
+
+
+class TestOneSweepMatchesTwo:
+    @given(matrices())
+    @_with_examples
+    def test_property(self, matrix):
+        try:
+            inverse = gauss_inverse(matrix)
+        except SingularMatrix as exc:
+            with pytest.raises(SingularMatrix) as caught:
+                _inverse_and_det(matrix)
+            assert str(caught.value) == str(exc)
+            return
+        actual, det = _inverse_and_det(matrix)
+        assert actual == inverse
+        assert type(det) is Fraction
+        assert det == bareiss_det(matrix) == reference.bareiss_det(matrix)
+
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_moment_matrices(self, spec, n):
+        matrix = moment_matrix(spec, n)
+        assert _inverse_and_det(matrix)[1] == reference.bareiss_det(matrix)
 
 
 class TestMatmulMatchesFraction:
@@ -175,6 +255,7 @@ class TestKernelSumMatchesFraction:
         factors, weights = table
         result = kernel_sum(factors, weights)
         assert result == reference.kernel_sum(factors, weights) and _all_fractions(result)
+        assert _stored_form(result)
 
     @given(spec=SPECS, n=_N)
     @corner_examples(10)

@@ -18,9 +18,11 @@ from hankelinv.verify import (
     CheckResult,
     VerifyReport,
     Witness,
+    _check_equal,
+    _check_odd_zeros,
+    _check_symmetric,
     _compare,
     _compare_det,
-    _identity,
     _odd_zeroed,
     _symmetrized,
     verify,
@@ -213,9 +215,28 @@ def _square(draw) -> ExactMatrix:
     return ExactMatrix.from_rows(draw(_changed(rows)))
 
 
+@st.composite
+def _rescaled(draw) -> ExactMatrix:
+    """A ``_square()`` matrix, maybe with zeros at even i + j, then with up to
+    two rows divided by 2 or 3, which often keeps a row's integers and only
+    changes its scale: cases where a decision on the integers alone, without
+    the scales or at the wrong positions, would pass a failing check."""
+    rows = draw(_square()).to_lists()
+    size = len(rows)
+    if draw(st.booleans()):
+        rows = [[v if (i + j) % 2 else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, size - 1))
+        divisor = draw(st.sampled_from([2, 3]))
+        rows[i] = [v / divisor for v in rows[i]]
+    return ExactMatrix.from_rows(rows)
+
+
 class TestCompareMatchesCellScan:
     """Each matrix check gives the same CheckResult, witness and its types
-    included, as the reference scan of its cells."""
+    included, as the reference scan of its cells: both the scan of the
+    Fraction rows a failed check runs and the decision on the integer rows
+    that verify makes first."""
 
     @staticmethod
     def _same(result, expected):
@@ -232,7 +253,7 @@ class TestCompareMatchesCellScan:
     @given(matrix=_square())
     def test_identity(self, matrix):
         self._same(
-            _compare("a", _identity(matrix.size), matrix.rows),
+            _compare("a", ExactMatrix.identity(matrix.size).rows, matrix.rows),
             reference.first_mismatch("a", reference.against_identity(matrix)),
         )
 
@@ -247,5 +268,34 @@ class TestCompareMatchesCellScan:
     def test_checkerboard_zeros(self, matrix):
         self._same(
             _compare("p", _odd_zeroed(matrix.rows), matrix.rows),
+            reference.first_mismatch("p", reference.odd_zeros(matrix)),
+        )
+
+    @given(matrix=_rescaled(), data=st.data())
+    def test_entrywise_on_integer_rows(self, matrix, data):
+        other = ExactMatrix.from_rows(data.draw(_changed(matrix.to_lists())))
+        self._same(
+            _check_equal("b", matrix, other),
+            reference.first_mismatch("b", reference.entrywise(matrix, other)),
+        )
+
+    @given(matrix=_rescaled())
+    def test_identity_on_integer_rows(self, matrix):
+        self._same(
+            _check_equal("a", ExactMatrix.identity(matrix.size), matrix),
+            reference.first_mismatch("a", reference.against_identity(matrix)),
+        )
+
+    @given(matrix=_rescaled())
+    def test_symmetric_on_integer_rows(self, matrix):
+        self._same(
+            _check_symmetric("s", matrix),
+            reference.first_mismatch("s", reference.mirrored(matrix)),
+        )
+
+    @given(matrix=_rescaled())
+    def test_checkerboard_zeros_on_integer_rows(self, matrix):
+        self._same(
+            _check_odd_zeros("p", matrix),
             reference.first_mismatch("p", reference.odd_zeros(matrix)),
         )
