@@ -358,11 +358,20 @@ def main(argv: list[str] | None = None) -> int:
         request = parser.parse_args(_merge_negative_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact values can run past the default limit of 4300 digits that str()
+    # and int() put on an int; lifted for the request only, so that callers
+    # in the same process keep their own limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return run(request)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

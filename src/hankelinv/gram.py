@@ -2,14 +2,17 @@
 
 Builds the normalized Hankel moment matrix of a family from its moment
 sequence, which each family's two-step moment recurrence produces entry by
-entry.  The engine reads only those 2n+1 moments: the Chebyshev algorithm
-turns them into the recurrence coefficients and squared norms h_m of the monic
-orthogonal polynomials, whose coefficients a_{m,i} follow from the three-term
+entry, on ints: one integer vector over one common denominator.  The engine
+reads only those 2n+1 moments: the Chebyshev algorithm turns them into the
+recurrence coefficients and squared norms h_m of the monic orthogonal
+polynomials, whose coefficients a_{m,i} follow from the three-term
 recurrence.  Both recurrences run on primitive integer rows, and Fractions
 appear again only in the norms and coefficients they return.  The exact
 inverse is then the Christoffel-Darboux kernel sum
 
-    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m.
+    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m,
+
+summed on ints by the same core as the closed forms' factor tables.
 
 This engine is the authoritative exact-inverse path; the closed forms in
 ``closed_form`` must agree with it.  Every route's matrices are
@@ -30,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .orthopoly import Family, FamilySpec, PolyCoeffs
+from .orthopoly import Family, FamilySpec, PolyCoeffs, _integer_params
 
 __all__ = [
     "ExactMatrix",
@@ -169,12 +172,14 @@ def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
     family's moment recurrence (see ``_moment_sequence``)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _moment_sequence(spec, k + 1)[k]
+    denom, seq = _moment_sequence(spec, k + 1)
+    return Fraction(seq[k], denom)
 
 
-def _moment_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
-    """hankel_moment(spec, k) for k = 0..count-1 by the family's two-step
-    relation d(k) mu_{k+1} = e(k) mu_k + f(k) mu_{k-1}, mu_0 = 1, mu_{-1} = 0:
+def _moment_sequence(spec: FamilySpec, count: int) -> tuple[int, list[int]]:
+    """hankel_moment(spec, k) for k = 0..count-1 as (D, [N_k]), mu_k = N_k / D
+    in lowest terms, by the family's two-step relation
+    d(k) mu_{k+1} = e(k) mu_k + f(k) mu_{k-1}, mu_0 = 1, mu_{-1} = 0:
 
       hermite         2 mu_{k+1} = k mu_{k-1}
       laguerre        mu_{k+1} = (a+k+1) mu_k
@@ -185,33 +190,57 @@ def _moment_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
     The first four restate the closed forms (1/2)_m, (a+1)_k,
     (1/2)_m / (l+1)_m and (a+1)_k / (a+b+2)_k as running ratios; the jacobi
     relation is the one its Beta-integral moments 2F1(-k, b+1; a+b+2; 2)
-    satisfy.  Every divisor d(k) is > 0 on the whole parameter domain."""
+    satisfy.  Every divisor d(k) is > 0 on the whole parameter domain.
+
+    Runs on ints: with the parameters over their common denominator q
+    (qa = q a, qb = q b, ql = q l), the coefficients times q are integers
+    d', e', f', and mu_k = M_k / P_k over the running product
+    P_k = d'(0) ... d'(k-1) of the divisors, where
+    M_{k+1} = e'(k) M_k + f'(k) d'(k-1) M_{k-1}; one gcd at the end reduces
+    the sequence over P_{count-1}."""
     fam = spec.family
-    a, b, lam = spec.alpha, spec.beta, spec.lam
+    q, qa, qb, ql = _integer_params(spec)
     if fam is Family.HERMITE:
         step = lambda k: (2, 0, k)
     elif fam is Family.LAGUERRE:
-        step = lambda k: (1, a + k + 1, 0)
+        step = lambda k: (q, qa + q * (k + 1), 0)
     elif fam is Family.GEGENBAUER:
-        step = lambda k: (2 * lam + k + 1, 0, k)
+        step = lambda k: (2 * ql + q * (k + 1), 0, q * k)
     elif fam is Family.JACOBI:
-        step = lambda k: (a + b + k + 2, a - b, k)
+        step = lambda k: (qa + qb + q * (k + 2), qa - qb, q * k)
     else:
-        step = lambda k: (a + b + k + 2, a + k + 1, 0)
-    seq = [Fraction(1)]
-    before = Fraction(0)
+        step = lambda k: (qa + qb + q * (k + 2), qa + q * (k + 1), 0)
+    nums, divisors = [1], [1]
+    before = 0
     for k in range(count - 1):
         d, e, f = step(k)
-        seq.append((e * seq[k] + f * before) / d)
-        before = seq[k]
-    return seq
+        nums.append(e * nums[k] + f * divisors[k] * before)
+        divisors.append(d)
+        before = nums[k]
+    return _over_products(nums, divisors)
+
+
+def _over_products(nums: Sequence[int], divisors: Sequence[int]) -> tuple[int, list[int]]:
+    """The rationals nums[k] / (divisors[0] ... divisors[k]), for nonzero int
+    divisors, as (D, [N_k]) with N_k / D each, D > 0 and gcd(D, *N) = 1: each
+    numerator is carried over the product of all the divisors, then one gcd
+    reduces them."""
+    tail = 1
+    scaled = []
+    for num, divisor in zip(reversed(nums), reversed(divisors)):
+        scaled.append(num * tail)
+        tail *= divisor
+    if tail < 0:
+        tail, scaled = -tail, [-v for v in scaled]
+    scale, *ints = _primitive([tail, *reversed(scaled)])
+    return scale, ints
 
 
 def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     """The (n+1) x (n+1) normalized Hankel/Gram matrix of the family."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    denom, seq = _scaled(_moment_sequence(spec, 2 * n + 1))
+    denom, seq = _moment_sequence(spec, 2 * n + 1)
     return ExactMatrix._from_scaled(_reduced(denom, seq[i : i + n + 1]) for i in range(n + 1))
 
 
@@ -257,7 +286,7 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     size = 2 * n + 1
     # sigma[j] = S_k(k + j) and sigma_before[j] = S_{k-1}(k - 1 + j); at k = 0
     # the stand-in S_{-1} = (1, 0, 0, ...) over 1 gives u = S_0(0), A = S_0(1)
-    denom, sigma = _scaled(_moment_sequence(spec, size))
+    denom, sigma = _moment_sequence(spec, size)
     denom_before, sigma_before = 1, [1] + [0] * (size + 1)
     p, p_before = [1], []
     monic: list[list[int]] = []
@@ -312,19 +341,26 @@ def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction
     """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k).
 
     ``factors`` is lower triangular: row k holds f(k, 0..k) and f(k, i) = 0
-    for i > k, so row k contributes to the entries with max(i, j) <= k.  Both
-    the kernel engine (monic coefficients, w = 1 / h) and the closed forms
-    (printed factor tables) sum their inverses here.
-
-    Runs on ints: column i is scaled by the lcm c_i of its denominators and
-    the weights by their common denominator D, so that
-    B(i, j) = T(i, j) / (c_i c_j D) with T(i, j) = sum_k G(k, i) V(k) G(k, j).
-    Row i is stored over c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one
-    gcd per row."""
+    for i > k, so row k contributes to the entries with max(i, j) <= k.  The
+    kernel engine sums its inverse here (monic coefficients, w = 1 / h): each
+    column is scaled by the lcm of its denominators and the weights by theirs,
+    then summed on ints by ``_kernel_sum``, where the closed forms' integer
+    factor columns go directly."""
     size = len(factors)
-    # column i holds G(k, i) for k = i..n
     columns = [_scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
-    common, scaled_weights = _scaled(weights)
+    return _kernel_sum(columns, _scaled(weights))
+
+
+def _kernel_sum(
+    columns: Sequence[tuple[int, Sequence[int]]], weights: tuple[int, Sequence[int]]
+) -> ExactMatrix:
+    """``kernel_sum`` on ints: column i is (c_i, [G(k, i)] for k = i..n) with
+    f(k, i) = G(k, i) / c_i, c_i > 0, and the weights are (D, [V(k)]) with
+    w(k) = V(k) / D, D > 0, so that B(i, j) = T(i, j) / (c_i c_j D) with
+    T(i, j) = sum_k G(k, i) V(k) G(k, j).  Row i is stored over
+    c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one gcd per row."""
+    size = len(columns)
+    common, scaled_weights = weights
     totals = [[0] * size for _ in range(size)]
     for i, (_, col_i) in enumerate(columns):
         weighted = list(map(mul, col_i, scaled_weights[i:]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .special import hyp_terminating, pochhammer
 
@@ -201,15 +201,26 @@ def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
 def norm_squared(spec: FamilySpec, m: int) -> Fraction:
     """Squared norm h_m of the degree-m standard-normalization polynomial
     under the probability-normalized weight (so h_0 = 1 for every family):
-    the m-th entry of the family's norm sequence (see ``_norm_sequence``)."""
+    the product of the family's norm ratios (see ``_norm_ratios``)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _norm_sequence(spec, m + 1)[m]
+    ratios = _norm_ratios(spec, m)
+    return Fraction(prod(num for num, _ in ratios), prod(den for _, den in ratios))
 
 
-def _norm_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
-    """norm_squared(spec, m) for m = 0..count-1 as one running product of the
-    exact ratios h_m / h_{m-1}, from h_0 = 1:
+def _integer_params(spec: FamilySpec) -> tuple[int, int, int, int]:
+    """(q, q alpha, q beta, q lambda) with q the lcm of the denominators of
+    the parameters present, so that each of the last three is an int; an
+    absent parameter reads 0.  The integer recurrences name them q, qa, qb
+    and ql."""
+    values = (spec.alpha, spec.beta, spec.lam)
+    q = lcm(*(v.denominator for v in values if v is not None))
+    return q, *(0 if v is None else v.numerator * (q // v.denominator) for v in values)
+
+
+def _norm_ratios(spec: FamilySpec, count: int) -> list[tuple[int, int]]:
+    """The exact ratios h_m / h_{m-1}, m = 1..count, as (numerator,
+    denominator) int pairs with a positive denominator:
 
       hermite     2m, so h_m = 2^m m!
       laguerre    (a+m) / m, so h_m = (a+1)_m / m!
@@ -217,23 +228,27 @@ def _norm_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
       jacobi both (a+1)(b+1) / (a+b+3) at m = 1, then for m >= 2
                   (a+m)(b+m)(a+b+2m-1) / (m (a+b+2m+1)(a+b+m))
 
-    The m = 1 Jacobi ratio is written with its removable a+b+1 factor
-    cancelled, so alpha+beta = -1 stays finite."""
+    with the parameters over their common denominator q, as the ints
+    qa = q a, qb = q b, ql = q l.  The m = 1 Jacobi ratio is written with its
+    removable a+b+1 factor cancelled, so alpha+beta = -1 stays finite."""
     fam = spec.family
-    a, b, lam = spec.alpha, spec.beta, spec.lam
+    q, qa, qb, ql = _integer_params(spec)
     if fam is Family.HERMITE:
-        ratio = lambda m: 2 * m
+        ratio = lambda m: (2 * m, 1)
     elif fam is Family.LAGUERRE:
-        ratio = lambda m: (a + m) / m
+        ratio = lambda m: (qa + q * m, q * m)
     elif fam is Family.GEGENBAUER:
-        ratio = lambda m: (2 * lam + m - 1) * (lam + m - 1) / (m * (lam + m))
+        ratio = lambda m: (
+            (2 * ql + q * (m - 1)) * (ql + q * (m - 1)),
+            q * m * (ql + q * m),
+        )
     else:
         ratio = lambda m: (
-            (a + 1) * (b + 1) / (a + b + 3)
+            ((qa + q) * (qb + q), q * (qa + qb + 3 * q))
             if m == 1
-            else (a + m) * (b + m) * (a + b + 2 * m - 1) / (m * (a + b + 2 * m + 1) * (a + b + m))
+            else (
+                (qa + q * m) * (qb + q * m) * (qa + qb + q * (2 * m - 1)),
+                q * m * (qa + qb + q * (2 * m + 1)) * (qa + qb + q * m),
+            )
         )
-    seq = [Fraction(1)]
-    for m in range(1, count):
-        seq.append(seq[-1] * ratio(m))
-    return seq
+    return [ratio(m) for m in range(1, count + 1)]

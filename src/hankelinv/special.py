@@ -26,23 +26,33 @@ class ZeroDenominator(ArithmeticError):
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial ``(a)_n = a (a+1) ... (a+n-1)``, with ``(a)_0 = 1``:
-    the last entry of ``rising_factorials(a, n)``.
+    the last entry of ``rising_factorials(a, n)``, built as one Fraction from
+    its integer numerator (see ``_rising``).
 
     Only ``n >= 0`` is supported; the negative-index extension is deliberately
     out of scope.
     """
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
-    return rising_factorials(a, n)[-1]
+    a = Fraction(a)
+    return Fraction(_rising(a.numerator, a.denominator, 0, n)[-1], a.denominator**n)
 
 
 def rising_factorials(a: Fraction | int, n: int) -> list[Fraction]:
-    """``[(a)_0, (a)_1, ..., (a)_n]`` by the step ``(a)_{k+1} = (a)_k (a + k)``;
-    just ``[1]`` for ``n < 0``."""
+    """``[(a)_0, (a)_1, ..., (a)_n]`` by the step ``(a)_{k+1} = (a)_k (a + k)``
+    on the numerators (see ``_rising``); just ``[1]`` for ``n < 0``."""
     a = Fraction(a)
-    out = [Fraction(1)]
-    for k in range(n):
-        out.append(out[-1] * (a + k))
+    q = a.denominator
+    return [Fraction(r, q**k) for k, r in enumerate(_rising(a.numerator, q, 0, n))]
+
+
+def _rising(x: int, q: int, start: int, count: int) -> list[int]:
+    """``q^j (x/q + start)_j`` for j = 0..count: entry j is the product of
+    ``x + q t`` over t = start..start+j-1, the integer numerator of a rising
+    factorial at a point with denominator q."""
+    out = [1]
+    for t in range(start, start + count):
+        out.append(out[-1] * (x + q * t))
     return out
 
 

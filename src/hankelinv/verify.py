@@ -26,8 +26,11 @@ __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
 
 _PARITY_FAMILIES = (Family.HERMITE, Family.GEGENBAUER)
 
+# The records below are slotted: a caller that keeps every report of a sweep
+# holds one small block per record instead of an object plus its attribute
+# storage.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """First offending entry of a failed check.  (row, col) = (-1, -1) marks a
     scalar (determinant) comparison."""
@@ -38,14 +41,14 @@ class Witness:
     actual: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
     witness: Witness | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyReport:
     spec: FamilySpec
     n: int

@@ -1,9 +1,12 @@
 """Straight Fraction versions of the library's fast paths, kept as
 references: the elimination oracle, the matrix product, the moment
-sequences, classical Gram-Schmidt, the Chebyshev algorithm, the kernel sum,
-the shifted-parameter anchor values of the closed forms, the jacobi anchor
-recurrence, the closed-form determinant with one telescoping norm product
-per degree, and the cell-by-cell scans of verify's checks.
+sequences (closed forms and the two-step recurrence), classical
+Gram-Schmidt, the Chebyshev algorithm, the kernel sum, the shifted-parameter
+anchor values of the closed forms, the jacobi anchor recurrence and the
+gegenbauer rising-factorial anchors, the five closed-form factor tables,
+the norm sequence, the closed-form determinant with one telescoping norm
+product per degree and in one pass, and the cell-by-cell scans of verify's
+checks.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -15,12 +18,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from hankelinv.elimination import SingularMatrix
 from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
-from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
+from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer, rising_factorials
 from hankelinv.verify import CheckResult, Witness
 
 
@@ -275,6 +278,177 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
             lead /= Fraction(2) ** k
         result *= norm_squared(spec, k) / lead**2
     return result
+
+
+def moment_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
+    """hankel_moment(spec, k) for k = 0..count-1 by the family's two-step
+    relation d(k) mu_{k+1} = e(k) mu_k + f(k) mu_{k-1} on Fractions, one
+    division per step."""
+    fam = spec.family
+    a, b, lam = spec.alpha, spec.beta, spec.lam
+    if fam is Family.HERMITE:
+        step = lambda k: (2, 0, k)
+    elif fam is Family.LAGUERRE:
+        step = lambda k: (1, a + k + 1, 0)
+    elif fam is Family.GEGENBAUER:
+        step = lambda k: (2 * lam + k + 1, 0, k)
+    elif fam is Family.JACOBI:
+        step = lambda k: (a + b + k + 2, a - b, k)
+    else:
+        step = lambda k: (a + b + k + 2, a + k + 1, 0)
+    seq = [Fraction(1)]
+    before = Fraction(0)
+    for k in range(count - 1):
+        d, e, f = step(k)
+        seq.append((e * seq[k] + f * before) / d)
+        before = seq[k]
+    return seq
+
+
+def norm_sequence(spec: FamilySpec, count: int) -> list[Fraction]:
+    """norm_squared(spec, m) for m = 0..count-1 as one running product of
+    the Fraction ratios h_m / h_{m-1}, from h_0 = 1."""
+    fam = spec.family
+    a, b, lam = spec.alpha, spec.beta, spec.lam
+    if fam is Family.HERMITE:
+        ratio = lambda m: 2 * m
+    elif fam is Family.LAGUERRE:
+        ratio = lambda m: (a + m) / m
+    elif fam is Family.GEGENBAUER:
+        ratio = lambda m: (2 * lam + m - 1) * (lam + m - 1) / (m * (lam + m))
+    else:
+        ratio = lambda m: (
+            (a + 1) * (b + 1) / (a + b + 3)
+            if m == 1
+            else (a + m) * (b + m) * (a + b + 2 * m - 1) / (m * (a + b + 2 * m + 1) * (a + b + m))
+        )
+    seq = [Fraction(1)]
+    for m in range(1, count):
+        seq.append(seq[-1] * ratio(m))
+    return seq
+
+
+def explicit_det_one_pass(spec: FamilySpec, n: int) -> Fraction:
+    """The gegenbauer and jacobi determinants on Fractions: one norm
+    sequence and one list of rising factorials, prod_k h_k / lead_k^2."""
+    fam = spec.family
+    if fam is Family.GEGENBAUER:
+        # leading coefficient of the degree-k polynomial: 2^k (lam)_k / k!
+        rising = rising_factorials(spec.lam, n)
+        leads = [2**k * rising[k] / factorial(k) for k in range(n + 1)]
+    else:
+        # leading coefficient (k+c)_k / k!, times 2^-k in the jacobi monomial
+        # basis; for k >= 1, (k+c)_k = (c+1)_{2k-1} / (c+1)_{k-1}
+        c = spec.alpha + spec.beta + 1
+        rising = rising_factorials(c + 1, 2 * n - 1)
+        scale = 2 if fam is Family.JACOBI else 1
+        leads = [Fraction(1)] + [
+            rising[2 * k - 1] / (rising[k - 1] * factorial(k) * scale**k) for k in range(1, n + 1)
+        ]
+    result = Fraction(1)
+    for norm, lead in zip(norm_sequence(spec, n + 1), leads):
+        result *= norm / lead**2
+    return result
+
+
+# a family's inverse as Fraction factor rows f(k, 0..k) and weights w(k)
+_Table = tuple[list[list[Fraction]], list[Fraction]]
+
+
+def hermite_table(spec: FamilySpec, n: int) -> _Table:
+    """f(k, i) = 2^i C(k, i) H_{k-i}(0),  w(k) = 1 / (k! 2^k), the anchors by
+    ``special_value``."""
+    anchor = [special_value(spec, m) for m in range(n + 1)]
+    factors = [[2**i * comb(k, i) * anchor[k - i] for i in range(k + 1)] for k in range(n + 1)]
+    weights = [Fraction(1, factorial(k) * 2**k) for k in range(n + 1)]
+    return factors, weights
+
+
+def laguerre_table(spec: FamilySpec, n: int) -> _Table:
+    """f(k, i) = (-1)^i C(k, i) / (a+1)_i,  w(k) = (a+1)_k / k!"""
+    rising = rising_factorials(spec.alpha + 1, n)
+    factors = [[(-1) ** i * comb(k, i) / rising[i] for i in range(k + 1)] for k in range(n + 1)]
+    weights = [rising[k] / factorial(k) for k in range(n + 1)]
+    return factors, weights
+
+
+def gegenbauer_anchors(lam: Fraction, n: int) -> list[list[Fraction]]:
+    """Row i holds C_d^(lam+i)(0) for d = 0..n-i: (-1)^m (lam+i)_m / m! at
+    d = 2m, and 0 at odd d."""
+    rows = []
+    for i in range(n + 1):
+        rising = rising_factorials(lam + i, (n - i) // 2)
+        even = [(-1) ** m * r / factorial(m) for m, r in enumerate(rising)]
+        rows.append([even[d // 2] if d % 2 == 0 else Fraction(0) for d in range(n - i + 1)])
+    return rows
+
+
+def gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
+    """f(k, i) = 2^i (lam)_i / i! * C_{k-i}^(lam+i)(0),
+    w(k) = k! (lam + k) / ((2 lam)_k lam)."""
+    lam = spec.lam
+    rising = rising_factorials(lam, n)
+    double = rising_factorials(2 * lam, n)
+    prefactor = [2**i * rising[i] / factorial(i) for i in range(n + 1)]
+    anchors = gegenbauer_anchors(lam, n)
+    factors = [
+        [prefactor[i] * anchors[i][k - i] for i in range(k + 1)] for k in range(n + 1)
+    ]
+    weights = [factorial(k) * (lam + k) / (double[k] * lam) for k in range(n + 1)]
+    return factors, weights
+
+
+def _jacobi_weights(c: Fraction, n: int) -> list[Fraction]:
+    """(2k + c) (c)_k / c, the removable c = 0 pole cancelled, for k = 0..n."""
+    tail = rising_factorials(c + 1, n - 1)
+    return [Fraction(1)] + [(2 * k + c) * tail[k - 1] for k in range(1, n + 1)]
+
+
+def jacobi_table(spec: FamilySpec, n: int) -> _Table:
+    """f(k, i) = (-1)^i / (2^i i!) * (k+c)_i P_{k-i}^(a+i, b+i)(0),
+    w(k) = k! (2k+c) (c)_k / c / ((a+1)_k (b+1)_k),  c = a + b + 1."""
+    a, b = spec.alpha, spec.beta
+    c = a + b + 1
+    upper = [rising_factorials(k + c, k) for k in range(n + 1)]
+    prefactor = [Fraction((-1) ** i, 2**i * factorial(i)) for i in range(n + 1)]
+    anchors = jacobi_anchors(a, b, n)
+    factors = [
+        [prefactor[i] * upper[k][i] * anchors[i][k - i] for i in range(k + 1)]
+        for k in range(n + 1)
+    ]
+    rising_a, rising_b = rising_factorials(a + 1, n), rising_factorials(b + 1, n)
+    weights = [
+        factorial(k) * wf / (rising_a[k] * rising_b[k])
+        for k, wf in enumerate(_jacobi_weights(c, n))
+    ]
+    return factors, weights
+
+
+def shifted_jacobi_table(spec: FamilySpec, n: int) -> _Table:
+    """f(k, i) = (-1)^i C(k, i) (k+c)_i / (a+1)_i,
+    w(k) = (2k+c) (c)_k / c * (a+1)_k / (k! (b+1)_k)."""
+    a, b = spec.alpha, spec.beta
+    c = a + b + 1
+    upper = [rising_factorials(k + c, k) for k in range(n + 1)]
+    rising_a, rising_b = rising_factorials(a + 1, n), rising_factorials(b + 1, n)
+    factors = [
+        [(-1) ** i * comb(k, i) * upper[k][i] / rising_a[i] for i in range(k + 1)]
+        for k in range(n + 1)
+    ]
+    weights = [
+        wf * rising_a[k] / (factorial(k) * rising_b[k])
+        for k, wf in enumerate(_jacobi_weights(c, n))
+    ]
+    return factors, weights
+
+
+FACTOR_TABLES = {
+    Family.HERMITE: hermite_table,
+    Family.LAGUERRE: laguerre_table,
+    Family.GEGENBAUER: gegenbauer_table,
+    Family.JACOBI: jacobi_table,
+    Family.SHIFTED_JACOBI: shifted_jacobi_table,
+}
 
 
 # one compared position of a verify check: (row, col, expected, actual)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import example
 from hypothesis import strategies as st
 
-from hankelinv.orthopoly import FamilySpec
+from hankelinv.orthopoly import Family, FamilySpec
 
 
 def _rationals(lower: Fraction, upper: Fraction = Fraction(10)) -> st.SearchStrategy[Fraction]:
@@ -36,6 +36,21 @@ SPECS = st.one_of(
     _CORNER_ALPHA.map(lambda a: FamilySpec.jacobi(a, -1 - a)),
     _CORNER_ALPHA.map(lambda a: FamilySpec.shifted_jacobi(a, -1 - a)),
 )
+
+# SPECS split by family, for the properties of one family's builder
+FAMILY_SPECS = {
+    Family.HERMITE: st.just(FamilySpec.hermite()),
+    Family.LAGUERRE: st.builds(FamilySpec.laguerre, _ALPHA),
+    Family.GEGENBAUER: st.builds(FamilySpec.gegenbauer, _LAMBDA),
+    Family.JACOBI: st.one_of(
+        st.builds(FamilySpec.jacobi, _ALPHA, _ALPHA),
+        _CORNER_ALPHA.map(lambda a: FamilySpec.jacobi(a, -1 - a)),
+    ),
+    Family.SHIFTED_JACOBI: st.one_of(
+        st.builds(FamilySpec.shifted_jacobi, _ALPHA, _ALPHA),
+        _CORNER_ALPHA.map(lambda a: FamilySpec.shifted_jacobi(a, -1 - a)),
+    ),
+}
 
 CORNERS = [
     FamilySpec.jacobi(Fraction(-8, 9), Fraction(-1, 9)),

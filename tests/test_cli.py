@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import hankelinv
 from hankelinv.cli import UsageError, build_parser, main, parse_rational, run
-from hankelinv.closed_form import MAX_DIGITS
+from hankelinv.closed_form import MAX_DIGITS, explicit_det
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec
 from hankelinv.verify import CheckResult, VerifyReport, Witness
@@ -455,6 +455,49 @@ class TestUsageErrors:
         code, out, _ = run_cli(["--help"])
         assert code == 0
         assert "hankelinv" in out
+
+
+# Pythons with the int/str conversion limit (3.11, and 3.10 from 3.10.7)
+_HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+class TestLongExactValues:
+    """Exact values past the 4300-digit default limit on str(int) and
+    int(str) print in full; main restores the caller's limit."""
+
+    def test_hermite_det_at_n_100(self):
+        code, out, err = run_cli(["det", "--family", "hermite", "--n", "100", "--output", "json"])
+        assert code == 0 and err == ""
+        det = explicit_det(FamilySpec.hermite(), 100)
+        assert det.numerator.bit_length() > 4300 * 3.33  # past 4300 decimal digits
+        limit = sys.get_int_max_str_digits() if _HAS_DIGIT_LIMIT else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = str(det)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert json.loads(out)["det"] == expected
+
+    def test_laguerre_alpha_with_5000_digit_denominator(self):
+        alpha = "1/" + "7" * 5000
+        code, out, err = run_cli(["det", "--family", "laguerre", "--alpha", alpha, "--n", "1"])
+        assert code == 0 and err == ""
+        # det at n = 1 is 0! 1! (alpha+1) = (7...7 + 1) / 7...7
+        assert out == "7" * 4999 + "8/" + "7" * 5000 + "\n"
+
+    @pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int/str conversion limit")
+    @pytest.mark.parametrize("argv", [["det", "--family", "hermite", "--n", "100"], ["--help"],
+                                      ["det", "--family", "hermite", "--n", "-1"]])
+    def test_limit_restored(self, argv):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)  # the caller's own limit
+        try:
+            run_cli(argv)
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestUnnormalized:

@@ -14,16 +14,21 @@ Fraction references in ``_fraction_reference``, entry for entry.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
   recurrence anchors of the jacobi and gegenbauer inverses, over each
   family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
-* The integer-row ``gram_schmidt`` and ``_jacobi_anchors`` against the same
-  recurrences on Fractions, over the same parameters and at n = 24, 40 and
-  60 for the five parameter points of ROADMAP's layer table.
-* The one-pass ``explicit_det`` at n <= 12 and the running-product
-  ``norm_squared`` at degrees m <= 30, over the same parameters, against one
-  telescoping product per degree.
+* The integer moment sequence, the integer-row ``gram_schmidt`` and
+  ``_jacobi_anchors``, and each family's integer factor columns and weights
+  against the same recurrences and tables on Fractions, over the same
+  parameters and at n = 24, 40 and 60 for the five parameter points of
+  ROADMAP's layer table; the hermite anchors of the running product against
+  ``special_value`` up to degree 60.
+* The integer ``explicit_det`` at n <= 12 (and the table points at n = 24,
+  40 and 60) against the Fraction one-pass product and against one
+  telescoping product per degree, and the integer-ratio ``norm_squared`` at
+  degrees m <= 30 against the Fraction running and telescoping products.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +37,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _fraction_reference as reference
-from _strategies import CORNERS, SPECS, corner_examples
+from _strategies import CORNERS, FAMILY_SPECS, SPECS, corner_examples
 from hankelinv import closed_form, gram
 from hankelinv.closed_form import explicit_det
 from hankelinv.elimination import SingularMatrix, _inverse_and_det, bareiss_det, gauss_inverse
@@ -44,7 +49,7 @@ from hankelinv.gram import (
     kernel_sum,
     moment_matrix,
 )
-from hankelinv.orthopoly import Family, FamilySpec, norm_squared
+from hankelinv.orthopoly import Family, FamilySpec, norm_squared, special_value
 
 _ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -260,50 +265,12 @@ class TestKernelSumMatchesFraction:
     @given(spec=SPECS, n=_N)
     @corner_examples(10)
     def test_closed_form_tables(self, spec, n):
-        factors, weights = closed_form._FACTOR_TABLES[spec.family](spec, n)
-        assert kernel_sum(factors, weights) == reference.kernel_sum(factors, weights)
-
-
-class TestMomentRecurrenceMatchesClosedForm:
-    @given(spec=SPECS, n=_N)
-    @corner_examples(10)
-    def test_property(self, spec, n):
-        expected = [reference.hankel_moment(spec, k) for k in range(2 * n + 1)]
-        assert [hankel_moment(spec, k) for k in range(2 * n + 1)] == expected
-        matrix = moment_matrix(spec, n)
-        assert matrix.rows == tuple(tuple(expected[i : i + n + 1]) for i in range(n + 1))
-        assert _all_fractions(matrix)
-
-
-class TestChebyshevMatchesGramSchmidt:
-    @given(spec=SPECS, n=_N)
-    @corner_examples(10)
-    def test_property(self, spec, n):
-        assert gram_schmidt(spec, n) == reference.gram_schmidt(spec, n)
-
-    @pytest.mark.parametrize(
-        "seq",
-        [
-            [1, 0, -1, 0, 1, 0, 1],  # h_1 = -1
-            [1, 1, 1, 1, 1, 1, 1],  # h_1 = 0
-            [1, 0, 1, 0, 1, 0, 1],  # h_2 = 0
-            [1, 0, 1, 0, 0, 0, 1],  # h_2 = -1 after h_0 = h_1 = 1
-        ],
-    )
-    def test_not_positive_definite(self, monkeypatch, seq):
-        # an indefinite moment sequence stops all three at the same degree
-        # with the same message
-        seq = [Fraction(v) for v in seq]
-        monkeypatch.setattr(gram, "_moment_sequence", lambda spec, count: seq[:count])
-        monkeypatch.setattr(reference, "hankel_moment", lambda spec, k: seq[k])
-        spec = FamilySpec.hermite()
-        with pytest.raises(NotPositiveDefinite) as expected:
-            reference.gram_schmidt(spec, 3)
-        with pytest.raises(NotPositiveDefinite) as chebyshev:
-            reference.chebyshev(spec, 3)
-        with pytest.raises(NotPositiveDefinite) as actual:
-            gram_schmidt(spec, 3)
-        assert str(actual.value) == str(chebyshev.value) == str(expected.value)
+        # the Fraction tables through the public wrapper, and the integer
+        # columns straight into the core, give the same inverse
+        factors, weights = reference.FACTOR_TABLES[spec.family](spec, n)
+        expected = reference.kernel_sum(factors, weights)
+        assert kernel_sum(factors, weights) == expected
+        assert gram._kernel_sum(*closed_form._FACTOR_TABLES[spec.family](spec, n)) == expected
 
 
 # the five parameter points of ROADMAP's layer table
@@ -326,6 +293,68 @@ def _large_examples(specs):
         return test
 
     return apply
+
+
+def _as_fractions(scaled: tuple[int, Sequence[int]]) -> list[Fraction]:
+    """The values of an integer vector over one denominator."""
+    denom, ints = scaled
+    return [Fraction(v, denom) for v in ints]
+
+
+def _reduced_form(scaled: tuple[int, Sequence[int]]) -> bool:
+    denom, ints = scaled
+    return denom > 0 and gcd(denom, *ints) == 1 and all(type(v) is int for v in ints)
+
+
+class TestMomentRecurrenceMatchesClosedForm:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_property(self, spec, n):
+        expected = [reference.hankel_moment(spec, k) for k in range(2 * n + 1)]
+        assert [hankel_moment(spec, k) for k in range(2 * n + 1)] == expected
+        matrix = moment_matrix(spec, n)
+        assert matrix.rows == tuple(tuple(expected[i : i + n + 1]) for i in range(n + 1))
+        assert _all_fractions(matrix)
+
+
+class TestIntegerMomentsMatchFraction:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    @_large_examples(_TABLE_POINTS)
+    def test_property(self, spec, n):
+        scaled = gram._moment_sequence(spec, 2 * n + 1)
+        assert _reduced_form(scaled)
+        assert _as_fractions(scaled) == reference.moment_sequence(spec, 2 * n + 1)
+
+
+class TestChebyshevMatchesGramSchmidt:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    def test_property(self, spec, n):
+        assert gram_schmidt(spec, n) == reference.gram_schmidt(spec, n)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            [1, 0, -1, 0, 1, 0, 1],  # h_1 = -1
+            [1, 1, 1, 1, 1, 1, 1],  # h_1 = 0
+            [1, 0, 1, 0, 1, 0, 1],  # h_2 = 0
+            [1, 0, 1, 0, 0, 0, 1],  # h_2 = -1 after h_0 = h_1 = 1
+        ],
+    )
+    def test_not_positive_definite(self, monkeypatch, seq):
+        # an indefinite moment sequence stops all three at the same degree
+        # with the same message
+        monkeypatch.setattr(gram, "_moment_sequence", lambda spec, count: (1, seq[:count]))
+        monkeypatch.setattr(reference, "hankel_moment", lambda spec, k: Fraction(seq[k]))
+        spec = FamilySpec.hermite()
+        with pytest.raises(NotPositiveDefinite) as expected:
+            reference.gram_schmidt(spec, 3)
+        with pytest.raises(NotPositiveDefinite) as chebyshev:
+            reference.chebyshev(spec, 3)
+        with pytest.raises(NotPositiveDefinite) as actual:
+            gram_schmidt(spec, 3)
+        assert str(actual.value) == str(chebyshev.value) == str(expected.value)
 
 
 class TestIntegerChebyshevMatchesFraction:
@@ -356,14 +385,18 @@ class TestIntegerJacobiAnchorsMatchFraction:
     @_jacobi_corners
     @_large_examples(_TABLE_POINTS[3:4])
     def test_property(self, spec, n):
-        anchors = closed_form._jacobi_anchors(spec.alpha, spec.beta, n)
-        assert anchors == reference.jacobi_anchors(spec.alpha, spec.beta, n)
-        assert all(type(v) is Fraction for row in anchors for v in row)
+        rows = closed_form._jacobi_anchors(spec, n)
+        assert all(_reduced_form(row) for row in rows)
+        assert [_as_fractions(row) for row in rows] == reference.jacobi_anchors(
+            spec.alpha, spec.beta, n
+        )
 
 
 _ANCHORS = {
-    Family.JACOBI: lambda spec, n: closed_form._jacobi_anchors(spec.alpha, spec.beta, n),
-    Family.GEGENBAUER: lambda spec, n: closed_form._gegenbauer_anchors(spec.lam, n),
+    Family.JACOBI: lambda spec, n: [
+        _as_fractions(row) for row in closed_form._jacobi_anchors(spec, n)
+    ],
+    Family.GEGENBAUER: lambda spec, n: reference.gegenbauer_anchors(spec.lam, n),
 }
 
 
@@ -383,6 +416,79 @@ class TestAnchorRecurrenceMatchesSpecialValue:
         assert all(type(v) is Fraction for row in anchors for v in row)
 
 
+class TestHermiteAnchorsMatchSpecialValue:
+    def test_running_product(self):
+        # column 0 of the hermite table is H_k(0) over 1, k = 0..60
+        spec = FamilySpec.hermite()
+        columns, _ = closed_form._hermite_table(spec, 60)
+        assert columns[0] == (1, [special_value(spec, k) for k in range(61)])
+
+
+def _family_examples(*families: Family):
+    """Decorator: the corners at n = 10 and the table points at n = 24, 40
+    and 60, of the given families."""
+
+    def apply(test):
+        for spec in CORNERS:
+            if spec.family in families:
+                test = example(spec=spec, n=10)(test)
+        return _large_examples([s for s in _TABLE_POINTS if s.family in families])(test)
+
+    return apply
+
+
+class TestIntegerFactorTablesMatchFraction:
+    """Each integer table builder, column by column and weight by weight,
+    against its Fraction version."""
+
+    def check(self, spec, n):
+        columns, weights = closed_form._FACTOR_TABLES[spec.family](spec, n)
+        factors, expected_weights = reference.FACTOR_TABLES[spec.family](spec, n)
+        assert len(columns) == n + 1
+        for i, column in enumerate(columns):
+            assert _reduced_form(column)
+            assert _as_fractions(column) == [factors[k][i] for k in range(i, n + 1)]
+        assert _reduced_form(weights)
+        assert _as_fractions(weights) == expected_weights
+
+    @given(spec=FAMILY_SPECS[Family.HERMITE], n=_N)
+    @_family_examples(Family.HERMITE)
+    def test_hermite(self, spec, n):
+        self.check(spec, n)
+
+    @given(spec=FAMILY_SPECS[Family.LAGUERRE], n=_N)
+    @_family_examples(Family.LAGUERRE)
+    def test_laguerre(self, spec, n):
+        self.check(spec, n)
+
+    @given(spec=FAMILY_SPECS[Family.GEGENBAUER], n=_N)
+    @_family_examples(Family.GEGENBAUER)
+    def test_gegenbauer(self, spec, n):
+        self.check(spec, n)
+
+    @given(spec=FAMILY_SPECS[Family.JACOBI], n=_N)
+    @_family_examples(Family.JACOBI)
+    def test_jacobi(self, spec, n):
+        self.check(spec, n)
+
+    @given(spec=FAMILY_SPECS[Family.SHIFTED_JACOBI], n=_N)
+    @_family_examples(Family.SHIFTED_JACOBI)
+    def test_shifted_jacobi(self, spec, n):
+        self.check(spec, n)
+
+
+_DET_FAMILIES = (Family.GEGENBAUER, Family.JACOBI, Family.SHIFTED_JACOBI)
+
+
+class TestIntegerExplicitDetMatchesFraction:
+    @given(spec=st.one_of(*map(FAMILY_SPECS.get, _DET_FAMILIES)), n=st.integers(0, 12))
+    @_family_examples(*_DET_FAMILIES)
+    def test_property(self, spec, n):
+        det = explicit_det(spec, n)
+        assert type(det) is Fraction
+        assert det == reference.explicit_det_one_pass(spec, n)
+
+
 class TestExplicitDetMatchesPerDegree:
     @given(spec=SPECS, n=st.integers(0, 12))
     @corner_examples(12)
@@ -400,3 +506,4 @@ class TestNormSequenceMatchesTelescoping:
         norms = [norm_squared(spec, m) for m in range(n + 1)]
         assert all(type(h) is Fraction for h in norms)
         assert norms == [reference.norm_squared(spec, m) for m in range(n + 1)]
+        assert norms == reference.norm_sequence(spec, n + 1)
