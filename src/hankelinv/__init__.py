@@ -29,7 +29,6 @@ from .gram import (
     OrthoTable,
     det_from_norms,
     gram_schmidt,
-    kernel_coeffs,
     kernel_eval,
     kernel_inverse,
     kernel_sum,
@@ -74,7 +73,6 @@ __all__ = [
     "gram_schmidt",
     "hyp_terminating",
     "jacobi_det_as_printed",
-    "kernel_coeffs",
     "kernel_eval",
     "kernel_inverse",
     "kernel_sum",

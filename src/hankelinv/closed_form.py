@@ -22,14 +22,13 @@ value, reporting — never asserting — the comparison.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import TYPE_CHECKING
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, _kernel_sum, _over_products, _reduced, moment_matrix
-from .orthopoly import Family, FamilySpec, _integer_params, _norm_ratios
+from .orthopoly import Family, FamilySpec, _integer_params, _norm_ratios, _Record
 from .special import _rising, barnes_g_int, pochhammer
 
 if TYPE_CHECKING:
@@ -270,16 +269,27 @@ _FACTOR_TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class DiscrepancyNote:
+class DiscrepancyNote(_Record):
     """Comparison of the as-printed jacobi determinant against the exact one."""
 
+    __slots__ = ("exact", "printed", "rel_error", "tolerance", "agrees", "digits")
     exact: Fraction
     printed: mpmath.mpf
     rel_error: mpmath.mpf
     tolerance: mpmath.mpf
     agrees: bool
     digits: int
+
+    def __init__(
+        self,
+        exact: Fraction,
+        printed: mpmath.mpf,
+        rel_error: mpmath.mpf,
+        tolerance: mpmath.mpf,
+        agrees: bool,
+        digits: int,
+    ) -> None:
+        super().__init__(exact, printed, rel_error, tolerance, agrees, digits)
 
 
 def _to_mpf(value: Fraction) -> mpmath.mpf:

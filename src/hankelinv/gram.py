@@ -28,12 +28,11 @@ families entry(i,j) = moment(i+j).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .orthopoly import Family, FamilySpec, PolyCoeffs, _integer_params
+from .orthopoly import Family, FamilySpec, PolyCoeffs, _integer_params, _Record
 
 __all__ = [
     "ExactMatrix",
@@ -45,7 +44,6 @@ __all__ = [
     "gram_schmidt",
     "kernel_sum",
     "kernel_inverse",
-    "kernel_coeffs",
     "kernel_eval",
     "det_from_norms",
 ]
@@ -84,10 +82,6 @@ class ExactMatrix:
         matrix._stored = tuple(rows)
         matrix._rows = None
         return matrix
-
-    @classmethod
-    def from_rows(cls, rows: list[list[Fraction | int]]) -> "ExactMatrix":
-        return cls(rows)
 
     @classmethod
     def identity(cls, size: int) -> "ExactMatrix":
@@ -244,15 +238,20 @@ def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     return ExactMatrix._from_scaled(_reduced(denom, seq[i : i + n + 1]) for i in range(n + 1))
 
 
-@dataclass(frozen=True)
-class OrthoTable:
+class OrthoTable(_Record):
     """Monic orthogonal polynomials of degree 0..n (family-basis coefficients)
     together with their squared norms under the matrix bilinear form."""
 
+    __slots__ = ("spec", "n", "monic", "norms")
     spec: FamilySpec
     n: int
     monic: tuple[PolyCoeffs, ...]
     norms: tuple[Fraction, ...]
+
+    def __init__(
+        self, spec: FamilySpec, n: int, monic: tuple[PolyCoeffs, ...], norms: tuple[Fraction, ...]
+    ) -> None:
+        super().__init__(spec, n, monic, norms)
 
     def eval_monic(self, m: int, x: Fraction | int) -> Fraction:
         """Value of the degree-m monic polynomial at the point x."""
@@ -379,19 +378,6 @@ def kernel_inverse(table: OrthoTable) -> ExactMatrix:
     """Exact inverse of the moment matrix via the kernel coefficient sum
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m."""
     return kernel_sum([p.coeffs for p in table.monic], [1 / h for h in table.norms])
-
-
-def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:
-    """Family-basis coefficients of the kernel section k_n(., y)."""
-    y = Fraction(y)
-    n = table.n
-    out = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        weight = table.eval_monic(m, y) / table.norms[m]
-        coeffs = table.monic[m].coeffs
-        for b in range(m + 1):
-            out[b] += weight * coeffs[b]
-    return tuple(out)
 
 
 def kernel_eval(table: OrthoTable, x: Fraction | int, y: Fraction | int) -> Fraction:

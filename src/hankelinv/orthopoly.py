@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -62,29 +61,85 @@ def _coerce(value: Fraction | int | str, name: str) -> Fraction:
         raise InvalidFamilySpec(f"{name} is not a rational number: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _Record:
+    """Base of the package's frozen value records.
+
+    A subclass lists its fields in ``__slots__``, and its ``__init__`` passes
+    their values, in that order, to the base ``__init__``; a subclass of a
+    record appends its own slots to the inherited fields.  The base compares
+    and hashes the field values, only against an instance of the very same
+    class, prints ``Name(field=value, ...)``, refuses assignment and deletion,
+    and pickles and copies by calling the class on the field values.  Unlike a
+    tuple, a record does not iterate, index or order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields += cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class FamilySpec(_Record):
     """A validated (family, parameters) pair.
 
     Instances that violate the parameter domains (alpha > -1, beta > -1,
     lambda > -1/2 and nonzero) cannot be constructed.
     """
 
+    __slots__ = ("family", "alpha", "beta", "lam")
     family: Family
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
-    lam: Fraction | None = None
+    alpha: Fraction | None
+    beta: Fraction | None
+    lam: Fraction | None
 
-    def __post_init__(self) -> None:
-        required = _REQUIRED[self.family]
-        for name in ("alpha", "beta", "lam"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        family: Family,
+        alpha: Fraction | int | str | None = None,
+        beta: Fraction | int | str | None = None,
+        lam: Fraction | int | str | None = None,
+    ) -> None:
+        if not isinstance(family, Family):
+            raise InvalidFamilySpec(f"family must be a Family member, not {family!r}")
+        required = _REQUIRED[family]
+        params = {"alpha": alpha, "beta": beta, "lam": lam}
+        for name, value in params.items():
             if name in required:
                 if value is None:
-                    raise InvalidFamilySpec(f"{self.family.value} requires {name}")
-                object.__setattr__(self, name, _coerce(value, name))
+                    raise InvalidFamilySpec(f"{family.value} requires {name}")
+                params[name] = _coerce(value, name)
             elif value is not None:
-                raise InvalidFamilySpec(f"{self.family.value} takes no {name}")
+                raise InvalidFamilySpec(f"{family.value} takes no {name}")
+        super().__init__(family, *params.values())
         if self.alpha is not None and self.alpha <= -1:
             raise InvalidFamilySpec("alpha must be > -1")
         if self.beta is not None and self.beta <= -1:
@@ -131,19 +186,19 @@ class FamilySpec:
         return out
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
+class PolyCoeffs(_Record):
     """Coefficients of a polynomial in the family basis, index i = basis element i."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction | int, ...]) -> None:
+        if not coeffs:
             raise ValueError("PolyCoeffs cannot be empty")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.coeffs[-1] == 0 and len(self.coeffs) > 1:
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if coeffs[-1] == 0 and len(coeffs) > 1:
             raise ValueError("leading coefficient must be nonzero")
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:

@@ -14,45 +14,50 @@ failing closed form still yields a complete report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import _inverse_and_det
 from .gram import ExactMatrix, det_from_norms, gram_schmidt, kernel_inverse, moment_matrix
-from .orthopoly import Family, FamilySpec
+from .orthopoly import Family, FamilySpec, _Record
 
 __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
 
 _PARITY_FAMILIES = (Family.HERMITE, Family.GEGENBAUER)
 
-# The records below are slotted: a caller that keeps every report of a sweep
-# holds one small block per record instead of an object plus its attribute
-# storage.
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(_Record):
     """First offending entry of a failed check.  (row, col) = (-1, -1) marks a
     scalar (determinant) comparison."""
 
+    __slots__ = ("row", "col", "expected", "actual")
     row: int
     col: int
     expected: Fraction
     actual: Fraction
 
+    def __init__(self, row: int, col: int, expected: Fraction, actual: Fraction) -> None:
+        super().__init__(row, col, expected, actual)
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "witness")
     name: str
     passed: bool
-    witness: Witness | None = None
+    witness: Witness | None
+
+    def __init__(self, name: str, passed: bool, witness: Witness | None = None) -> None:
+        super().__init__(name, passed, witness)
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(_Record):
+    __slots__ = ("spec", "n", "checks")
     spec: FamilySpec
     n: int
     checks: tuple[CheckResult, ...]
+
+    def __init__(self, spec: FamilySpec, n: int, checks: tuple[CheckResult, ...]) -> None:
+        super().__init__(spec, n, checks)
 
     @property
     def passed(self) -> bool:

@@ -6,7 +6,8 @@ anchor values of the closed forms, the jacobi anchor recurrence and the
 gegenbauer rising-factorial anchors, the five closed-form factor tables,
 the norm sequence, the closed-form determinant with one telescoping norm
 product per degree and in one pass, and the cell-by-cell scans of verify's
-checks.
+checks.  Also the coefficients of the kernel section k_n(., y), which the
+reproducing-property tests pair with the moment matrix.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -195,6 +196,19 @@ def kernel_sum(factors, weights) -> ExactMatrix:
         for j in range(i):
             rows[i][j] = rows[j][i]
     return ExactMatrix(tuple(tuple(row) for row in rows))
+
+
+def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:
+    """Family-basis coefficients of the kernel section k_n(., y)."""
+    y = Fraction(y)
+    n = table.n
+    out = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        weight = table.eval_monic(m, y) / table.norms[m]
+        coeffs = table.monic[m].coeffs
+        for b in range(m + 1):
+            out[b] += weight * coeffs[b]
+    return tuple(out)
 
 
 def shifted_anchors(spec: FamilySpec, n: int) -> list[list[Fraction]]:

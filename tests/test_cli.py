@@ -669,6 +669,27 @@ class TestLazyMpmath:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestColdImport:
+    def test_cli_import_loads_no_dataclasses_inspect_or_mpmath(self):
+        # every CLI request imports the package in a fresh interpreter;
+        # dataclasses would pull in inspect, ast, dis and tokenize with it.
+        # -S keeps site-packages' start-up hooks out of the picture.
+        script = (
+            "import sys, hankelinv.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'mpmath'} & sys.modules.keys()))"
+        )
+        package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -102,7 +102,7 @@ class TestExplicitInverse:
         ],
     )
     def test_frozen_values(self, spec, n, rows):
-        assert explicit_inverse(spec, n) == ExactMatrix.from_rows(rows)
+        assert explicit_inverse(spec, n) == ExactMatrix(rows)
 
     @pytest.mark.parametrize("spec", SAMPLE, ids=_IDS)
     @pytest.mark.parametrize("n", [0, 1, 5])

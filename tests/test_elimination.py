@@ -27,7 +27,7 @@ def _cofactor_det(rows: list[list[Fraction]]) -> Fraction:
 
 
 def _random_matrix(rng: random.Random, size: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
+    return ExactMatrix(
         [
             [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
             for _ in range(size)
@@ -48,7 +48,7 @@ class TestBareissDet:
         ],
     )
     def test_frozen_values(self, rows, expected):
-        assert bareiss_det(ExactMatrix.from_rows(rows)) == Fraction(expected)
+        assert bareiss_det(ExactMatrix(rows)) == Fraction(expected)
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(1234)
@@ -66,20 +66,20 @@ class TestBareissDet:
 
     def test_permutation_sign(self):
         # cyclic permutation of 3 elements is even
-        perm = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        perm = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert bareiss_det(perm) == 1
 
 
 class TestGaussInverse:
     def test_frozen_two_by_two(self):
-        inverse = gauss_inverse(ExactMatrix.from_rows([[1, 2], [3, 4]]))
+        inverse = gauss_inverse(ExactMatrix([[1, 2], [3, 4]]))
         assert inverse.to_lists() == [
             [Fraction(-2), Fraction(1)],
             [Fraction(3, 2), Fraction(-1, 2)],
         ]
 
     def test_hilbert_three(self):
-        hilbert = ExactMatrix.from_rows(
+        hilbert = ExactMatrix(
             [[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]
         )
         assert gauss_inverse(hilbert).to_lists() == [
@@ -109,10 +109,10 @@ class TestGaussInverse:
         assert bareiss_det(gauss_inverse(matrix)) == 1 / bareiss_det(matrix)
 
     def test_permutation_inverse_is_transpose(self):
-        perm = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        perm = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert gauss_inverse(perm).to_lists() == [list(col) for col in zip(*perm.rows)]
 
     @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[0, 0], [0, 1]]])
     def test_singular_rejected(self, rows):
         with pytest.raises(SingularMatrix):
-            gauss_inverse(ExactMatrix.from_rows(rows))
+            gauss_inverse(ExactMatrix(rows))

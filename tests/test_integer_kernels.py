@@ -59,9 +59,9 @@ _ENTRIES = st.one_of(
 
 # a forced row swap, a singular matrix, a zero pivot column
 _EXAMPLES = [
-    ExactMatrix.from_rows([[0, 1, 2], [3, 0, 1], [1, 1, 0]]),
-    ExactMatrix.from_rows([[1, 2], [2, 4]]),
-    ExactMatrix.from_rows([[0, 0], [0, 1]]),
+    ExactMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]]),
+    ExactMatrix([[1, 2], [2, 4]]),
+    ExactMatrix([[0, 0], [0, 1]]),
 ]
 
 _SHAPES = ("drawn", "zero_row", "zero_col", "zero_leading_pivot", "dependent_row", "symmetric")
@@ -90,7 +90,7 @@ def matrices(draw, size=None) -> ExactMatrix:
         rows[i] = [c * x + d * y for x, y in zip(rows[j], rows[k])]
     elif shape == "symmetric":
         rows = [[rows[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(rows)
 
 
 def _all_fractions(matrix: ExactMatrix) -> bool:
@@ -125,13 +125,13 @@ class TestScaledRows:
             assert gcd(*(scale // v.denominator for v in row)) == 1
 
     def test_frozen(self):
-        matrix = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)], [4, 0]])
+        matrix = ExactMatrix([[Fraction(1, 2), Fraction(-1, 3)], [4, 0]])
         assert matrix.scaled_rows() == [(6, [3, -2]), (1, [4, 0])]
 
     @given(matrices())
     @_with_examples
     def test_round_trip(self, matrix):
-        copy = ExactMatrix.from_rows(matrix.to_lists())
+        copy = ExactMatrix(matrix.to_lists())
         assert copy == matrix and hash(copy) == hash(matrix)
         assert ExactMatrix(matrix.rows) == matrix
 
@@ -142,7 +142,7 @@ class TestScaledRows:
         for scale, ints in matrix.scaled_rows():
             ints[:] = [v + 1 for v in ints]
         assert matrix.scaled_rows() == before
-        assert matrix == ExactMatrix.from_rows(matrix.to_lists())
+        assert matrix == ExactMatrix(matrix.to_lists())
 
     @given(matrices())
     @_with_examples
@@ -162,7 +162,7 @@ class TestScaledRows:
             pass
         for matrix in built:
             assert _stored_form(matrix)
-            copy = ExactMatrix.from_rows(matrix.to_lists())
+            copy = ExactMatrix(matrix.to_lists())
             assert copy == matrix and hash(copy) == hash(matrix)
 
     @given(spec=SPECS, n=_N)

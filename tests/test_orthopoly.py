@@ -7,11 +7,16 @@ family polynomials purely from their three-term recurrences
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from _recurrences import oracle_polys, poly_eval, taylor_shift
+from hankelinv.closed_form import DiscrepancyNote
+from hankelinv.gram import OrthoTable
 from hankelinv.orthopoly import (
     Family,
     FamilySpec,
@@ -20,6 +25,7 @@ from hankelinv.orthopoly import (
     norm_squared,
     special_value,
 )
+from hankelinv.verify import CheckResult, VerifyReport, Witness
 
 HERMITE = FamilySpec.hermite()
 LAGUERRE = FamilySpec.laguerre(Fraction(7, 3))
@@ -89,6 +95,12 @@ class TestFamilySpec:
         with pytest.raises(InvalidFamilySpec, match="not a rational"):
             FamilySpec.laguerre("x")
 
+    @pytest.mark.parametrize("family", ["hermite", None, 0])
+    def test_family_must_be_a_family_member(self, family):
+        with pytest.raises(InvalidFamilySpec, match="^family must be a Family member") as info:
+            FamilySpec(family)
+        assert "\n" not in str(info.value)
+
 
 class TestPolyCoeffs:
     def test_eval_horner(self):
@@ -112,6 +124,121 @@ class TestPolyCoeffs:
         p = PolyCoeffs((1, Fraction(-2, 3), 3))
         assert p.coeffs == (1, Fraction(-2, 3), 3)
         assert all(type(c) is Fraction for c in p.coeffs)
+
+
+_WITNESS = Witness(0, 1, Fraction(1, 2), Fraction(-3))
+_HERMITE_FIELDS = "family=<Family.HERMITE: 'hermite'>, alpha=None, beta=None, lam=None"
+
+# (class, positional arguments with the defaults left out, every field by
+# keyword, repr as printed when these records were dataclasses)
+RECORDS = [
+    pytest.param(
+        FamilySpec,
+        (Family.LAGUERRE, Fraction(1, 2)),
+        {"family": Family.LAGUERRE, "alpha": Fraction(1, 2), "beta": None, "lam": None},
+        "FamilySpec(family=<Family.LAGUERRE: 'laguerre'>, alpha=Fraction(1, 2), beta=None, lam=None)",
+        id="FamilySpec",
+    ),
+    pytest.param(
+        PolyCoeffs,
+        ((Fraction(1), Fraction(-1, 2)),),
+        {"coeffs": (Fraction(1), Fraction(-1, 2))},
+        "PolyCoeffs(coeffs=(Fraction(1, 1), Fraction(-1, 2)))",
+        id="PolyCoeffs",
+    ),
+    pytest.param(
+        OrthoTable,
+        (HERMITE, 1, (PolyCoeffs((1,)), PolyCoeffs((0, 1))), (Fraction(1), Fraction(1, 2))),
+        {
+            "spec": HERMITE,
+            "n": 1,
+            "monic": (PolyCoeffs((1,)), PolyCoeffs((0, 1))),
+            "norms": (Fraction(1), Fraction(1, 2)),
+        },
+        f"OrthoTable(spec=FamilySpec({_HERMITE_FIELDS}), n=1, monic=(PolyCoeffs(coeffs="
+        "(Fraction(1, 1),)), PolyCoeffs(coeffs=(Fraction(0, 1), Fraction(1, 1)))), "
+        "norms=(Fraction(1, 1), Fraction(1, 2)))",
+        id="OrthoTable",
+    ),
+    pytest.param(
+        DiscrepancyNote,
+        (Fraction(1, 3), mpf("0.5"), mpf("0.5"), mpf("0.001"), False, 17),
+        {
+            "exact": Fraction(1, 3),
+            "printed": mpf("0.5"),
+            "rel_error": mpf("0.5"),
+            "tolerance": mpf("0.001"),
+            "agrees": False,
+            "digits": 17,
+        },
+        "DiscrepancyNote(exact=Fraction(1, 3), printed=mpf('0.5'), rel_error=mpf('0.5'), "
+        "tolerance=mpf('0.001'), agrees=False, digits=17)",
+        id="DiscrepancyNote",
+    ),
+    pytest.param(
+        Witness,
+        (0, 1, Fraction(1, 2), Fraction(-3)),
+        {"row": 0, "col": 1, "expected": Fraction(1, 2), "actual": Fraction(-3)},
+        "Witness(row=0, col=1, expected=Fraction(1, 2), actual=Fraction(-3, 1))",
+        id="Witness",
+    ),
+    pytest.param(
+        CheckResult,
+        ("inverse_identity", False, _WITNESS),
+        {"name": "inverse_identity", "passed": False, "witness": _WITNESS},
+        "CheckResult(name='inverse_identity', passed=False, witness=Witness(row=0, col=1, "
+        "expected=Fraction(1, 2), actual=Fraction(-3, 1)))",
+        id="CheckResult-failed",
+    ),
+    pytest.param(
+        CheckResult,
+        ("matrix_symmetric", True),
+        {"name": "matrix_symmetric", "passed": True, "witness": None},
+        "CheckResult(name='matrix_symmetric', passed=True, witness=None)",
+        id="CheckResult-passed",
+    ),
+    pytest.param(
+        VerifyReport,
+        (HERMITE, 0, (CheckResult("matrix_symmetric", True),)),
+        {"spec": HERMITE, "n": 0, "checks": (CheckResult("matrix_symmetric", True),)},
+        f"VerifyReport(spec=FamilySpec({_HERMITE_FIELDS}), n=0, "
+        "checks=(CheckResult(name='matrix_symmetric', passed=True, witness=None),))",
+        id="VerifyReport",
+    ),
+]
+
+
+@pytest.mark.parametrize(("cls", "args", "fields", "text"), RECORDS)
+def test_record_contract(cls, args, fields, text):
+    """What the frozen records promise: construction by position or keyword
+    with the defaults filled in, value equality and hashing within one class
+    only, no assignment or deletion, pickle and deepcopy round trips, and
+    the dataclass-style repr."""
+    record = cls(*args)
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert cls(**fields) == record
+
+    twin = cls(*args)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+
+    values = tuple(fields.values())
+    assert record != values and values != record
+    other_class = type("Other", (cls,), {"__slots__": ()})
+    assert record != other_class(*args) and other_class(*args) != record
+
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert getattr(record, name) == fields[name]
+
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and hash(copied) == hash(record)
+
+    assert repr(record) == text
 
 
 ALL_SPECS = [HERMITE, LAGUERRE, GEGENBAUER, JACOBI, SHIFTED]

@@ -116,7 +116,7 @@ class TestWitnessOfAFailedRoute:
         def corrupted(spec, n):
             rows = explicit_inverse(spec, n).to_lists()
             rows[0][1] += 1
-            return ExactMatrix.from_rows(rows)
+            return ExactMatrix(rows)
 
         monkeypatch.setattr(_VERIFY_MODULE, "explicit_inverse", corrupted)
 
@@ -153,7 +153,7 @@ class TestCheckHelpers:
         result = _compare(
             "x",
             ExactMatrix.identity(2).rows,
-            ExactMatrix.from_rows([[1, 1], [0, 1]]).rows,
+            ExactMatrix([[1, 1], [0, 1]]).rows,
         )
         assert result == CheckResult(
             "x", False, Witness(0, 1, Fraction(0), Fraction(1))
@@ -168,19 +168,19 @@ class TestCheckHelpers:
         assert _compare_det("d", Fraction(1, 4), Fraction(1, 4)).passed
 
     def test_symmetry_failure(self):
-        rows = ExactMatrix.from_rows([[1, 2], [3, 4]]).rows
+        rows = ExactMatrix([[1, 2], [3, 4]]).rows
         result = _compare("s", _symmetrized(rows), rows)
         assert not result.passed
         assert result.witness == Witness(1, 0, Fraction(2), Fraction(3))
 
     def test_parity_failure(self):
-        rows = ExactMatrix.from_rows([[1, 2], [2, 1]]).rows
+        rows = ExactMatrix([[1, 2], [2, 1]]).rows
         result = _compare("p", _odd_zeroed(rows), rows)
         assert not result.passed
         assert result.witness == Witness(0, 1, Fraction(0), Fraction(2))
 
     def test_parity_pass(self):
-        rows = ExactMatrix.from_rows([[1, 0], [0, 1]]).rows
+        rows = ExactMatrix([[1, 0], [0, 1]]).rows
         assert _compare("p", _odd_zeroed(rows), rows).passed
 
 
@@ -212,7 +212,7 @@ def _square(draw) -> ExactMatrix:
         rows = [[rows[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
     if draw(st.booleans()):
         rows = [[0 if (i + j) % 2 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    return ExactMatrix.from_rows(draw(_changed(rows)))
+    return ExactMatrix(draw(_changed(rows)))
 
 
 @st.composite
@@ -229,7 +229,7 @@ def _rescaled(draw) -> ExactMatrix:
         i = draw(st.integers(0, size - 1))
         divisor = draw(st.sampled_from([2, 3]))
         rows[i] = [v / divisor for v in rows[i]]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(rows)
 
 
 class TestCompareMatchesCellScan:
@@ -244,7 +244,7 @@ class TestCompareMatchesCellScan:
 
     @given(matrix=_square(), data=st.data())
     def test_entrywise(self, matrix, data):
-        other = ExactMatrix.from_rows(data.draw(_changed(matrix.to_lists())))
+        other = ExactMatrix(data.draw(_changed(matrix.to_lists())))
         self._same(
             _compare("b", matrix.rows, other.rows),
             reference.first_mismatch("b", reference.entrywise(matrix, other)),
@@ -273,7 +273,7 @@ class TestCompareMatchesCellScan:
 
     @given(matrix=_rescaled(), data=st.data())
     def test_entrywise_on_integer_rows(self, matrix, data):
-        other = ExactMatrix.from_rows(data.draw(_changed(matrix.to_lists())))
+        other = ExactMatrix(data.draw(_changed(matrix.to_lists())))
         self._same(
             _check_equal("b", matrix, other),
             reference.first_mismatch("b", reference.entrywise(matrix, other)),
