@@ -24,15 +24,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial
-from typing import TYPE_CHECKING
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, _kernel_sum, _over_products, _reduced, moment_matrix
 from .orthopoly import Family, FamilySpec, _integer_params, _norm_ratios, _Record
 from .special import _rising, barnes_g_int, pochhammer
-
-if TYPE_CHECKING:
-    import mpmath
 
 __all__ = [
     "DiscrepancyNote",

@@ -12,7 +12,10 @@ inverse is then the Christoffel-Darboux kernel sum
 
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m,
 
-summed on ints by the same core as the closed forms' factor tables.
+summed on ints by the same core as the closed forms' factor tables.  The
+same integer rows certify that this inverse inverts the moment matrix,
+without the matrix product: the polynomials must be orthogonal under it
+with norms h_m (``_kernel_inverts``).
 
 This engine is the authoritative exact-inverse path; the closed forms in
 ``closed_form`` must agree with it.  Every route's matrices are
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .orthopoly import Family, FamilySpec, PolyCoeffs, _integer_params, _Record
@@ -280,6 +283,19 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     and one gcd over the new row and its denominator reduces it.  Each p_k is
     a primitive integer vector with a positive leading coefficient, divided by
     that coefficient only when the output Fractions are built."""
+    rows, norms = _monic_rows(spec, n)
+    return OrthoTable(
+        spec=spec,
+        n=n,
+        monic=tuple(PolyCoeffs(tuple(Fraction(c, q[-1]) for c in q)) for q in rows),
+        norms=tuple(norms),
+    )
+
+
+def _monic_rows(spec: FamilySpec, n: int) -> tuple[list[list[int]], list[Fraction]]:
+    """``gram_schmidt`` before its Fractions: the monic polynomial p_k as the
+    primitive integer row q_k = lead_k p_k, whose last entry lead_k is > 0,
+    and the norms h_k, for k = 0..n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n + 1
@@ -320,12 +336,7 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
         sigma_before, denom_before = sigma, denom
         denom, *sigma = _primitive([denom * u, *sigma_next])
         p_before, p = p, _primitive(p_next)
-    return OrthoTable(
-        spec=spec,
-        n=n,
-        monic=tuple(PolyCoeffs(tuple(Fraction(c, q[-1]) for c in q)) for q in monic),
-        norms=tuple(norms),
-    )
+    return monic, norms
 
 
 def _primitive(values: list[int]) -> list[int]:
@@ -340,11 +351,10 @@ def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction
     """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k).
 
     ``factors`` is lower triangular: row k holds f(k, 0..k) and f(k, i) = 0
-    for i > k, so row k contributes to the entries with max(i, j) <= k.  The
-    kernel engine sums its inverse here (monic coefficients, w = 1 / h): each
+    for i > k, so row k contributes to the entries with max(i, j) <= k.  Each
     column is scaled by the lcm of its denominators and the weights by theirs,
     then summed on ints by ``_kernel_sum``, where the closed forms' integer
-    factor columns go directly."""
+    factor columns and the kernel engine's integer rows go directly."""
     size = len(factors)
     columns = [_scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
     return _kernel_sum(columns, _scaled(weights))
@@ -377,7 +387,52 @@ def _kernel_sum(
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:
     """Exact inverse of the moment matrix via the kernel coefficient sum
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m."""
-    return kernel_sum([p.coeffs for p in table.monic], [1 / h for h in table.norms])
+    return _monic_kernel([_scaled(p.coeffs)[1] for p in table.monic], table.norms)
+
+
+def _monic_kernel(rows: Sequence[Sequence[int]], norms: Sequence[Fraction]) -> ExactMatrix:
+    """``kernel_inverse`` from the rows q_k = lead_k p_k of ``_monic_rows``:
+    B(i, j) = sum_k q_k(i) q_k(j) / (h_k lead_k^2), the integer columns
+    q_k(i) over 1 and the weights over the lcm of their denominators, summed
+    by ``_kernel_sum``."""
+    size = len(rows)
+    columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]
+    return _kernel_sum(columns, _scaled([1 / (h * q[-1] ** 2) for q, h in zip(rows, norms)]))
+
+
+def _kernel_inverts(
+    rows: Sequence[Sequence[int]], norms: Sequence[Fraction], matrix: ExactMatrix
+) -> bool:
+    """Whether ``_monic_kernel(rows, norms)`` times ``matrix`` is exactly the
+    identity, decided without the product (Szego, section 3.2; Chihara 1978,
+    ch. I).
+
+    With P the lower-triangular matrix of the rows p_k = q_k / lead_k and
+    H = diag(h_k), the kernel sum is P^T H^-1 P.  For a Hankel matrix M,
+    entry(i, j) = mu_{i+j}, P M P^T is symmetric, so it equals H exactly when
+    P M is upper triangular with diagonal h_k, and then P^T H^-1 P M = I
+    since P is invertible.  That is, for every k,
+
+        sum_i q_k(i) mu_{i+j} = 0 for j < k,   = h_k lead_k for j = k,
+
+    about n^3 / 3 products of polynomial-sized ints.  The moments
+    mu_0..mu_2n are read over one denominator from the first and last stored
+    rows of ``matrix``, and every stored row must be its window of them."""
+    stored = matrix._stored
+    (first_scale, first), (last_scale, last) = stored[0], stored[-1]
+    denom = lcm(first_scale, last_scale)
+    seq = [v * (denom // first_scale) for v in first[:-1]]
+    seq += [v * (denom // last_scale) for v in last]
+    width = len(stored)
+    for i, (scale, ints) in enumerate(stored):
+        spread, rest = divmod(denom, scale)
+        if rest or [v * spread for v in ints] != seq[i : i + width]:
+            return False
+    for k, (q, h) in enumerate(zip(rows, norms)):
+        sums = [sum(map(mul, q, seq[j : j + k + 1])) for j in range(k + 1)]
+        if any(sums[:-1]) or sums[-1] * h.denominator != h.numerator * q[-1] * denom:
+            return False
+    return True
 
 
 def kernel_eval(table: OrthoTable, x: Fraction | int, y: Fraction | int) -> Fraction:
@@ -390,7 +445,4 @@ def kernel_eval(table: OrthoTable, x: Fraction | int, y: Fraction | int) -> Frac
 
 def det_from_norms(table: OrthoTable) -> Fraction:
     """Determinant of the moment matrix as the product of the monic norms."""
-    result = Fraction(1)
-    for h in table.norms:
-        result *= h
-    return result
+    return prod(table.norms, start=Fraction(1))

@@ -1,6 +1,11 @@
 """Cross-route verification: run every exact path against the others and the
 elimination oracle, and report per-check results with witnesses.
 
+The identity check E M = I needs no product when the closed-form inverse E
+equals the kernel engine's K and the engine's rows certify K M = I: its monic
+polynomials are M-orthogonal with its norms (``gram._kernel_inverts``).
+Otherwise E @ M is formed and compared with the identity.
+
 Each matrix check is decided on the stored integer rows of ``ExactMatrix``:
 equality with the identity or with the other route's inverse by ``==``,
 symmetry by cross-multiplying mirrored entries over their row scales, and
@@ -15,10 +20,11 @@ failing closed form still yields a complete report.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import _inverse_and_det
-from .gram import ExactMatrix, det_from_norms, gram_schmidt, kernel_inverse, moment_matrix
+from .gram import ExactMatrix, _kernel_inverts, _monic_kernel, _monic_rows, moment_matrix
 from .orthopoly import Family, FamilySpec, _Record
 
 __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
@@ -135,7 +141,10 @@ def _check_odd_zeros(name: str, matrix: ExactMatrix) -> CheckResult:
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
     """Run the full battery for one (family, parameters, n):
 
-      a. explicit_inverse x moment_matrix equals the identity exactly
+      a. explicit_inverse x moment_matrix equals the identity exactly: it
+         holds when E equals the kernel inverse K and the engine's monic rows
+         are M-orthogonal with its norms, which gives K M = I; otherwise
+         E @ M is formed and compared with the identity, for its witness
       b. explicit, kernel, and elimination inverses agree entrywise
       c. explicit, norm-product, and elimination determinants agree (the last
          from the same Gauss-Jordan sweep as the elimination inverse)
@@ -144,17 +153,24 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     if n < 0:
         raise ValueError("n must be >= 0")
     matrix = moment_matrix(spec, n)
-    table = gram_schmidt(spec, n)
+    rows, norms = _monic_rows(spec, n)
     explicit_inv = explicit_inverse(spec, n)
-    kernel_inv = kernel_inverse(table)
+    kernel_inv = _monic_kernel(rows, norms)
     oracle_inv, det_oracle = _inverse_and_det(matrix)
     det_explicit = explicit_det(spec, n)
-    det_norms = det_from_norms(table)
+    det_norms = prod(norms, start=Fraction(1))
 
+    equals_kernel = _check_equal("explicit_equals_kernel", explicit_inv, kernel_inv)
+    if equals_kernel.passed and _kernel_inverts(rows, norms, matrix):
+        inverts = CheckResult("inverse_identity", True)
+    else:
+        inverts = _check_equal(
+            "inverse_identity", ExactMatrix.identity(n + 1), explicit_inv @ matrix
+        )
     checks = [
         _check_symmetric("matrix_symmetric", matrix),
-        _check_equal("inverse_identity", ExactMatrix.identity(n + 1), explicit_inv @ matrix),
-        _check_equal("explicit_equals_kernel", explicit_inv, kernel_inv),
+        inverts,
+        equals_kernel,
         _check_equal("explicit_equals_elimination", explicit_inv, oracle_inv),
         _compare_det("det_explicit_equals_norm_product", det_explicit, det_norms),
         _compare_det("det_explicit_equals_bareiss", det_explicit, det_oracle),

@@ -1,7 +1,8 @@
 """Straight Fraction versions of the library's fast paths, kept as
 references: the elimination oracle, the matrix product, the moment
 sequences (closed forms and the two-step recurrence), classical
-Gram-Schmidt, the Chebyshev algorithm, the kernel sum, the shifted-parameter
+Gram-Schmidt, the Chebyshev algorithm, the kernel sum and the kernel
+engine's inverse, the shifted-parameter
 anchor values of the closed forms, the jacobi anchor recurrence and the
 gegenbauer rising-factorial anchors, the five closed-form factor tables,
 the norm sequence, the closed-form determinant with one telescoping norm
@@ -196,6 +197,12 @@ def kernel_sum(factors, weights) -> ExactMatrix:
         for j in range(i):
             rows[i][j] = rows[j][i]
     return ExactMatrix(tuple(tuple(row) for row in rows))
+
+
+def kernel_inverse(table: OrthoTable) -> ExactMatrix:
+    """B(j, k) = sum_m a_{m,j} a_{m,k} / h_m, the Fraction kernel sum of the
+    table's monic coefficients with weights 1 / h_m."""
+    return kernel_sum([p.coeffs for p in table.monic], [1 / h for h in table.norms])
 
 
 def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:

@@ -672,11 +672,12 @@ class TestLazyMpmath:
 class TestColdImport:
     def test_cli_import_loads_no_dataclasses_inspect_or_mpmath(self):
         # every CLI request imports the package in a fresh interpreter;
-        # dataclasses would pull in inspect, ast, dis and tokenize with it.
-        # -S keeps site-packages' start-up hooks out of the picture.
+        # dataclasses would pull in inspect, ast, dis and tokenize with it,
+        # and typing alone costs several ms.  -S keeps site-packages'
+        # start-up hooks, which may load typing themselves, out of the picture.
         script = (
             "import sys, hankelinv.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'mpmath'} & sys.modules.keys()))"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'mpmath'} & sys.modules.keys()))"
         )
         package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
         proc = subprocess.run(

@@ -11,6 +11,10 @@ Fraction references in ``_fraction_reference``, entry for entry.
   and on what each producer builds.
 * ``kernel_sum`` on lower-triangular factor tables of size 1..10, drawn the
   same way and taken from the closed forms.
+* ``kernel_inverse`` of a ``gram_schmidt`` table and the integer rows
+  ``verify`` sums (``_monic_rows`` into ``_monic_kernel``) against the
+  Fraction kernel sum, over each family's parameters at n <= 10 and at
+  n = 24 for the five parameter points of ROADMAP's layer table.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
   recurrence anchors of the jacobi and gegenbauer inverses, over each
   family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
@@ -46,6 +50,7 @@ from hankelinv.gram import (
     NotPositiveDefinite,
     gram_schmidt,
     hankel_moment,
+    kernel_inverse,
     kernel_sum,
     moment_matrix,
 )
@@ -283,12 +288,12 @@ _TABLE_POINTS = [
 ]
 
 
-def _large_examples(specs):
-    """Decorator: run the test on every spec at n = 24, 40 and 60."""
+def _large_examples(specs, sizes=(24, 40, 60)):
+    """Decorator: run the test on every spec at each of the sizes."""
 
     def apply(test):
         for spec in specs:
-            for n in (24, 40, 60):
+            for n in sizes:
                 test = example(spec=spec, n=n)(test)
         return test
 
@@ -304,6 +309,20 @@ def _as_fractions(scaled: tuple[int, Sequence[int]]) -> list[Fraction]:
 def _reduced_form(scaled: tuple[int, Sequence[int]]) -> bool:
     denom, ints = scaled
     return denom > 0 and gcd(denom, *ints) == 1 and all(type(v) is int for v in ints)
+
+
+class TestIntegerKernelInverseMatchesFraction:
+    @given(spec=SPECS, n=_N)
+    @corner_examples(10)
+    @_large_examples(_TABLE_POINTS, sizes=(24,))
+    def test_property(self, spec, n):
+        # the public wrapper, from the table's Fractions, and the integer
+        # rows of the engine's core give the same inverse
+        table = gram_schmidt(spec, n)
+        expected = reference.kernel_inverse(table)
+        actual = gram._monic_kernel(*gram._monic_rows(spec, n))
+        assert actual == expected and _stored_form(actual)
+        assert kernel_inverse(table) == expected
 
 
 class TestMomentRecurrenceMatchesClosedForm:

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import _fraction_reference as reference
 from _strategies import SPECS, corner_examples
 from hankelinv.closed_form import explicit_inverse
-from hankelinv.gram import ExactMatrix
+from hankelinv.gram import (
+    ExactMatrix,
+    _kernel_inverts,
+    _monic_kernel,
+    _monic_rows,
+    moment_matrix,
+)
 from hankelinv.orthopoly import FamilySpec
 from hankelinv.verify import (
     CheckResult,
@@ -72,6 +78,15 @@ class TestVerify:
         report = verify(spec, 2)
         assert report.spec is spec
         assert report.n == 2
+
+    def test_passing_routes_form_no_identity_product(self, monkeypatch):
+        # inverse_identity passes on the kernel certificate alone
+        def product(left, right):
+            raise AssertionError("E @ M formed")
+
+        monkeypatch.setattr(ExactMatrix, "__matmul__", product)
+        for spec in (FamilySpec.hermite(), FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5))):
+            assert verify(spec, 6).passed
 
     def test_degree_zero(self):
         assert verify(FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2)), 0).passed
@@ -146,6 +161,101 @@ class TestWitnessOfAFailedRoute:
             "inverse_symmetric": Witness(1, 0, Fraction(1), Fraction(0)),
             "inverse_checkerboard_zeros": Witness(0, 1, Fraction(0), Fraction(1)),
         }
+
+
+class TestWitnessOfAWrongKernel:
+    """Engine rows with coefficient 0 of degree 1 raised by 1 give a kernel
+    inverse K that differs from a correct closed form E.  The certificate is
+    not consulted, inverse_identity passes through the E @ M product, and only
+    explicit_equals_kernel fails, at the first entry where K differs from E."""
+
+    @pytest.fixture(autouse=True)
+    def corrupt_engine_rows(self, monkeypatch):
+        def corrupted(spec, n):
+            rows, norms = _monic_rows(spec, n)
+            rows[1] = [rows[1][0] + 1, *rows[1][1:]]
+            return rows, norms
+
+        monkeypatch.setattr(_VERIFY_MODULE, "_monic_rows", corrupted)
+        self.products = 0
+        matmul = ExactMatrix.__matmul__
+
+        def counted(left, right):
+            self.products += 1
+            return matmul(left, right)
+
+        monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+
+    def _failed(self, spec, n):
+        report = verify(spec, n)
+        assert self.products == 1
+        return {c.name: c.witness for c in report.checks if not c.passed}
+
+    def test_hermite(self):
+        # p_1 = t becomes t + 1, so K(0, 0) = 1 + 1 / h_1 + (1/2)^2 / h_2
+        # = 1 + 2 + 1/2 against E(0, 0) = 3/2
+        assert self._failed(FamilySpec.hermite(), 2) == {
+            "explicit_equals_kernel": Witness(0, 0, Fraction(3, 2), Fraction(7, 2)),
+        }
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec.laguerre(Fraction(7, 3)),
+            FamilySpec.gegenbauer(Fraction(3, 2)),
+            FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5)),
+            FamilySpec.shifted_jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+        ],
+        ids=lambda spec: spec.family.value,
+    )
+    def test_first_differing_entry(self, spec):
+        rows, norms = _monic_rows(spec, 6)
+        rows[1] = [rows[1][0] + 1, *rows[1][1:]]
+        expected = reference.first_mismatch(
+            "explicit_equals_kernel",
+            reference.entrywise(explicit_inverse(spec, 6), _monic_kernel(rows, norms)),
+        )
+        assert self._failed(spec, 6) == {"explicit_equals_kernel": expected.witness}
+
+
+def _perturbed(rows, norms, matrix, kind, k, i, j):
+    """The certificate's inputs with one value raised by 1: coefficient i < k
+    of the degree-k row, the norm h_k, or the matrix entry (i, j)."""
+    rows, norms = [list(q) for q in rows], list(norms)
+    if kind == "coefficient":
+        rows[k][i % k] += 1
+    elif kind == "norm":
+        norms[k] += 1
+    else:
+        entries = matrix.to_lists()
+        entries[i][j] += 1
+        matrix = ExactMatrix(entries)
+    return rows, norms, matrix
+
+
+class TestKernelCertificate:
+    """``_kernel_inverts`` decides K M = I for the kernel inverse K of the
+    engine's rows and norms without forming the product."""
+
+    @given(spec=SPECS, n=st.integers(0, 12))
+    @corner_examples(n=12)
+    def test_verdict_is_the_identity_product(self, spec, n):
+        matrix = moment_matrix(spec, n)
+        verdict = _kernel_inverts(*_monic_rows(spec, n), matrix)
+        assert verdict == (explicit_inverse(spec, n) @ matrix == ExactMatrix.identity(n + 1))
+
+    @pytest.mark.parametrize("kind", ["coefficient", "norm", "entry"])
+    @given(spec=SPECS, n=st.integers(1, 12), data=st.data())
+    def test_one_raised_value_is_rejected(self, kind, spec, n, data):
+        # a coefficient below the leading one: raising the leading one of
+        # degree 0 or 1 can rescale a row without changing its kernel term
+        k = data.draw(st.integers(1 if kind == "coefficient" else 0, n))
+        i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        rows, norms, matrix = _perturbed(
+            *_monic_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
+        )
+        assert not _kernel_inverts(rows, norms, matrix)
+        assert _monic_kernel(rows, norms) @ matrix != ExactMatrix.identity(n + 1)
 
 
 class TestCheckHelpers:
