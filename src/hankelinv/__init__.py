@@ -31,7 +31,6 @@ from .gram import (
     gram_schmidt,
     kernel_eval,
     kernel_inverse,
-    kernel_sum,
     moment,
     moment_matrix,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "jacobi_det_as_printed",
     "kernel_eval",
     "kernel_inverse",
-    "kernel_sum",
     "moment",
     "moment_matrix",
     "norm_squared",

@@ -1,6 +1,7 @@
-"""Independent elimination oracle: one elimination sweep on primitive integer
-rows, run forward for the determinant alone and as Gauss-Jordan for the
-inverse, which yields the determinant as well.
+"""Independent elimination oracle: one forward elimination sweep on primitive
+integer rows, alone for the determinant and, on the rows augmented by their
+scales, followed by back-substitution for the inverse, which yields the
+determinant as well.
 
 Each row is first scaled by the lcm of its denominators
 (``ExactMatrix.scaled_rows``) and kept a primitive integer vector through one
@@ -14,7 +15,8 @@ it can arbitrate between the engine and the closed forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .gram import ExactMatrix
 
@@ -25,60 +27,74 @@ class SingularMatrix(ArithmeticError):
     """gauss_inverse was asked to invert a singular matrix."""
 
 
-def _eliminate(
-    row: list[int], pivot_row: list[int], pivot: int, factor: int
-) -> tuple[int, int, list[int]]:
-    """(p, content, (p * row - q * pivot_row) / content), with p / q = pivot /
-    factor in lowest terms: the entry under the pivot becomes 0 and the row
-    stays primitive.  A row that comes out 0 has content 0 and is kept as is."""
-    g = gcd(pivot, factor)
-    p, q = pivot // g, factor // g
-    combined = [p * v - q * w for v, w in zip(row, pivot_row)]
-    content = gcd(*combined)
-    if content > 1:
-        combined = [v // content for v in combined]
-    return p, content, combined
-
-
-def _sweep(rows: list[list[int]], jordan: bool) -> tuple[int, int]:
-    """Eliminate the square left block of the integer ``rows`` in place,
+def _sweep(rows: list[list[int]], scales: list[int] | None = None) -> tuple[int, int, list[int]]:
+    """Eliminate below the diagonal of the square integer ``rows`` in place,
     pivoting in each column on the first nonzero entry at or below the
-    diagonal.  Rows below the pivot are cleared, and with ``jordan`` the rows
-    above it too, so the left block ends diagonal.
+    diagonal, so that rows[k][k:size] ends as row k of an upper-triangular U.
 
-    Returns the determinant of the left block as given, as (numerator,
-    denominator) = (sign * prod(pivots) * prod(contents), prod(p)) over the
-    updates of rows below a pivot: each multiplies the block's determinant by
-    p / content, and each row exchange flips its sign.  The updates above a
-    pivot touch only rows whose pivots are already counted and which no later
-    step reads, so both modes return the same value.  Raises SingularMatrix
-    when a column has no pivot.
+    With ``scales``, the rows carry the right block diag(scales) as well.
+    Each row exchange also exchanges the two right-block columns, so the
+    block stays lower triangular: before step k the row at position r holds
+    right-block columns 0..k-1, appended to ``rows[r]``, and its own scale in
+    column r, kept as ``scales[r]``; its other entries are 0 and never
+    stored.  An update combines just the left tail and right columns 0..k,
+    and its content runs over those and the own scale, all the row's nonzero
+    entries.  On return, rows[k][size:] + [scales[k]] is row k of the right
+    block over columns 0..k, and order[c] is the original index of the row
+    that ended at position c, whose scale started in column order[c].
+
+    Returns (numerator, denominator, order), the determinant of the left
+    block as given being numerator / denominator = sign * prod(pivots) *
+    prod(contents) / prod(p): each update multiplies the block's determinant
+    by p / content, and each row exchange flips its sign.  Raises
+    SingularMatrix when a column has no pivot.
     """
     size = len(rows)
     numerator, denominator = 1, 1
+    order = list(range(size))
     for k in range(size):
         pivot_index = next((r for r in range(k, size) if rows[r][k]), None)
         if pivot_index is None:
             raise SingularMatrix(f"no pivot in column {k}")
         if pivot_index != k:
             rows[k], rows[pivot_index] = rows[pivot_index], rows[k]
+            order[k], order[pivot_index] = order[pivot_index], order[k]
+            if scales is not None:
+                scales[k], scales[pivot_index] = scales[pivot_index], scales[k]
             numerator = -numerator
         pivot_row = rows[k]
         pivot = pivot_row[k]
         numerator *= pivot
         # entries left of column k are already 0 below the pivot
         pivot_tail = pivot_row[k + 1 :]
-        for row in rows[k + 1 :]:
-            if row[k]:
-                p, content, row[k + 1 :] = _eliminate(row[k + 1 :], pivot_tail, pivot, row[k])
-                row[k] = 0
-                numerator *= content
-                denominator *= p
-        if jordan:
-            for i in range(k):
-                if rows[i][k]:
-                    _, _, rows[i] = _eliminate(rows[i], pivot_row, pivot, rows[i][k])
-    return numerator, denominator
+        if scales is not None:
+            # right-block column k: the pivot row's scale, 0 in the rows below
+            pivot_tail.append(scales[k])
+            for row in rows[k + 1 :]:
+                row.append(0)
+        for r in range(k + 1, size):
+            row = rows[r]
+            factor = row[k]
+            if not factor:
+                continue
+            g = gcd(pivot, factor)
+            p, q = pivot // g, factor // g
+            combined = [p * v - q * w for v, w in zip(row[k + 1 :], pivot_tail)]
+            if scales is not None:
+                combined.append(p * scales[r])
+            # a row that comes out 0 has content 0 and is kept as is; the gcd
+            # starts from the right end, whose newest entries are often the
+            # row's shortest, so the running gcd shrinks early
+            content = gcd(*reversed(combined))
+            if content > 1:
+                combined = [v // content for v in combined]
+            if scales is not None:
+                scales[r] = combined.pop()
+            row[k] = 0
+            row[k + 1 :] = combined
+            numerator *= content
+            denominator *= p
+    return numerator, denominator, order
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
@@ -92,37 +108,60 @@ def bareiss_det(matrix: ExactMatrix) -> Fraction:
     """
     scaled = matrix.scaled_rows()
     try:
-        numerator, denominator = _sweep([row for _, row in scaled], jordan=False)
+        numerator, denominator, _ = _sweep([row for _, row in scaled])
     except SingularMatrix:
         return Fraction(0)
     return Fraction(numerator, denominator * prod(scale for scale, _ in scaled))
 
 
 def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination (``_sweep``); see
+    """Exact inverse by forward elimination and back-substitution; see
     ``_inverse_and_det``."""
     return _inverse_and_det(matrix)[0]
 
 
 def _inverse_and_det(matrix: ExactMatrix) -> tuple[ExactMatrix, Fraction]:
-    """Inverse and determinant from one Gauss-Jordan ``_sweep`` on the
-    augmented integer matrix [diag(s) M | diag(s)].
+    """Inverse and determinant from one forward ``_sweep`` of the augmented
+    integer matrix [S M | S], S = diag(s) the row scales, then
+    back-substitution.
 
-    The left half ends diagonal, and row i of the inverse is the right half
-    over its diagonal entry.  Every update keeps the rows primitive, so that
-    pair, its sign made positive, is already the stored form of the row.  The
-    rows below each pivot go through the same updates as in a forward sweep
-    of the augmented matrix, so the sweep's determinant is that of diag(s) M.
+    The sweep leaves U = L S M upper triangular and R = L S lower triangular
+    with its columns in pivot order, so X = U^-1 R is M^-1 with its columns
+    in that order.  From the last row up, row i is X_i = (R_i - sum_{k>i}
+    U_ik X_k) / U_ii.  With each finished row X_k = N_k / d_k and D the lcm
+    of those d_k, that is (D R_i - sum_k U_ik (D / d_k) N_k) / (D U_ii),
+    reduced by one gcd, and its columns go back in place as the row is
+    stored.  The sweep's determinant is that of S M.
     """
     size = matrix.size
     scaled = matrix.scaled_rows()
-    rows = [
-        row + [scale if i == j else 0 for j in range(size)]
-        for i, (scale, row) in enumerate(scaled)
-    ]
-    numerator, denominator = _sweep(rows, jordan=True)
-    inverse = ExactMatrix._from_scaled(
-        (row[i], tuple(row[size:])) if row[i] > 0 else (-row[i], tuple(-v for v in row[size:]))
-        for i, row in enumerate(rows)
-    )
+    rows = [row for _, row in scaled]
+    scales = [scale for scale, _ in scaled]
+    numerator, denominator, order = _sweep(rows, scales)
+    # N_k column by column, and d_k, of the finished rows, last row first
+    columns: list[list[int]] = [[] for _ in range(size)]
+    finished: list[int] = []
+    common = 1
+    stored = []
+    for i in reversed(range(size)):
+        row = rows[i]
+        weights = [u * (common // d) for u, d in zip(row[size - 1 : i : -1], finished)]
+        right = [*row[size:], scales[i]] + [0] * (size - 1 - i)
+        totals = [common * v - sum(map(mul, weights, col)) for v, col in zip(right, columns)]
+        scale = common * row[i]
+        content = gcd(scale, *totals)
+        if scale < 0:
+            content = -content
+        scale //= content
+        numerators = [v // content for v in totals]
+        for col, v in zip(columns, numerators):
+            col.append(v)
+        finished.append(scale)
+        common = lcm(common, scale)
+        # column c of X is column order[c] of M^-1
+        inverse_row = [0] * size
+        for c, v in zip(order, numerators):
+            inverse_row[c] = v
+        stored.append((scale, tuple(inverse_row)))
+    inverse = ExactMatrix._from_scaled(reversed(stored))
     return inverse, Fraction(numerator, denominator * prod(scale for scale, _ in scaled))

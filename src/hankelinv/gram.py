@@ -45,7 +45,6 @@ __all__ = [
     "hankel_moment",
     "moment_matrix",
     "gram_schmidt",
-    "kernel_sum",
     "kernel_inverse",
     "kernel_eval",
     "det_from_norms",
@@ -347,26 +346,17 @@ def _primitive(values: list[int]) -> list[int]:
     return [v // content for v in values]
 
 
-def kernel_sum(factors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> ExactMatrix:
-    """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k).
-
-    ``factors`` is lower triangular: row k holds f(k, 0..k) and f(k, i) = 0
-    for i > k, so row k contributes to the entries with max(i, j) <= k.  Each
-    column is scaled by the lcm of its denominators and the weights by theirs,
-    then summed on ints by ``_kernel_sum``, where the closed forms' integer
-    factor columns and the kernel engine's integer rows go directly."""
-    size = len(factors)
-    columns = [_scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
-    return _kernel_sum(columns, _scaled(weights))
-
-
 def _kernel_sum(
     columns: Sequence[tuple[int, Sequence[int]]], weights: tuple[int, Sequence[int]]
 ) -> ExactMatrix:
-    """``kernel_sum`` on ints: column i is (c_i, [G(k, i)] for k = i..n) with
-    f(k, i) = G(k, i) / c_i, c_i > 0, and the weights are (D, [V(k)]) with
-    w(k) = V(k) / D, D > 0, so that B(i, j) = T(i, j) / (c_i c_j D) with
-    T(i, j) = sum_k G(k, i) V(k) G(k, j).  Row i is stored over
+    """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k) of a
+    lower-triangular factor table, f(k, i) = 0 for i > k, summed on ints.
+
+    Column i is (c_i, [G(k, i)] for k = i..n) with f(k, i) = G(k, i) / c_i,
+    c_i > 0, and the weights are (D, [V(k)]) with w(k) = V(k) / D, D > 0, so
+    that B(i, j) = T(i, j) / (c_i c_j D) with T(i, j) = sum_k G(k, i) V(k)
+    G(k, j).  The closed forms' integer factor columns and the kernel
+    engine's integer rows go here directly.  Row i is stored over
     c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one gcd per row."""
     size = len(columns)
     common, scaled_weights = weights

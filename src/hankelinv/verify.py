@@ -147,7 +147,7 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
          E @ M is formed and compared with the identity, for its witness
       b. explicit, kernel, and elimination inverses agree entrywise
       c. explicit, norm-product, and elimination determinants agree (the last
-         from the same Gauss-Jordan sweep as the elimination inverse)
+         from the same forward sweep as the elimination inverse)
       d. symmetry everywhere; checkerboard zeros for the even-weight families
     """
     if n < 0:

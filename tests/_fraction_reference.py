@@ -13,14 +13,18 @@ reproducing-property tests pair with the moment matrix.
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
 algorithms, so the property tests can compare the integer and recurrence
-code against them entry for entry.
+code against them entry for entry.  The one exception is
+``gauss_jordan_inverse_and_det``, the integer Gauss-Jordan sweep the oracle
+ran before forward elimination and back-substitution replaced it: the new
+code must store the same rows and give the same determinant and
+SingularMatrix message.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 from hankelinv.elimination import SingularMatrix
 from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
@@ -73,6 +77,69 @@ def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
             factor = a[r][col]
             a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
     return ExactMatrix(tuple(tuple(row[size:]) for row in a))
+
+
+def _eliminate(
+    row: list[int], pivot_row: list[int], pivot: int, factor: int
+) -> tuple[int, int, list[int]]:
+    """(p, content, (p * row - q * pivot_row) / content), with p / q = pivot /
+    factor in lowest terms.  A row that comes out 0 has content 0."""
+    g = gcd(pivot, factor)
+    p, q = pivot // g, factor // g
+    combined = [p * v - q * w for v, w in zip(row, pivot_row)]
+    content = gcd(*combined)
+    if content > 1:
+        combined = [v // content for v in combined]
+    return p, content, combined
+
+
+def _gauss_jordan_sweep(rows: list[list[int]]) -> tuple[int, int]:
+    """Gauss-Jordan on the integer ``rows`` in place, pivoting on the first
+    nonzero entry at or below the diagonal and clearing the rows below and
+    then above each pivot over their full width.  Returns the determinant of
+    the left block as (sign * prod(pivots) * prod(contents), prod(p)) over
+    the updates below a pivot."""
+    size = len(rows)
+    numerator, denominator = 1, 1
+    for k in range(size):
+        pivot_index = next((r for r in range(k, size) if rows[r][k]), None)
+        if pivot_index is None:
+            raise SingularMatrix(f"no pivot in column {k}")
+        if pivot_index != k:
+            rows[k], rows[pivot_index] = rows[pivot_index], rows[k]
+            numerator = -numerator
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        numerator *= pivot
+        pivot_tail = pivot_row[k + 1 :]
+        for row in rows[k + 1 :]:
+            if row[k]:
+                p, content, row[k + 1 :] = _eliminate(row[k + 1 :], pivot_tail, pivot, row[k])
+                row[k] = 0
+                numerator *= content
+                denominator *= p
+        for i in range(k):
+            if rows[i][k]:
+                _, _, rows[i] = _eliminate(rows[i], pivot_row, pivot, rows[i][k])
+    return numerator, denominator
+
+
+def gauss_jordan_inverse_and_det(matrix: ExactMatrix) -> tuple[ExactMatrix, Fraction]:
+    """Inverse and determinant from one integer Gauss-Jordan sweep on
+    [diag(s) M | diag(s)], s the row scales: row i of the inverse is the
+    right half over its diagonal entry, already primitive."""
+    size = matrix.size
+    scaled = matrix.scaled_rows()
+    rows = [
+        row + [scale if i == j else 0 for j in range(size)]
+        for i, (scale, row) in enumerate(scaled)
+    ]
+    numerator, denominator = _gauss_jordan_sweep(rows)
+    inverse = ExactMatrix._from_scaled(
+        (row[i], tuple(row[size:])) if row[i] > 0 else (-row[i], tuple(-v for v in row[size:]))
+        for i, row in enumerate(rows)
+    )
+    return inverse, Fraction(numerator, denominator * prod(scale for scale, _ in scaled))
 
 
 def matmul(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:

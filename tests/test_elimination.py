@@ -1,4 +1,4 @@
-"""Tests for the fraction-free determinant and the Gauss-Jordan inverse."""
+"""Tests for the elimination determinant and inverse."""
 
 from __future__ import annotations
 

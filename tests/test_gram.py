@@ -21,12 +21,12 @@ from _recurrences import oracle_polys, taylor_shift
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import (
     ExactMatrix,
+    _kernel_sum,
     det_from_norms,
     gram_schmidt,
     hankel_moment,
     kernel_eval,
     kernel_inverse,
-    kernel_sum,
     moment,
     moment_matrix,
 )
@@ -274,13 +274,16 @@ class TestStandardPolynomialsUnderForm:
 
 class TestKernelSum:
     def test_lower_triangular_rows(self):
-        # B(i, j) = sum_k f(k, i) f(k, j) w(k) with f(0, 1) = 0 implied
-        result = kernel_sum([[1], [2, 3]], [Fraction(1, 2), Fraction(1)])
+        # B(i, j) = sum_k f(k, i) f(k, j) w(k) for the table f = [[1], [2, 3]]
+        # (f(0, 1) = 0 implied) and w = [1/2, 1]: columns [1, 2] and [3] over
+        # 1, weights [1, 2] over 2
+        result = _kernel_sum([(1, [1, 2]), (1, [3])], (2, [1, 2]))
         assert result == ExactMatrix([[Fraction(9, 2), 6], [6, 9]])
         assert all(type(v) is Fraction for row in result.rows for v in row)
 
     def test_zero_factors_leave_exact_zeros(self):
-        result = kernel_sum([[1], [0, 1], [-1, 0, 1]], [1, 1, 1])
+        # f = [[1], [0, 1], [-1, 0, 1]], w = [1, 1, 1]
+        result = _kernel_sum([(1, [1, 0, -1]), (1, [1, 0]), (1, [1])], (1, [1, 1, 1]))
         assert result == ExactMatrix([[2, 0, -1], [0, 1, 0], [-1, 0, 1]])
 
 

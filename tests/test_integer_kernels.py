@@ -1,16 +1,20 @@
 """Property tests: the integer and recurrence kernels against the straight
 Fraction references in ``_fraction_reference``, entry for entry.
 
-* ``bareiss_det``, ``gauss_inverse``, the one-sweep ``_inverse_and_det``
-  and ``ExactMatrix.__matmul__`` on square matrices of size 1..8 with mixed
-  denominators and signs, reshaped on purpose: a zero row or column, a zero
-  leading pivot that forces a row swap, a row that is a combination of two
-  others (singular), or a symmetric copy.  Left as drawn they are
-  non-symmetric.
+* ``bareiss_det``, ``gauss_inverse`` and ``ExactMatrix.__matmul__`` on
+  square matrices of size 1..8 with mixed denominators and signs, reshaped
+  on purpose: a zero row or column, a zero leading pivot that forces a row
+  swap, a row that is a combination of two others (singular), or a
+  symmetric copy.  Left as drawn they are non-symmetric.
+* ``_inverse_and_det`` (forward sweep and back-substitution) against the
+  integer Gauss-Jordan sweep it replaced, on those matrices, on shuffled
+  and scaled rows with leading zeros that force row exchanges at several
+  steps (sizes 1..10), on the moment matrices at n <= 10 and at n = 40 for
+  the five parameter points of ROADMAP's layer table.
 * ``ExactMatrix``'s stored form, reduced integer rows, on the same matrices
   and on what each producer builds.
-* ``kernel_sum`` on lower-triangular factor tables of size 1..10, drawn the
-  same way and taken from the closed forms.
+* The integer kernel sum ``gram._kernel_sum`` on lower-triangular factor
+  tables of size 1..10, drawn the same way and taken from the closed forms.
 * ``kernel_inverse`` of a ``gram_schmidt`` table and the integer rows
   ``verify`` sums (``_monic_rows`` into ``_monic_kernel``) against the
   Fraction kernel sum, over each family's parameters at n <= 10 and at
@@ -51,7 +55,6 @@ from hankelinv.gram import (
     gram_schmidt,
     hankel_moment,
     kernel_inverse,
-    kernel_sum,
     moment_matrix,
 )
 from hankelinv.orthopoly import Family, FamilySpec, norm_squared, special_value
@@ -68,6 +71,16 @@ _EXAMPLES = [
     ExactMatrix([[1, 2], [2, 4]]),
     ExactMatrix([[0, 0], [0, 1]]),
 ]
+
+# the five parameter points of ROADMAP's layer table
+_TABLE_POINTS = [
+    FamilySpec.hermite(),
+    FamilySpec.laguerre(Fraction(7, 3)),
+    FamilySpec.gegenbauer(Fraction(3, 2)),
+    FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5)),
+    FamilySpec.shifted_jacobi(Fraction(1, 3), Fraction(1, 5)),
+]
+
 
 _SHAPES = ("drawn", "zero_row", "zero_col", "zero_leading_pivot", "dependent_row", "symmetric")
 
@@ -210,27 +223,67 @@ class TestGaussInverseMatchesFraction:
         assert actual == expected and _all_fractions(actual)
 
 
+@st.composite
+def exchanging_matrices(draw) -> ExactMatrix:
+    """Rows with runs of leading zeros, shuffled and each scaled by a nonzero
+    Fraction, sizes 1..10: the row at the diagonal often has a zero there,
+    so the sweep exchanges rows at several steps.  Row i starts with at most
+    i zeros, so the matrix is almost always invertible; ``matrices`` draws
+    the singular ones."""
+    size = draw(st.integers(1, 10))
+    entries = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 16))
+    nonzero = st.builds(Fraction, st.integers(1, 30), st.integers(-16, 16).filter(bool))
+    rows = []
+    for i in range(size):
+        zeros = draw(st.integers(0, i))
+        tail = draw(st.lists(entries, min_size=size - zeros - 1, max_size=size - zeros - 1))
+        scale = draw(nonzero)
+        rows.append([Fraction(0)] * zeros + [scale * v for v in [draw(nonzero), *tail]])
+    return ExactMatrix(draw(st.permutations(rows)))
+
+
 class TestOneSweepMatchesTwo:
-    @given(matrices())
-    @_with_examples
-    def test_property(self, matrix):
+    """``_inverse_and_det``, one forward sweep of the augmented rows and
+    back-substitution, against the integer Gauss-Jordan sweep it replaced:
+    the same stored rows, determinant and SingularMatrix message.  The
+    determinant also matches the determinant-only sweep."""
+
+    @staticmethod
+    def _check(matrix: ExactMatrix) -> None:
         try:
-            inverse = gauss_inverse(matrix)
+            expected, expected_det = reference.gauss_jordan_inverse_and_det(matrix)
         except SingularMatrix as exc:
             with pytest.raises(SingularMatrix) as caught:
                 _inverse_and_det(matrix)
             assert str(caught.value) == str(exc)
+            assert bareiss_det(matrix) == 0
             return
         actual, det = _inverse_and_det(matrix)
-        assert actual == inverse
+        assert actual.scaled_rows() == expected.scaled_rows()
         assert type(det) is Fraction
-        assert det == bareiss_det(matrix) == reference.bareiss_det(matrix)
+        assert det == expected_det == bareiss_det(matrix)
+
+    @given(matrices())
+    @_with_examples
+    def test_property(self, matrix):
+        self._check(matrix)
+
+    @given(exchanging_matrices())
+    @example(ExactMatrix([[0, 0, 1], [0, 2, 3], [4, 5, 6]]))
+    @example(ExactMatrix([[0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 2, 0]]))
+    def test_row_exchanges(self, matrix):
+        self._check(matrix)
 
     @given(spec=SPECS, n=_N)
     @corner_examples(10)
     def test_moment_matrices(self, spec, n):
         matrix = moment_matrix(spec, n)
+        self._check(matrix)
         assert _inverse_and_det(matrix)[1] == reference.bareiss_det(matrix)
+
+    @pytest.mark.parametrize("spec", _TABLE_POINTS, ids=lambda s: s.family.value)
+    def test_table_points_at_n_40(self, spec):
+        self._check(moment_matrix(spec, 40))
 
 
 class TestMatmulMatchesFraction:
@@ -258,34 +311,32 @@ def factor_tables(draw) -> tuple[list[list[Fraction]], list[Fraction]]:
     return factors, draw(st.lists(_ENTRIES, min_size=size, max_size=size))
 
 
+def _integer_kernel_sum(factors, weights) -> ExactMatrix:
+    """``gram._kernel_sum`` of a Fraction factor table: each column and the
+    weights scaled by the lcm of their denominators."""
+    size = len(factors)
+    columns = [gram._scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
+    return gram._kernel_sum(columns, gram._scaled(weights))
+
+
 class TestKernelSumMatchesFraction:
     @given(factor_tables())
     @example(([[Fraction(0)], [Fraction(0), Fraction(0)]], [Fraction(1), Fraction(0)]))
     def test_property(self, table):
         factors, weights = table
-        result = kernel_sum(factors, weights)
+        result = _integer_kernel_sum(factors, weights)
         assert result == reference.kernel_sum(factors, weights) and _all_fractions(result)
         assert _stored_form(result)
 
     @given(spec=SPECS, n=_N)
     @corner_examples(10)
     def test_closed_form_tables(self, spec, n):
-        # the Fraction tables through the public wrapper, and the integer
-        # columns straight into the core, give the same inverse
+        # the Fraction tables scaled to integer columns, and the closed forms'
+        # own integer columns, give the same inverse
         factors, weights = reference.FACTOR_TABLES[spec.family](spec, n)
         expected = reference.kernel_sum(factors, weights)
-        assert kernel_sum(factors, weights) == expected
+        assert _integer_kernel_sum(factors, weights) == expected
         assert gram._kernel_sum(*closed_form._FACTOR_TABLES[spec.family](spec, n)) == expected
-
-
-# the five parameter points of ROADMAP's layer table
-_TABLE_POINTS = [
-    FamilySpec.hermite(),
-    FamilySpec.laguerre(Fraction(7, 3)),
-    FamilySpec.gegenbauer(Fraction(3, 2)),
-    FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5)),
-    FamilySpec.shifted_jacobi(Fraction(1, 3), Fraction(1, 5)),
-]
 
 
 def _large_examples(specs, sizes=(24, 40, 60)):
