@@ -31,7 +31,6 @@ from .gram import (
     gram_schmidt,
     kernel_eval,
     kernel_inverse,
-    moment,
     moment_matrix,
 )
 from .orthopoly import (
@@ -74,7 +73,6 @@ __all__ = [
     "jacobi_det_as_printed",
     "kernel_eval",
     "kernel_inverse",
-    "moment",
     "moment_matrix",
     "norm_squared",
     "pochhammer",

@@ -41,7 +41,6 @@ __all__ = [
     "ExactMatrix",
     "NotPositiveDefinite",
     "OrthoTable",
-    "moment",
     "hankel_moment",
     "moment_matrix",
     "gram_schmidt",
@@ -65,9 +64,10 @@ class ExactMatrix:
     Row i is stored as (s_i, N_i): a positive scale and a tuple of ints with
     gcd(s_i, *N_i) = 1, so that N_i / s_i is the row and s_i is the lcm of
     its denominators.  This form is unique, so ``==`` and ``hash`` compare
-    ints; ``rows``, the Fractions, is built on its first read."""
+    ints; ``rows`` builds the Fractions on each read, and ``entry`` just the
+    one."""
 
-    __slots__ = ("_stored", "_rows")
+    __slots__ = ("_stored",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
         rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
@@ -75,14 +75,12 @@ class ExactMatrix:
         if size == 0 or any(len(row) != size for row in rows):
             raise ValueError("ExactMatrix must be square and nonempty")
         self._stored = tuple((scale, tuple(ints)) for scale, ints in map(_scaled, rows))
-        self._rows = rows
 
     @classmethod
     def _from_scaled(cls, rows: Iterable[_ScaledRow]) -> "ExactMatrix":
         """The matrix of square rows already in the stored form."""
         matrix = cls.__new__(cls)
         matrix._stored = tuple(rows)
-        matrix._rows = None
         return matrix
 
     @classmethod
@@ -95,14 +93,11 @@ class ExactMatrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(
-                tuple(Fraction(v, scale) for v in ints) for scale, ints in self._stored
-            )
-        return self._rows
+        return tuple(tuple(Fraction(v, scale) for v in ints) for scale, ints in self._stored)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        scale, ints = self._stored[i]
+        return Fraction(ints[j], scale)
 
     def scaled_rows(self) -> list[tuple[int, list[int]]]:
         """Each row as (s, s * row), with s the lcm of the row's denominators,
@@ -149,23 +144,11 @@ def _reduced(scale: int, ints: list[int]) -> _ScaledRow:
     return scale, tuple(ints)
 
 
-def moment(spec: FamilySpec, k: int) -> Fraction:
-    """k-th moment of the probability-normalized family weight, taken against
-    the family basis variable (x, or (x-1)/2 for jacobi-shifted).  Exact;
-    moment(spec, 0) = 1 for every family."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    fam = spec.family
-    if fam in (Family.JACOBI, Family.SHIFTED_JACOBI):
-        return (-1) ** k * hankel_moment(spec, k)
-    return hankel_moment(spec, k)
-
-
 def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
     """Entry value of the moment matrix: moment_matrix(spec, n).entry(i, j)
-    equals hankel_moment(spec, i + j).  Differs from ``moment`` only by the
-    (-1)^k sign fold of the two Jacobi variants.  The k-th entry of the
-    family's moment recurrence (see ``_moment_sequence``)."""
+    equals hankel_moment(spec, i + j).  For the two Jacobi variants it is the
+    (-1)^k sign-folded moment of the weight.  The k-th entry of the family's
+    moment recurrence (see ``_moment_sequence``)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     denom, seq = _moment_sequence(spec, k + 1)

@@ -57,7 +57,7 @@ _REQUIRED: dict[Family, tuple[str, ...]] = {
 def _coerce(value: Fraction | int | str, name: str) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
         raise InvalidFamilySpec(f"{name} is not a rational number: {value!r}") from exc
 
 

@@ -13,7 +13,6 @@ from math import comb, factorial
 __all__ = [
     "ZeroDenominator",
     "pochhammer",
-    "rising_factorials",
     "binomial",
     "barnes_g_int",
     "hyp_terminating",
@@ -25,9 +24,8 @@ class ZeroDenominator(ArithmeticError):
 
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial ``(a)_n = a (a+1) ... (a+n-1)``, with ``(a)_0 = 1``:
-    the last entry of ``rising_factorials(a, n)``, built as one Fraction from
-    its integer numerator (see ``_rising``).
+    """Rising factorial ``(a)_n = a (a+1) ... (a+n-1)``, with ``(a)_0 = 1``,
+    built as one Fraction from its integer numerator (see ``_rising``).
 
     Only ``n >= 0`` is supported; the negative-index extension is deliberately
     out of scope.
@@ -36,14 +34,6 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
         raise ValueError("pochhammer requires n >= 0")
     a = Fraction(a)
     return Fraction(_rising(a.numerator, a.denominator, 0, n)[-1], a.denominator**n)
-
-
-def rising_factorials(a: Fraction | int, n: int) -> list[Fraction]:
-    """``[(a)_0, (a)_1, ..., (a)_n]`` by the step ``(a)_{k+1} = (a)_k (a + k)``
-    on the numerators (see ``_rising``); just ``[1]`` for ``n < 0``."""
-    a = Fraction(a)
-    q = a.denominator
-    return [Fraction(r, q**k) for k, r in enumerate(_rising(a.numerator, q, 0, n))]
 
 
 def _rising(x: int, q: int, start: int, count: int) -> list[int]:

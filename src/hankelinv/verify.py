@@ -6,19 +6,20 @@ equals the kernel engine's K and the engine's rows certify K M = I: its monic
 polynomials are M-orthogonal with its norms (``gram._kernel_inverts``).
 Otherwise E @ M is formed and compared with the identity.
 
-Each matrix check is decided on the stored integer rows of ``ExactMatrix``:
-equality with the identity or with the other route's inverse by ``==``,
-symmetry by cross-multiplying mirrored entries over their row scales, and
-checkerboard zeros by the integers at odd i + j.  Only a failed check reads
-the Fraction rows: it compares the expected rows (the identity, the other
-route's inverse, the rows mirrored below the diagonal, or the rows with zeros
-at odd i + j) with the actual rows, and the first differing entry in
-row-major order is the witness.  Mismatches are reported, never raised, so a
-failing closed form still yields a complete report.
+Every check is one scan of the stored integer rows of ``ExactMatrix`` that
+yields, in row-major order, only the cells that differ: entries of two
+matrices cross-multiplied by their row scales, entries of a product against
+the identity, entries below the diagonal against their mirrors, entries at
+odd i + j against 0, or the two determinants as one cell at (-1, -1).  A
+check passes when its scan yields nothing; otherwise the first cell is the
+witness, the only entry whose Fractions are built.  Mismatches are
+reported, never raised, so a failing closed form still yields a complete
+report.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import prod
 
@@ -70,72 +71,61 @@ class VerifyReport(_Record):
         return all(check.passed for check in self.checks)
 
 
-# square rows of Fractions; expected rows may hold the int 0
-_Rows = tuple[tuple[Fraction | int, ...], ...]
+# a compared position whose two values differ: (row, col, expected, actual),
+# each value as (numerator, denominator) with a positive denominator
+_Cell = tuple[int, int, tuple[int, int], tuple[int, int]]
 
 
-def _compare(name: str, expected: _Rows, actual: _Rows) -> CheckResult:
-    """Pass on equal rows; otherwise the first differing entry in row-major
-    order is the witness."""
-    if actual != expected:
-        for i, (want, got) in enumerate(zip(expected, actual)):
-            for j, (e, a) in enumerate(zip(want, got)):
-                if e != a:
-                    return CheckResult(name, False, Witness(i, j, Fraction(e), a))
+def _check(name: str, mismatches: Iterator[_Cell]) -> CheckResult:
+    """Pass when the stream yields nothing; otherwise its first cell is the
+    witness, and only that cell's two Fractions are built."""
+    for row, col, expected, actual in mismatches:
+        return CheckResult(name, False, Witness(row, col, Fraction(*expected), Fraction(*actual)))
     return CheckResult(name, True)
 
 
-def _compare_det(name: str, expected: Fraction, actual: Fraction) -> CheckResult:
-    """A determinant check; its witness sits at (-1, -1)."""
+def _differing(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
+    """The entries where two matrices differ, in row-major order."""
     if expected == actual:
-        return CheckResult(name, True)
-    return CheckResult(name, False, Witness(-1, -1, expected, actual))
+        return
+    for i, ((s, want), (t, got)) in enumerate(zip(expected._stored, actual._stored)):
+        for j, (e, a) in enumerate(zip(want, got)):
+            if e * t != a * s:
+                yield i, j, (e, s), (a, t)
 
 
-def _symmetrized(rows: _Rows) -> _Rows:
-    """The rows with each entry below the diagonal replaced by its mirror."""
-    return tuple(col[:i] + row[i:] for i, (row, col) in enumerate(zip(rows, zip(*rows))))
+def _off_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """The entries where the matrix differs from the identity, in row-major
+    order."""
+    for i, (scale, ints) in enumerate(matrix._stored):
+        for j, v in enumerate(ints):
+            if v != (scale if i == j else 0):
+                yield i, j, (int(i == j), 1), (v, scale)
 
 
-def _odd_zeroed(rows: _Rows) -> _Rows:
-    """The rows with each entry at odd i + j replaced by 0."""
-    expected = []
-    for i, row in enumerate(rows):
-        row = list(row)
-        odd = slice(1 - i % 2, None, 2)  # the columns j with i + j odd
-        row[odd] = [0] * len(row[odd])
-        expected.append(tuple(row))
-    return tuple(expected)
+def _asymmetric(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """The entries below the diagonal that differ from their mirrors, in
+    row-major order: N_i(j) s_j against N_j(i) s_i."""
+    stored = matrix._stored
+    for i, (scale, ints) in enumerate(stored):
+        for j in range(i):
+            mirror_scale, mirror = stored[j]
+            if ints[j] * mirror_scale != mirror[i] * scale:
+                yield i, j, (mirror[i], mirror_scale), (ints[j], scale)
 
 
-def _check_equal(name: str, expected: ExactMatrix, actual: ExactMatrix) -> CheckResult:
-    """Pass on equal matrices; a failure is scanned for its witness."""
-    if expected == actual:
-        return CheckResult(name, True)
-    return _compare(name, expected.rows, actual.rows)
+def _odd_nonzero(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """The nonzero entries at odd i + j, in row-major order."""
+    for i, (scale, ints) in enumerate(matrix._stored):
+        for j in range(1 - i % 2, len(ints), 2):
+            if ints[j]:
+                yield i, j, (0, 1), (ints[j], scale)
 
 
-def _check_symmetric(name: str, matrix: ExactMatrix) -> CheckResult:
-    """Pass when N_i(j) s_j = N_j(i) s_i below the diagonal, i.e. each entry
-    equals its mirror; a failure is scanned for its witness."""
-    scaled = matrix.scaled_rows()
-    if all(
-        ints[j] * scaled[j][0] == scaled[j][1][i] * scale
-        for i, (scale, ints) in enumerate(scaled)
-        for j in range(i)
-    ):
-        return CheckResult(name, True)
-    rows = matrix.rows
-    return _compare(name, _symmetrized(rows), rows)
-
-
-def _check_odd_zeros(name: str, matrix: ExactMatrix) -> CheckResult:
-    """Pass when every entry at odd i + j is 0; a failure is scanned for its
-    witness."""
-    if not any(any(ints[1 - i % 2 :: 2]) for i, (_, ints) in enumerate(matrix.scaled_rows())):
-        return CheckResult(name, True)
-    rows = matrix.rows
-    return _compare(name, _odd_zeroed(rows), rows)
+def _det_differs(expected: Fraction, actual: Fraction) -> Iterator[_Cell]:
+    """The scalar comparison as one cell at (-1, -1), when the two differ."""
+    if expected != actual:
+        yield -1, -1, expected.as_integer_ratio(), actual.as_integer_ratio()
 
 
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
@@ -160,25 +150,23 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     det_explicit = explicit_det(spec, n)
     det_norms = prod(norms, start=Fraction(1))
 
-    equals_kernel = _check_equal("explicit_equals_kernel", explicit_inv, kernel_inv)
+    equals_kernel = _check("explicit_equals_kernel", _differing(explicit_inv, kernel_inv))
     if equals_kernel.passed and _kernel_inverts(rows, norms, matrix):
         inverts = CheckResult("inverse_identity", True)
     else:
-        inverts = _check_equal(
-            "inverse_identity", ExactMatrix.identity(n + 1), explicit_inv @ matrix
-        )
+        inverts = _check("inverse_identity", _off_identity(explicit_inv @ matrix))
     checks = [
-        _check_symmetric("matrix_symmetric", matrix),
+        _check("matrix_symmetric", _asymmetric(matrix)),
         inverts,
         equals_kernel,
-        _check_equal("explicit_equals_elimination", explicit_inv, oracle_inv),
-        _compare_det("det_explicit_equals_norm_product", det_explicit, det_norms),
-        _compare_det("det_explicit_equals_bareiss", det_explicit, det_oracle),
-        _check_symmetric("inverse_symmetric", explicit_inv),
+        _check("explicit_equals_elimination", _differing(explicit_inv, oracle_inv)),
+        _check("det_explicit_equals_norm_product", _det_differs(det_explicit, det_norms)),
+        _check("det_explicit_equals_bareiss", _det_differs(det_explicit, det_oracle)),
+        _check("inverse_symmetric", _asymmetric(explicit_inv)),
     ]
     if spec.family in _PARITY_FAMILIES:
         checks += [
-            _check_odd_zeros("matrix_checkerboard_zeros", matrix),
-            _check_odd_zeros("inverse_checkerboard_zeros", explicit_inv),
+            _check("matrix_checkerboard_zeros", _odd_nonzero(matrix)),
+            _check("inverse_checkerboard_zeros", _odd_nonzero(explicit_inv)),
         ]
     return VerifyReport(spec=spec, n=n, checks=tuple(checks))

@@ -1,6 +1,7 @@
 """Straight Fraction versions of the library's fast paths, kept as
 references: the elimination oracle, the matrix product, the moment
-sequences (closed forms and the two-step recurrence), classical
+sequences (closed forms, with and without the Jacobi sign fold, and the
+two-step recurrence), rising factorials, classical
 Gram-Schmidt, the Chebyshev algorithm, the kernel sum and the kernel
 engine's inverse, the shifted-parameter
 anchor values of the closed forms, the jacobi anchor recurrence and the
@@ -29,7 +30,7 @@ from math import comb, factorial, gcd, prod
 from hankelinv.elimination import SingularMatrix
 from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
-from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer, rising_factorials
+from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
 from hankelinv.verify import CheckResult, Witness
 
 
@@ -172,6 +173,28 @@ def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
     if fam is Family.JACOBI:
         return hyp_terminating(k, [b + 1], [a + b + 2], 2)
     return pochhammer(a + 1, k) / pochhammer(a + b + 2, k)
+
+
+def moment(spec: FamilySpec, k: int) -> Fraction:
+    """k-th moment of the probability-normalized family weight, taken against
+    the family basis variable (x, or (x-1)/2 for jacobi-shifted): the closed
+    form ``hankel_moment`` without the (-1)^k sign fold of the two Jacobi
+    variants."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if spec.family in (Family.JACOBI, Family.SHIFTED_JACOBI):
+        return (-1) ** k * hankel_moment(spec, k)
+    return hankel_moment(spec, k)
+
+
+def rising_factorials(a: Fraction | int, n: int) -> list[Fraction]:
+    """[(a)_0, (a)_1, ..., (a)_n] by the step (a)_{k+1} = (a)_k (a + k); just
+    [1] for n < 0."""
+    a = Fraction(a)
+    values = [Fraction(1)]
+    for k in range(n):
+        values.append(values[-1] * (a + k))
+    return values
 
 
 def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:

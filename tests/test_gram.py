@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from _fraction_reference import kernel_coeffs
+from _fraction_reference import kernel_coeffs, moment
 from _recurrences import oracle_polys, taylor_shift
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import (
@@ -27,7 +27,6 @@ from hankelinv.gram import (
     hankel_moment,
     kernel_eval,
     kernel_inverse,
-    moment,
     moment_matrix,
 )
 from hankelinv.orthopoly import Family, FamilySpec, norm_squared

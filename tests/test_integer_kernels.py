@@ -170,6 +170,14 @@ class TestScaledRows:
             matrix.to_lists()
         )
 
+    @given(matrices())
+    @_with_examples
+    def test_only_the_integer_rows_are_kept(self, matrix):
+        # the Fractions are built anew on each read of rows
+        assert ExactMatrix.__slots__ == ("_stored",)
+        first, second = matrix.rows, matrix.rows
+        assert first == second and first is not second
+
     @given(st.integers(1, 8).flatmap(lambda size: st.tuples(matrices(size), matrices(size))))
     def test_products_and_inverses_are_stored_reduced(self, pair):
         left, right = pair

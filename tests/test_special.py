@@ -7,13 +7,13 @@ from math import prod
 
 import pytest
 
+from _fraction_reference import rising_factorials
 from hankelinv.special import (
     ZeroDenominator,
     barnes_g_int,
     binomial,
     hyp_terminating,
     pochhammer,
-    rising_factorials,
 )
 
 

@@ -24,13 +24,12 @@ from hankelinv.verify import (
     CheckResult,
     VerifyReport,
     Witness,
-    _check_equal,
-    _check_odd_zeros,
-    _check_symmetric,
-    _compare,
-    _compare_det,
-    _odd_zeroed,
-    _symmetrized,
+    _asymmetric,
+    _check,
+    _det_differs,
+    _differing,
+    _odd_nonzero,
+    _off_identity,
     verify,
 )
 
@@ -44,6 +43,9 @@ BASE_CHECKS = [
     "inverse_symmetric",
 ]
 PARITY_CHECKS = ["matrix_checkerboard_zeros", "inverse_checkerboard_zeros"]
+
+# the module, not the function ``hankelinv.verify`` that the package exports
+_VERIFY_MODULE = importlib.import_module("hankelinv.verify")
 
 
 class TestVerify:
@@ -88,6 +90,36 @@ class TestVerify:
         for spec in (FamilySpec.hermite(), FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5))):
             assert verify(spec, 6).passed
 
+    def test_passing_checks_read_no_fraction_rows(self, monkeypatch):
+        # every check scans the stored integer rows
+        def rows(matrix):
+            raise AssertionError("ExactMatrix.rows read")
+
+        monkeypatch.setattr(ExactMatrix, "rows", property(rows))
+        for spec in (
+            FamilySpec.hermite(),
+            FamilySpec.laguerre(Fraction(7, 3)),
+            FamilySpec.gegenbauer(Fraction(3, 2)),
+            FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5)),
+            FamilySpec.shifted_jacobi(Fraction(1, 3), Fraction(1, 5)),
+        ):
+            assert verify(spec, 12).passed
+
+    def test_failed_identity_check_builds_no_identity_matrix(self, monkeypatch):
+        # the product E @ M is scanned against the identity in place
+        def corrupted(spec, n):
+            rows = explicit_inverse(spec, n).to_lists()
+            rows[0][1] += 1
+            return ExactMatrix(rows)
+
+        def identity(size):
+            raise AssertionError("identity matrix built")
+
+        monkeypatch.setattr(_VERIFY_MODULE, "explicit_inverse", corrupted)
+        monkeypatch.setattr(ExactMatrix, "identity", identity)
+        checks = {c.name: c for c in verify(FamilySpec.shifted_jacobi(0, 0), 2).checks}
+        assert checks["inverse_identity"].witness == Witness(0, 0, Fraction(1), Fraction(3, 2))
+
     def test_degree_zero(self):
         assert verify(FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2)), 0).passed
 
@@ -116,10 +148,6 @@ class TestVerify:
     )
     def test_passes_at_n_40(self, spec):
         assert verify(spec, 40).passed
-
-
-# the module, not the function ``hankelinv.verify`` that the package exports
-_VERIFY_MODULE = importlib.import_module("hankelinv.verify")
 
 
 class TestWitnessOfAFailedRoute:
@@ -260,38 +288,38 @@ class TestKernelCertificate:
 
 class TestCheckHelpers:
     def test_matrix_mismatch_witness(self):
-        result = _compare(
-            "x",
-            ExactMatrix.identity(2).rows,
-            ExactMatrix([[1, 1], [0, 1]]).rows,
-        )
-        assert result == CheckResult(
-            "x", False, Witness(0, 1, Fraction(0), Fraction(1))
-        )
+        matrix = ExactMatrix([[1, 1], [0, 1]])
+        expected = CheckResult("x", False, Witness(0, 1, Fraction(0), Fraction(1)))
+        assert _check("x", _off_identity(matrix)) == expected
+        assert _check("x", _differing(ExactMatrix.identity(2), matrix)) == expected
 
     def test_scalar_mismatch_marks_negative_position(self):
-        result = _compare_det("d", Fraction(1, 4), Fraction(1, 3))
+        result = _check("d", _det_differs(Fraction(1, 4), Fraction(1, 3)))
         assert not result.passed
         assert result.witness == Witness(-1, -1, Fraction(1, 4), Fraction(1, 3))
 
     def test_scalar_match(self):
-        assert _compare_det("d", Fraction(1, 4), Fraction(1, 4)).passed
+        assert _check("d", _det_differs(Fraction(1, 4), Fraction(1, 4))).passed
 
     def test_symmetry_failure(self):
-        rows = ExactMatrix([[1, 2], [3, 4]]).rows
-        result = _compare("s", _symmetrized(rows), rows)
+        result = _check("s", _asymmetric(ExactMatrix([[1, 2], [3, 4]])))
         assert not result.passed
         assert result.witness == Witness(1, 0, Fraction(2), Fraction(3))
 
     def test_parity_failure(self):
-        rows = ExactMatrix([[1, 2], [2, 1]]).rows
-        result = _compare("p", _odd_zeroed(rows), rows)
+        result = _check("p", _odd_nonzero(ExactMatrix([[1, 2], [2, 1]])))
         assert not result.passed
         assert result.witness == Witness(0, 1, Fraction(0), Fraction(2))
 
     def test_parity_pass(self):
-        rows = ExactMatrix([[1, 0], [0, 1]]).rows
-        assert _compare("p", _odd_zeroed(rows), rows).passed
+        assert _check("p", _odd_nonzero(ExactMatrix([[1, 0], [0, 1]]))).passed
+
+    def test_first_cell_ends_the_scan(self):
+        def cells():
+            yield 0, 1, (1, 2), (1, 3)
+            raise AssertionError("scanned past the witness")
+
+        assert _check("c", cells()).witness == Witness(0, 1, Fraction(1, 2), Fraction(1, 3))
 
 
 _ENTRIES = st.sampled_from(sorted({Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)}))
@@ -343,69 +371,46 @@ def _rescaled(draw) -> ExactMatrix:
 
 
 class TestCompareMatchesCellScan:
-    """Each matrix check gives the same CheckResult, witness and its types
-    included, as the reference scan of its cells: both the scan of the
-    Fraction rows a failed check runs and the decision on the integer rows
-    that verify makes first."""
+    """Each matrix check's scan of the stored integer rows gives the same
+    CheckResult, witness and its types included, as the reference scan of its
+    Fraction cells."""
 
     @staticmethod
     def _same(result, expected):
         assert repr(result) == repr(expected)
 
-    @given(matrix=_square(), data=st.data())
-    def test_entrywise(self, matrix, data):
-        other = ExactMatrix(data.draw(_changed(matrix.to_lists())))
-        self._same(
-            _compare("b", matrix.rows, other.rows),
-            reference.first_mismatch("b", reference.entrywise(matrix, other)),
-        )
-
-    @given(matrix=_square())
-    def test_identity(self, matrix):
-        self._same(
-            _compare("a", ExactMatrix.identity(matrix.size).rows, matrix.rows),
-            reference.first_mismatch("a", reference.against_identity(matrix)),
-        )
-
-    @given(matrix=_square())
-    def test_symmetric(self, matrix):
-        self._same(
-            _compare("s", _symmetrized(matrix.rows), matrix.rows),
-            reference.first_mismatch("s", reference.mirrored(matrix)),
-        )
-
-    @given(matrix=_square())
-    def test_checkerboard_zeros(self, matrix):
-        self._same(
-            _compare("p", _odd_zeroed(matrix.rows), matrix.rows),
-            reference.first_mismatch("p", reference.odd_zeros(matrix)),
-        )
-
     @given(matrix=_rescaled(), data=st.data())
     def test_entrywise_on_integer_rows(self, matrix, data):
         other = ExactMatrix(data.draw(_changed(matrix.to_lists())))
         self._same(
-            _check_equal("b", matrix, other),
+            _check("b", _differing(matrix, other)),
             reference.first_mismatch("b", reference.entrywise(matrix, other)),
         )
 
     @given(matrix=_rescaled())
     def test_identity_on_integer_rows(self, matrix):
         self._same(
-            _check_equal("a", ExactMatrix.identity(matrix.size), matrix),
+            _check("a", _off_identity(matrix)),
             reference.first_mismatch("a", reference.against_identity(matrix)),
         )
 
     @given(matrix=_rescaled())
     def test_symmetric_on_integer_rows(self, matrix):
         self._same(
-            _check_symmetric("s", matrix),
+            _check("s", _asymmetric(matrix)),
             reference.first_mismatch("s", reference.mirrored(matrix)),
+        )
+
+    @given(expected=st.fractions(), actual=st.fractions())
+    def test_determinants(self, expected, actual):
+        self._same(
+            _check("d", _det_differs(expected, actual)),
+            reference.first_mismatch("d", [(-1, -1, expected, actual)]),
         )
 
     @given(matrix=_rescaled())
     def test_checkerboard_zeros_on_integer_rows(self, matrix):
         self._same(
-            _check_odd_zeros("p", matrix),
+            _check("p", _odd_nonzero(matrix)),
             reference.first_mismatch("p", reference.odd_zeros(matrix)),
         )
