@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .closed_form import (
     MAX_DIGITS,
+    MAX_N,
     explicit_det,
     explicit_inverse,
     jacobi_det_as_printed,
@@ -160,6 +161,8 @@ def run(request: argparse.Namespace) -> int:
     stdout; returns the process exit code."""
     if request.n < 0:
         raise UsageError("n must be >= 0")
+    if request.n > MAX_N:
+        raise UsageError(f"n must be <= {MAX_N}")
     if request.unnormalized and not request.as_float:
         raise UsageError("--unnormalized requires --float")
     if request.digits < 1:

@@ -1,11 +1,14 @@
-"""Independent elimination oracle: one forward elimination sweep on primitive
-integer rows, alone for the determinant and, on the rows augmented by their
+"""Independent elimination oracle: one forward elimination sweep on integer
+rows, alone for the determinant and, on the rows augmented by their
 scales, followed by back-substitution for the inverse, which yields the
 determinant as well.
 
 Each row is first scaled by the lcm of its denominators
-(``ExactMatrix.scaled_rows``) and kept a primitive integer vector through one
-update, row <- (p * row - q * pivot_row) / content.  The inverse comes out in
+(``ExactMatrix.scaled_rows``) and updated as row <- p * row - q * pivot_row.
+A row's content comes out once, when the row becomes the pivot row, and not
+after each update: on moment matrices an update's content is small (2-6 bits
+on average at n = 24), so a gcd over the whole row after every update cost
+as much as the update and saved little size.  The inverse comes out in
 ``ExactMatrix``'s stored integer form, and the determinant is one Fraction.
 
 Deliberately knows nothing about moments, polynomial families, or kernels, so
@@ -37,16 +40,25 @@ def _sweep(rows: list[list[int]], scales: list[int] | None = None) -> tuple[int,
     block stays lower triangular: before step k the row at position r holds
     right-block columns 0..k-1, appended to ``rows[r]``, and its own scale in
     column r, kept as ``scales[r]``; its other entries are 0 and never
-    stored.  An update combines just the left tail and right columns 0..k,
-    and its content runs over those and the own scale, all the row's nonzero
-    entries.  On return, rows[k][size:] + [scales[k]] is row k of the right
-    block over columns 0..k, and order[c] is the original index of the row
-    that ended at position c, whose scale started in column order[c].
+    stored.  An update combines just the left tail, right columns 0..k and
+    the own scale, all the row's nonzero entries.
+
+    Once step k has its pivot row, that row is divided by its content, the
+    gcd of all its nonzero entries, so U and the right block come out
+    primitive row by row.  This is the sweep's one reduction: rows below the
+    pivot keep the factors p that their updates bring, until their own step.
+    On moment matrices the content an update leaves averages 2-6 bits at
+    n = 24, and taking it after each update cost as much as the update.
+
+    On return, rows[k][size:] + [scales[k]] is row k of the right block over
+    columns 0..k, and order[c] is the original index of the row that ended
+    at position c, whose scale started in column order[c].
 
     Returns (numerator, denominator, order), the determinant of the left
     block as given being numerator / denominator = sign * prod(pivots) *
-    prod(contents) / prod(p): each update multiplies the block's determinant
-    by p / content, and each row exchange flips its sign.  Raises
+    prod(contents) / prod(p), the contents those of the pivot rows: each
+    update multiplies the block's determinant by p, each reduction divides
+    it by the content, and each row exchange flips its sign.  Raises
     SingularMatrix when a column has no pivot.
     """
     size = len(rows)
@@ -63,13 +75,24 @@ def _sweep(rows: list[list[int]], scales: list[int] | None = None) -> tuple[int,
                 scales[k], scales[pivot_index] = scales[pivot_index], scales[k]
             numerator = -numerator
         pivot_row = rows[k]
-        pivot = pivot_row[k]
+        # the row's nonzero entries: its left tail from column k, right-block
+        # columns 0..k-1 and, with scales, its own scale in column k, last
+        entries = pivot_row[k:] if scales is None else [*pivot_row[k:], scales[k]]
+        content = gcd(*entries)
+        if content > 1:
+            entries = [v // content for v in entries]
+            if scales is None:
+                pivot_row[k:] = entries
+            else:
+                pivot_row[k:] = entries[:-1]
+                scales[k] = entries[-1]
+            numerator *= content
+        pivot = entries[0]
         numerator *= pivot
-        # entries left of column k are already 0 below the pivot
-        pivot_tail = pivot_row[k + 1 :]
+        # entries left of column k are already 0 below the pivot, and with
+        # scales right-block column k is 0 in the rows below
+        pivot_tail = entries[1:]
         if scales is not None:
-            # right-block column k: the pivot row's scale, 0 in the rows below
-            pivot_tail.append(scales[k])
             for row in rows[k + 1 :]:
                 row.append(0)
         for r in range(k + 1, size):
@@ -79,32 +102,22 @@ def _sweep(rows: list[list[int]], scales: list[int] | None = None) -> tuple[int,
                 continue
             g = gcd(pivot, factor)
             p, q = pivot // g, factor // g
-            combined = [p * v - q * w for v, w in zip(row[k + 1 :], pivot_tail)]
-            if scales is not None:
-                combined.append(p * scales[r])
-            # a row that comes out 0 has content 0 and is kept as is; the gcd
-            # starts from the right end, whose newest entries are often the
-            # row's shortest, so the running gcd shrinks early
-            content = gcd(*reversed(combined))
-            if content > 1:
-                combined = [v // content for v in combined]
-            if scales is not None:
-                scales[r] = combined.pop()
             row[k] = 0
-            row[k + 1 :] = combined
-            numerator *= content
+            row[k + 1 :] = [p * v - q * w for v, w in zip(row[k + 1 :], pivot_tail)]
+            if scales is not None:
+                scales[r] *= p
             denominator *= p
     return numerator, denominator, order
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
-    """Exact determinant by forward elimination on primitive integer rows.
+    """Exact determinant by forward elimination on integer rows.
 
     Runs ``_sweep`` on the scaled integer rows, so det(matrix) is their
     determinant over the product of the row scales.  Unlike the Bareiss
     recurrence, whose leading minors carry the product of every row scale,
-    the entries stay as small as the rows allow.  Row exchanges flip the
-    sign; a column without a pivot means determinant 0.
+    each pivot row is used primitive.  Row exchanges flip the sign; a column
+    without a pivot means determinant 0.
     """
     scaled = matrix.scaled_rows()
     try:
@@ -116,7 +129,14 @@ def bareiss_det(matrix: ExactMatrix) -> Fraction:
 
 def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
     """Exact inverse by forward elimination and back-substitution; see
-    ``_inverse_and_det``."""
+    ``_inverse_and_det``.
+
+    The sweep reduces a row only when it becomes the pivot row, which suits
+    moment matrices; on matrices whose updates leave contents of hundreds of
+    bits it is slower than reducing after each update: 1.3x and 1.5x on
+    random dense p/q matrices (|p| <= 10**6, q <= 1000) at 20x20 and 30x30,
+    and 1.7x on the jacobi 1/3,1/5 closed-form inverse at n = 24 and 40.
+    """
     return _inverse_and_det(matrix)[0]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import hankelinv
 from hankelinv.cli import UsageError, build_parser, main, parse_rational, run
-from hankelinv.closed_form import MAX_DIGITS, explicit_det
+from hankelinv.closed_form import MAX_DIGITS, MAX_N, explicit_det
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec
 from hankelinv.verify import CheckResult, VerifyReport, Witness
@@ -158,7 +158,7 @@ class TestDet:
         [
             ["det", "--family", "hermite", "--n", "80", "--float"],
             ["det", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--n", "80", "--float"],
-            ["det", "--family", "hermite", "--n", "170", "--float", "--unnormalized", "--output", "json"],
+            ["det", "--family", "hermite", "--n", "100", "--float", "--unnormalized", "--output", "json"],
         ],
         ids=["overflow", "underflow-to-zero", "unnormalized-infinity"],
     )
@@ -422,6 +422,26 @@ class TestUsageErrors:
         code, _, err = run_cli(["det", "--family", "hermite", "--n", "-3"])
         assert code == 2
         assert "n must be >= 0" in err
+
+    # refused before any work: without the bound, hermite det at n = 10**24
+    # loops ~10**24 times in barnes_g_int
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10**24])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "hermite"],
+            ["det", "--family", "hermite"],
+            ["inv", "--family", "laguerre", "--alpha", "7/3", "--method", "oracle"],
+            ["kernel", "--family", "gegenbauer", "--lambda", "3/2", "--x", "1/2", "--y", "1/3"],
+            ["verify", "--family", "jacobi", "--alpha", "1/3", "--beta", "1/5"],
+            ["errata", "--family", "jacobi", "--alpha", "1/3", "--beta", "1/5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_n_above_maximum(self, argv, n):
+        code, out, err = run_cli([*argv, "--n", str(n)])
+        assert code == 2 and out == ""
+        assert err == f"error: n must be <= {MAX_N}\n"
 
     def test_out_of_domain_alpha(self):
         code, _, err = run_cli(["gen", "--family", "laguerre", "--alpha", "-2", "--n", "1"])

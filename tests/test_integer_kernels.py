@@ -273,6 +273,9 @@ class TestOneSweepMatchesTwo:
 
     @given(matrices())
     @_with_examples
+    # rows with content 2 and 3 but scale 1: only the determinant-only sweep,
+    # which has no scale column, reduces them
+    @example(ExactMatrix([[6, 4], [9, 3]]))
     def test_property(self, matrix):
         self._check(matrix)
 
@@ -284,6 +287,9 @@ class TestOneSweepMatchesTwo:
 
     @given(spec=SPECS, n=_N)
     @corner_examples(10)
+    @example(spec=FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), n=6)
+    @example(spec=FamilySpec.gegenbauer(Fraction(-4, 9)), n=6)
+    @example(spec=FamilySpec.laguerre(Fraction(-8, 9)), n=6)
     def test_moment_matrices(self, spec, n):
         matrix = moment_matrix(spec, n)
         self._check(matrix)
