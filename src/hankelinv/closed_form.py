@@ -40,7 +40,7 @@ __all__ = [
 
 MAX_DIGITS = 100_000
 # the largest n the CLI accepts, for every command: verify, the slowest,
-# grows about as n^4.5 and takes ~7 s for jacobi 1/8,1/9 at n = 100
+# grows about as n^4.5 and takes ~6 s for jacobi 1/8,1/9 at n = 100
 MAX_N = 100
 
 

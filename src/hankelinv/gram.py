@@ -30,7 +30,7 @@ families entry(i,j) = moment(i+j).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -115,9 +115,11 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix(rows={self.rows!r})"
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def __matmul__(self, other: object) -> "ExactMatrix":
         # the right factor over the lcm of its row scales, then integer dot
         # products of the left rows with its columns and one gcd per row
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.size != other.size:
             raise ValueError("size mismatch")
         common = lcm(*(scale for scale, _ in other._stored))
@@ -142,6 +144,24 @@ def _reduced(scale: int, ints: list[int]) -> _ScaledRow:
     """The row ints / scale, for a positive scale, in the stored form."""
     scale, *ints = _primitive([scale, *ints])
     return scale, tuple(ints)
+
+
+# a compared position whose two values differ: (row, col, expected, actual),
+# each value as (numerator, denominator) with a positive denominator
+_Cell = tuple[int, int, tuple[int, int], tuple[int, int]]
+
+
+def _asymmetric(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """The entries below the diagonal that differ from their mirrors, in
+    row-major order: N_i(j) s_j against N_j(i) s_i.  The matrix is
+    symmetric when this yields nothing; verify reports the first cell, and
+    the elimination oracle reads it to decide its back-substitution."""
+    stored = matrix._stored
+    for i, (scale, ints) in enumerate(stored):
+        for j in range(i):
+            mirror_scale, mirror = stored[j]
+            if ints[j] * mirror_scale != mirror[i] * scale:
+                yield i, j, (mirror[i], mirror_scale), (ints[j], scale)
 
 
 def hankel_moment(spec: FamilySpec, k: int) -> Fraction:

@@ -25,7 +25,15 @@ from math import prod
 
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import _inverse_and_det
-from .gram import ExactMatrix, _kernel_inverts, _monic_kernel, _monic_rows, moment_matrix
+from .gram import (
+    ExactMatrix,
+    _asymmetric,
+    _Cell,
+    _kernel_inverts,
+    _monic_kernel,
+    _monic_rows,
+    moment_matrix,
+)
 from .orthopoly import Family, FamilySpec, _Record
 
 __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
@@ -71,11 +79,6 @@ class VerifyReport(_Record):
         return all(check.passed for check in self.checks)
 
 
-# a compared position whose two values differ: (row, col, expected, actual),
-# each value as (numerator, denominator) with a positive denominator
-_Cell = tuple[int, int, tuple[int, int], tuple[int, int]]
-
-
 def _check(name: str, mismatches: Iterator[_Cell]) -> CheckResult:
     """Pass when the stream yields nothing; otherwise its first cell is the
     witness, and only that cell's two Fractions are built."""
@@ -101,17 +104,6 @@ def _off_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
         for j, v in enumerate(ints):
             if v != (scale if i == j else 0):
                 yield i, j, (int(i == j), 1), (v, scale)
-
-
-def _asymmetric(matrix: ExactMatrix) -> Iterator[_Cell]:
-    """The entries below the diagonal that differ from their mirrors, in
-    row-major order: N_i(j) s_j against N_j(i) s_i."""
-    stored = matrix._stored
-    for i, (scale, ints) in enumerate(stored):
-        for j in range(i):
-            mirror_scale, mirror = stored[j]
-            if ints[j] * mirror_scale != mirror[i] * scale:
-                yield i, j, (mirror[i], mirror_scale), (ints[j], scale)
 
 
 def _odd_nonzero(matrix: ExactMatrix) -> Iterator[_Cell]:

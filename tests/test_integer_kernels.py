@@ -9,8 +9,10 @@ Fraction references in ``_fraction_reference``, entry for entry.
 * ``_inverse_and_det`` (forward sweep and back-substitution) against the
   integer Gauss-Jordan sweep it replaced, on those matrices, on shuffled
   and scaled rows with leading zeros that force row exchanges at several
-  steps (sizes 1..10), on the moment matrices at n <= 10 and at n = 40 for
-  the five parameter points of ROADMAP's layer table.
+  steps (sizes 1..10), on symmetric matrices of sizes 1..10, whose inverse
+  it back-substitutes by mirroring unless a zero diagonal entry makes it
+  exchange rows, on the moment matrices at n <= 10 and at n = 40 for the
+  five parameter points of ROADMAP's layer table.
 * ``ExactMatrix``'s stored form, reduced integer rows, on the same matrices
   and on what each producer builds.
 * The integer kernel sum ``gram._kernel_sum`` on lower-triangular factor
@@ -250,6 +252,34 @@ def exchanging_matrices(draw) -> ExactMatrix:
     return ExactMatrix(draw(st.permutations(rows)))
 
 
+@st.composite
+def symmetric_matrices(draw) -> ExactMatrix:
+    """Symmetric matrices of sizes 1..10 with mixed denominators and signs:
+    left as drawn; with zero diagonal entries, so that the sweep often
+    exchanges rows and back-substitutes in full; or singular, with row and
+    column i a copy of row and column j or zero."""
+    size = draw(st.integers(1, 10))
+    entries = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 16))
+    upper = {(i, j): draw(entries) for i in range(size) for j in range(i, size)}
+    shape = draw(st.sampled_from(("drawn", "zero_diagonal", "repeated", "zero")))
+    pick = st.integers(0, size - 1)
+    index = list(range(size))
+    if shape == "zero_diagonal":
+        for i in draw(st.sets(pick, min_size=1)):
+            upper[i, i] = Fraction(0)
+    elif shape == "repeated":
+        index[draw(pick)] = draw(pick)
+    elif shape == "zero":
+        zeroed = draw(pick)
+        for k in range(size):
+            upper[min(zeroed, k), max(zeroed, k)] = Fraction(0)
+    rows = [
+        [upper[min(index[i], index[j]), max(index[i], index[j])] for j in range(size)]
+        for i in range(size)
+    ]
+    return ExactMatrix(rows)
+
+
 class TestOneSweepMatchesTwo:
     """``_inverse_and_det``, one forward sweep of the augmented rows and
     back-substitution, against the integer Gauss-Jordan sweep it replaced:
@@ -285,6 +315,21 @@ class TestOneSweepMatchesTwo:
     def test_row_exchanges(self, matrix):
         self._check(matrix)
 
+    @given(symmetric_matrices())
+    # symmetric, but the sweep exchanges rows, and a mirrored inverse of the
+    # 3 x 3 one would be wrong
+    @example(ExactMatrix([[0, 1], [1, 0]]))
+    @example(ExactMatrix([[0, 1, 2], [1, 1, 3], [2, 3, 1]]))
+    # rows over different scales, so each mirrored entry is rescaled; the
+    # first row of the 3 x 3 Hilbert matrix mirrors two finished rows, each
+    # over its own scale
+    @example(ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]))
+    @example(ExactMatrix([[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]))
+    # symmetric but for one entry below the diagonal
+    @example(ExactMatrix([[2, 1, Fraction(1, 3)], [1, 3, Fraction(1, 2)], [Fraction(1, 3), 1, 5]]))
+    def test_symmetric(self, matrix):
+        self._check(matrix)
+
     @given(spec=SPECS, n=_N)
     @corner_examples(10)
     @example(spec=FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), n=6)
@@ -315,6 +360,13 @@ class TestMatmulMatchesFraction:
             return
         for left, right in ((matrix, eye), (eye, matrix)):
             with pytest.raises(ValueError, match="size mismatch"):
+                left @ right
+
+    @pytest.mark.parametrize("other", [3, Fraction(1, 2), [[1, 0], [0, 1]]], ids=repr)
+    def test_non_matrix_operand(self, other):
+        eye = ExactMatrix.identity(2)
+        for left, right in ((eye, other), (other, eye)):
+            with pytest.raises(TypeError, match="unsupported operand"):
                 left @ right
 
 
