@@ -149,7 +149,9 @@ def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
     return _inverse_and_det(matrix)[0]
 
 
-def _inverse_and_det(matrix: ExactMatrix) -> tuple[ExactMatrix, Fraction]:
+def _inverse_and_det(
+    matrix: ExactMatrix, symmetric: bool | None = None
+) -> tuple[ExactMatrix, Fraction]:
     """Inverse and determinant from one forward ``_sweep`` of the augmented
     integer matrix [S M | S], S = diag(s) the row scales, then
     back-substitution.
@@ -162,22 +164,25 @@ def _inverse_and_det(matrix: ExactMatrix) -> tuple[ExactMatrix, Fraction]:
     reduced by one gcd, and its columns go back in place as the row is
     stored.  The sweep's determinant is that of S M.
 
-    When M is symmetric (one scan of its stored ints, ``gram._asymmetric``)
-    and the sweep exchanged no rows, X = M^-1 is symmetric with its columns
-    in place.  Row i then back-substitutes only columns 0..i, and each column
-    c > i is the mirror X_c(i) = N_c(i) / d_c, put over D U_ii as
-    N_c(i) (D / d_c) U_ii; the finished rows keep only columns 0..i, all the
-    rows above them read.  That leaves about n^3/6 of the n^3/2 products,
-    and the stored rows are the same ints: the totals are the same exact
-    values over the same D U_ii.
+    When M is symmetric and the sweep exchanged no rows, X = M^-1 is
+    symmetric with its columns in place.  Row i then back-substitutes only
+    columns 0..i, and each column c > i is the mirror X_c(i) = N_c(i) / d_c,
+    put over D U_ii as N_c(i) (D / d_c) U_ii; the finished rows keep only
+    columns 0..i, all the rows above them read.  That leaves about n^3/6 of
+    the n^3/2 products, and the stored rows are the same ints: the totals
+    are the same exact values over the same D U_ii.  Symmetry is the
+    caller's verdict when given (``verify`` has already scanned M), else
+    one scan of M's stored ints (``gram._asymmetric``).
     """
     size = matrix.size
     scaled = matrix.scaled_rows()
     rows = [row for _, row in scaled]
     scales = [scale for scale, _ in scaled]
     numerator, denominator, order = _sweep(rows, scales)
+    if symmetric is None:
+        symmetric = next(_asymmetric(matrix), None) is None
     # the exchanges leave their mark in order, so identity order means none
-    mirrored = order == list(range(size)) and next(_asymmetric(matrix), None) is None
+    mirrored = symmetric and order == list(range(size))
     # N_k column by column, and d_k, of the finished rows, last row first;
     # mirrored, column j holds only the rows k >= j
     columns: list[list[int]] = [[] for _ in range(size)]

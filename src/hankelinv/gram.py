@@ -239,8 +239,15 @@ def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     """The (n+1) x (n+1) normalized Hankel/Gram matrix of the family."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    denom, seq = _moment_sequence(spec, 2 * n + 1)
-    return ExactMatrix._from_scaled(_reduced(denom, seq[i : i + n + 1]) for i in range(n + 1))
+    return _hankel(_moment_sequence(spec, 2 * n + 1))
+
+
+def _hankel(moments: tuple[int, list[int]]) -> ExactMatrix:
+    """The Hankel matrix of the 2n+1 values N_k / D given as (D, [N_k]):
+    entry (i, j) is N_{i+j} / D."""
+    denom, seq = moments
+    size = len(seq) // 2 + 1
+    return ExactMatrix._from_scaled(_reduced(denom, seq[i : i + size]) for i in range(size))
 
 
 class OrthoTable(_Record):
@@ -294,16 +301,20 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     )
 
 
-def _monic_rows(spec: FamilySpec, n: int) -> tuple[list[list[int]], list[Fraction]]:
+def _monic_rows(
+    spec: FamilySpec, n: int, moments: tuple[int, list[int]] | None = None
+) -> tuple[list[list[int]], list[Fraction]]:
     """``gram_schmidt`` before its Fractions: the monic polynomial p_k as the
     primitive integer row q_k = lead_k p_k, whose last entry lead_k is > 0,
-    and the norms h_k, for k = 0..n."""
+    and the norms h_k, for k = 0..n.  ``moments``, when given, is
+    ``_moment_sequence(spec, 2n+1)``, shared with the caller and left
+    unchanged."""
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n + 1
     # sigma[j] = S_k(k + j) and sigma_before[j] = S_{k-1}(k - 1 + j); at k = 0
     # the stand-in S_{-1} = (1, 0, 0, ...) over 1 gives u = S_0(0), A = S_0(1)
-    denom, sigma = _moment_sequence(spec, size)
+    denom, sigma = moments or _moment_sequence(spec, size)
     denom_before, sigma_before = 1, [1] + [0] * (size + 1)
     p, p_before = [1], []
     monic: list[list[int]] = []
@@ -357,17 +368,12 @@ def _kernel_sum(
 
     Column i is (c_i, [G(k, i)] for k = i..n) with f(k, i) = G(k, i) / c_i,
     c_i > 0, and the weights are (D, [V(k)]) with w(k) = V(k) / D, D > 0, so
-    that B(i, j) = T(i, j) / (c_i c_j D) with T(i, j) = sum_k G(k, i) V(k)
-    G(k, j).  The closed forms' integer factor columns and the kernel
-    engine's integer rows go here directly.  Row i is stored over
+    that B(i, j) = T(i, j) / (c_i c_j D) with the integer totals T of
+    ``_kernel_totals``.  The closed forms' integer factor columns and the
+    kernel engine's integer rows go here directly.  Row i is stored over
     c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one gcd per row."""
-    size = len(columns)
     common, scaled_weights = weights
-    totals = [[0] * size for _ in range(size)]
-    for i, (_, col_i) in enumerate(columns):
-        weighted = list(map(mul, col_i, scaled_weights[i:]))
-        for j in range(i, size):
-            totals[i][j] = totals[j][i] = sum(map(mul, weighted[j - i :], columns[j][1]))
+    totals = _kernel_totals(columns, scaled_weights)
     scales = [c for c, _ in columns]
     shared = lcm(*scales)
     spread = [shared // c for c in scales]
@@ -377,6 +383,21 @@ def _kernel_sum(
     )
 
 
+def _kernel_totals(
+    columns: Sequence[tuple[int, Sequence[int]]], weights: Sequence[int]
+) -> list[list[int]]:
+    """The integer totals T(i, j) = sum_k G(k, i) V(k) G(k, j) of
+    ``_kernel_sum``'s columns (c_i, [G(k, i)] for k = i..n) and integer
+    weights V(k), as symmetric rows; the scales c_i are not read."""
+    size = len(columns)
+    totals = [[0] * size for _ in range(size)]
+    for i, (_, col_i) in enumerate(columns):
+        weighted = list(map(mul, col_i, weights[i:]))
+        for j in range(i, size):
+            totals[i][j] = totals[j][i] = sum(map(mul, weighted[j - i :], columns[j][1]))
+    return totals
+
+
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:
     """Exact inverse of the moment matrix via the kernel coefficient sum
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m."""
@@ -384,13 +405,24 @@ def kernel_inverse(table: OrthoTable) -> ExactMatrix:
 
 
 def _monic_kernel(rows: Sequence[Sequence[int]], norms: Sequence[Fraction]) -> ExactMatrix:
-    """``kernel_inverse`` from the rows q_k = lead_k p_k of ``_monic_rows``:
-    B(i, j) = sum_k q_k(i) q_k(j) / (h_k lead_k^2), the integer columns
-    q_k(i) over 1 and the weights over the lcm of their denominators, summed
-    by ``_kernel_sum``."""
+    """``kernel_inverse`` from the rows q_k = lead_k p_k of ``_monic_rows``,
+    its factor table ``_monic_factors`` summed by ``_kernel_sum``."""
+    return _kernel_sum(*_monic_factors(rows, norms))
+
+
+def _monic_factors(
+    rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
+) -> tuple[list[tuple[int, list[int]]], tuple[int, list[int]]]:
+    """The factor table of B(i, j) = sum_k q_k(i) q_k(j) / (h_k lead_k^2) in
+    ``_kernel_sum``'s form: the integer columns q_k(i) over 1, and the
+    weights h_k.denominator / (h_k.numerator lead_k^2), each reduced by one
+    gcd, over the lcm D of their denominators, as ``_scaled`` would give
+    them."""
     size = len(rows)
     columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]
-    return _kernel_sum(columns, _scaled([1 / (h * q[-1] ** 2) for q, h in zip(rows, norms)]))
+    weights = [_primitive([h.denominator, h.numerator * q[-1] ** 2]) for q, h in zip(rows, norms)]
+    common = lcm(*(den for _, den in weights))
+    return columns, (common, [num * (common // den) for num, den in weights])
 
 
 def _kernel_inverts(

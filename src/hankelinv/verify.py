@@ -6,22 +6,28 @@ equals the kernel engine's K and the engine's rows certify K M = I: its monic
 polynomials are M-orthogonal with its norms (``gram._kernel_inverts``).
 Otherwise E @ M is formed and compared with the identity.
 
-Every check is one scan of the stored integer rows of ``ExactMatrix`` that
-yields, in row-major order, only the cells that differ: entries of two
-matrices cross-multiplied by their row scales, entries of a product against
-the identity, entries below the diagonal against their mirrors, entries at
-odd i + j against 0, or the two determinants as one cell at (-1, -1).  A
-check passes when its scan yields nothing; otherwise the first cell is the
-witness, the only entry whose Fractions are built.  Mismatches are
-reported, never raised, so a failing closed form still yields a complete
-report.
+K is only compared, never returned, so it stays the integer totals T of the
+kernel sum over its one weight denominator D, row i being T_i / D.  The
+moment sequence is built once, for M and for the engine, and M's symmetry
+scan also tells the elimination oracle whether to mirror its inverse.
+
+Every check is one scan of stored integer rows that yields, in row-major
+order, only the cells that differ: entries of two matrices cross-multiplied
+by their row scales (E against K's totals, or against the oracle's stored
+rows), entries of a product against the identity, entries below the
+diagonal against their mirrors, entries at odd i + j against 0, or the two
+determinants as one cell at (-1, -1).  A check passes when its scan yields
+nothing; otherwise the first cell is the witness, the only entry whose
+Fractions are built.  Mismatches are reported, never raised, so a failing
+closed form still yields a complete report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import prod
+from operator import eq
 
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import _inverse_and_det
@@ -29,10 +35,12 @@ from .gram import (
     ExactMatrix,
     _asymmetric,
     _Cell,
+    _hankel,
     _kernel_inverts,
-    _monic_kernel,
+    _kernel_totals,
+    _moment_sequence,
+    _monic_factors,
     _monic_rows,
-    moment_matrix,
 )
 from .orthopoly import Family, FamilySpec, _Record
 
@@ -89,12 +97,36 @@ def _check(name: str, mismatches: Iterator[_Cell]) -> CheckResult:
 
 def _differing(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
     """The entries where two matrices differ, in row-major order."""
-    if expected == actual:
-        return
-    for i, ((s, want), (t, got)) in enumerate(zip(expected._stored, actual._stored)):
+    if expected != actual:
+        yield from _differing_rows(expected, actual._stored)
+
+
+def _differing_rows(
+    expected: ExactMatrix, rows: Iterable[tuple[int, Sequence[int]]]
+) -> Iterator[_Cell]:
+    """The entries where a matrix differs from the rows T_i / t_i, t_i > 0,
+    in row-major order.  The matrix's row N_i / s_i has gcd(s_i, *N_i) = 1,
+    so when the two rows are equal, s_i divides t_i and T_i = N_i (t_i / s_i):
+    one divmod and a product per entry by the quotient pass a row, and only
+    a row that fails is cross-multiplied cell by cell."""
+    for i, ((s, want), (t, got)) in enumerate(zip(expected._stored, rows)):
+        spread, rest = divmod(t, s)
+        if not rest and all(map(eq, map(spread.__mul__, want), got)):
+            continue
         for j, (e, a) in enumerate(zip(want, got)):
             if e * t != a * s:
                 yield i, j, (e, s), (a, t)
+
+
+def _differs_from_kernel(
+    expected: ExactMatrix, rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
+) -> Iterator[_Cell]:
+    """The entries where a matrix differs from the kernel inverse K of the
+    engine's rows and norms, in row-major order.  K is left as its integer
+    totals T over its one weight denominator D (``gram._kernel_totals``),
+    row i being T_i / D, and never normalized into an ``ExactMatrix``."""
+    columns, (common, weights) = _monic_factors(rows, norms)
+    return _differing_rows(expected, ((common, row) for row in _kernel_totals(columns, weights)))
 
 
 def _off_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
@@ -134,21 +166,24 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    matrix = moment_matrix(spec, n)
-    rows, norms = _monic_rows(spec, n)
+    moments = _moment_sequence(spec, 2 * n + 1)
+    matrix = _hankel(moments)
+    rows, norms = _monic_rows(spec, n, moments)
     explicit_inv = explicit_inverse(spec, n)
-    kernel_inv = _monic_kernel(rows, norms)
-    oracle_inv, det_oracle = _inverse_and_det(matrix)
+    symmetric = _check("matrix_symmetric", _asymmetric(matrix))
+    oracle_inv, det_oracle = _inverse_and_det(matrix, symmetric.passed)
     det_explicit = explicit_det(spec, n)
     det_norms = prod(norms, start=Fraction(1))
 
-    equals_kernel = _check("explicit_equals_kernel", _differing(explicit_inv, kernel_inv))
+    equals_kernel = _check(
+        "explicit_equals_kernel", _differs_from_kernel(explicit_inv, rows, norms)
+    )
     if equals_kernel.passed and _kernel_inverts(rows, norms, matrix):
         inverts = CheckResult("inverse_identity", True)
     else:
         inverts = _check("inverse_identity", _off_identity(explicit_inv @ matrix))
     checks = [
-        _check("matrix_symmetric", _asymmetric(matrix)),
+        symmetric,
         inverts,
         equals_kernel,
         _check("explicit_equals_elimination", _differing(explicit_inv, oracle_inv)),

@@ -7,9 +7,10 @@ engine's inverse, the shifted-parameter
 anchor values of the closed forms, the jacobi anchor recurrence and the
 gegenbauer rising-factorial anchors, the five closed-form factor tables,
 the norm sequence, the closed-form determinant with one telescoping norm
-product per degree and in one pass, and the cell-by-cell scans of verify's
-checks.  Also the coefficients of the kernel section k_n(., y), which the
-reproducing-property tests pair with the moment matrix.
+product per degree and in one pass, the cell-by-cell scans of verify's
+checks, and its comparison of E with the kernel inverse normalized into an
+``ExactMatrix``.  Also the coefficients of the kernel section k_n(., y),
+which the reproducing-property tests pair with the moment matrix.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from hankelinv.elimination import SingularMatrix
-from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable
+from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable, _kernel_sum, _scaled
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
 from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
 from hankelinv.verify import CheckResult, Witness
@@ -596,3 +597,19 @@ def odd_zeros(matrix: ExactMatrix) -> Iterator[_Cell]:
     """Each entry at odd i + j against zero."""
     size = range(matrix.size)
     return ((i, j, Fraction(0), matrix.entry(i, j)) for i in size for j in size if (i + j) % 2)
+
+
+def kernel_mismatches(
+    explicit: ExactMatrix, rows: list[list[int]], norms: list[Fraction]
+) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """``explicit_equals_kernel``'s cells as verify found them before it
+    compared E with the kernel totals: the engine's kernel inverse built as
+    an ``ExactMatrix``, its weights 1 / (h lead^2) as Fractions, then every
+    entry of E cross-multiplied with it."""
+    size = len(rows)
+    columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]
+    kernel = _kernel_sum(columns, _scaled([1 / (h * q[-1] ** 2) for q, h in zip(rows, norms)]))
+    for i, ((s, want), (t, got)) in enumerate(zip(explicit._stored, kernel._stored)):
+        for j, (e, a) in enumerate(zip(want, got)):
+            if e * t != a * s:
+                yield i, j, (e, s), (a, t)

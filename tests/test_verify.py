@@ -6,17 +6,20 @@ import importlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _fraction_reference as reference
 from _strategies import SPECS, corner_examples
+from hankelinv import elimination, gram
 from hankelinv.closed_form import explicit_inverse
 from hankelinv.gram import (
     ExactMatrix,
     _kernel_inverts,
+    _monic_factors,
     _monic_kernel,
     _monic_rows,
+    _scaled,
     moment_matrix,
 )
 from hankelinv.orthopoly import FamilySpec
@@ -28,6 +31,7 @@ from hankelinv.verify import (
     _check,
     _det_differs,
     _differing,
+    _differs_from_kernel,
     _odd_nonzero,
     _off_identity,
     verify,
@@ -89,6 +93,36 @@ class TestVerify:
         monkeypatch.setattr(ExactMatrix, "__matmul__", product)
         for spec in (FamilySpec.hermite(), FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5))):
             assert verify(spec, 6).passed
+
+    def test_shared_inputs_are_built_once(self, monkeypatch):
+        # one moment sequence for M and the engine, one symmetry scan of M for
+        # its check and the oracle, and the kernel inverse compared as totals:
+        # the matrices built are M, E and the oracle's inverse, not K
+        spec = FamilySpec.jacobi(Fraction(1, 3), Fraction(1, 5))
+        matrix = moment_matrix(spec, 6)
+        calls = {"moment sequences": 0, "scans of M": 0, "matrices": 0}
+        sequence, scan = gram._moment_sequence, gram._asymmetric
+        build = ExactMatrix._from_scaled.__func__
+
+        def counted_sequence(*args):
+            calls["moment sequences"] += 1
+            return sequence(*args)
+
+        def counted_scan(scanned):
+            calls["scans of M"] += scanned == matrix
+            return scan(scanned)
+
+        def counted_build(cls, rows):
+            calls["matrices"] += 1
+            return build(cls, rows)
+
+        for module in (gram, _VERIFY_MODULE):
+            monkeypatch.setattr(module, "_moment_sequence", counted_sequence)
+        for module in (gram, elimination, _VERIFY_MODULE):
+            monkeypatch.setattr(module, "_asymmetric", counted_scan)
+        monkeypatch.setattr(ExactMatrix, "_from_scaled", classmethod(counted_build))
+        assert verify(spec, 6).passed
+        assert calls == {"moment sequences": 1, "scans of M": 1, "matrices": 3}
 
     def test_passing_checks_read_no_fraction_rows(self, monkeypatch):
         # every check scans the stored integer rows
@@ -199,8 +233,8 @@ class TestWitnessOfAWrongKernel:
 
     @pytest.fixture(autouse=True)
     def corrupt_engine_rows(self, monkeypatch):
-        def corrupted(spec, n):
-            rows, norms = _monic_rows(spec, n)
+        def corrupted(spec, n, *moments):
+            rows, norms = _monic_rows(spec, n, *moments)
             rows[1] = [rows[1][0] + 1, *rows[1][1:]]
             return rows, norms
 
@@ -244,6 +278,44 @@ class TestWitnessOfAWrongKernel:
             reference.entrywise(explicit_inverse(spec, 6), _monic_kernel(rows, norms)),
         )
         assert self._failed(spec, 6) == {"explicit_equals_kernel": expected.witness}
+
+
+class TestKernelTotalsMatchNormalizedKernel:
+    """``_differs_from_kernel`` compares E with the kernel totals T / D and
+    yields the cells, as values, that the reference scan of E against the
+    kernel inverse built as an ``ExactMatrix`` yields: on correct inputs, with
+    one entry of E raised by 1 (``TestWitnessOfAFailedRoute``'s fault, at any
+    position), and with one engine coefficient raised by 1."""
+
+    @staticmethod
+    def _values(cells):
+        return [(i, j, Fraction(*e), Fraction(*a)) for i, j, e, a in cells]
+
+    @pytest.mark.parametrize("fault", ["none", "entry", "coefficient"])
+    @given(spec=SPECS, n=st.integers(0, 10), where=st.tuples(*[st.integers(0, 10)] * 2))
+    @example(spec=FamilySpec.shifted_jacobi(0, 0), n=2, where=(0, 1))
+    @example(spec=FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), n=10, where=(10, 9))
+    def test_same_cells(self, fault, spec, n, where):
+        explicit = explicit_inverse(spec, n)
+        rows, norms = _monic_rows(spec, n)
+        i, j = (v % (n + 1) for v in where)
+        if fault == "entry":
+            entries = explicit.to_lists()
+            entries[i][j] += 1
+            explicit = ExactMatrix(entries)
+        elif fault == "coefficient":
+            k, i = max(i, j), min(i, j)
+            rows[k] = [*rows[k][:i], rows[k][i] + 1, *rows[k][i + 1 :]]
+        expected = list(reference.kernel_mismatches(explicit, rows, norms))
+        actual = list(_differs_from_kernel(explicit, rows, norms))
+        assert self._values(actual) == self._values(expected)
+        assert repr(_check("k", iter(actual))) == repr(_check("k", iter(expected)))
+        # a raised entry of E always differs from K; a raised coefficient
+        # may not: q_0 = (2) for (1) scales its term by 4 and its weight by 1/4
+        if fault != "coefficient":
+            assert bool(actual) == (fault == "entry")
+        weights = _scaled([1 / (h * q[-1] ** 2) for q, h in zip(rows, norms)])
+        assert _monic_factors(rows, norms)[1] == weights
 
 
 def _perturbed(rows, norms, matrix, kind, k, i, j):
