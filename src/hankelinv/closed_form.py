@@ -115,7 +115,7 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
 # a family's inverse as integer columns (c_i, [X(k, i)] for k = i..n), with
 # f(k, i) = X(k, i) / c_i and c_i > 0, and weights (D, [V(k)] for k = 0..n),
 # with w(k) = V(k) / D and D > 0
-_Table = tuple[list[tuple[int, Sequence[int]]], tuple[int, list[int]]]
+_Table = tuple[list[tuple[int, Sequence[int]]], tuple[int, Sequence[int]]]
 
 
 def _hermite_table(spec: FamilySpec, n: int) -> _Table:
@@ -180,7 +180,7 @@ def _jacobi_weight_tops(qc: int, q: int, n: int) -> list[int]:
     return [1] + [(2 * q * k + qc) * tail[k - 1] for k in range(1, n + 1)]
 
 
-def _jacobi_anchors(spec: FamilySpec, n: int) -> list[tuple[int, list[int]]]:
+def _jacobi_anchors(spec: FamilySpec, n: int) -> list[tuple[int, Sequence[int]]]:
     """Row i holds P_d^(a+i, b+i)(0) for d = 0..n-i as (Q_i, [N_d]), the
     value N_d / Q_i, from P_0 = 1, P_1(0) = (a-b)/2 and the three-term
     recurrence (DLMF 18.9.1) at x = 0:
@@ -278,17 +278,6 @@ class DiscrepancyNote(_Record):
     tolerance: mpmath.mpf
     agrees: bool
     digits: int
-
-    def __init__(
-        self,
-        exact: Fraction,
-        printed: mpmath.mpf,
-        rel_error: mpmath.mpf,
-        tolerance: mpmath.mpf,
-        agrees: bool,
-        digits: int,
-    ) -> None:
-        super().__init__(exact, printed, rel_error, tolerance, agrees, digits)
 
 
 def _to_mpf(value: Fraction) -> mpmath.mpf:

@@ -9,14 +9,15 @@ A row's content comes out once, when the row becomes the pivot row, and not
 after each update: on moment matrices an update's content is small (2-6 bits
 on average at n = 24), so a gcd over the whole row after every update cost
 as much as the update and saved little size.  The inverse comes out in
-``ExactMatrix``'s stored integer form, and the determinant is one Fraction.
+``ExactMatrix``'s stored integer form, each row reduced by one gcd
+(``gram._reduced``), and the determinant is one Fraction.
 
 The inverse of a symmetric matrix is symmetric, so when the input is
 symmetric and the sweep exchanged no rows, back-substitution solves only the
 lower triangle and mirrors the rest from the finished rows: about a third of
-its products, with the same stored rows.  Symmetry is read from the input's
-stored ints, a property of any matrix; every other input is back-substituted
-in full.
+its products, with the same stored rows.  Symmetry is the caller's verdict,
+from one scan of the input's stored ints (``gram._asymmetric``), a property
+of any matrix; every other input is back-substituted in full.
 
 Deliberately knows nothing about moments, polynomial families, or kernels, so
 it can arbitrate between the engine and the closed forms.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .gram import ExactMatrix, _asymmetric
+from .gram import ExactMatrix, _asymmetric, _reduced
 
 __all__ = ["SingularMatrix", "bareiss_det", "gauss_inverse"]
 
@@ -146,12 +147,10 @@ def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
     The inverse of a symmetric matrix that needs no row exchange, such as a
     moment matrix, is back-substituted on its lower triangle and mirrored.
     """
-    return _inverse_and_det(matrix)[0]
+    return _inverse_and_det(matrix, next(_asymmetric(matrix), None) is None)[0]
 
 
-def _inverse_and_det(
-    matrix: ExactMatrix, symmetric: bool | None = None
-) -> tuple[ExactMatrix, Fraction]:
+def _inverse_and_det(matrix: ExactMatrix, symmetric: bool) -> tuple[ExactMatrix, Fraction]:
     """Inverse and determinant from one forward ``_sweep`` of the augmented
     integer matrix [S M | S], S = diag(s) the row scales, then
     back-substitution.
@@ -170,17 +169,14 @@ def _inverse_and_det(
     put over D U_ii as N_c(i) (D / d_c) U_ii; the finished rows keep only
     columns 0..i, all the rows above them read.  That leaves about n^3/6 of
     the n^3/2 products, and the stored rows are the same ints: the totals
-    are the same exact values over the same D U_ii.  Symmetry is the
-    caller's verdict when given (``verify`` has already scanned M), else
-    one scan of M's stored ints (``gram._asymmetric``).
+    are the same exact values over the same D U_ii.  ``symmetric`` is the
+    caller's verdict on M, from one scan of its stored ints.
     """
     size = matrix.size
     scaled = matrix.scaled_rows()
     rows = [row for _, row in scaled]
     scales = [scale for scale, _ in scaled]
     numerator, denominator, order = _sweep(rows, scales)
-    if symmetric is None:
-        symmetric = next(_asymmetric(matrix), None) is None
     # the exchanges leave their mark in order, so identity order means none
     mirrored = symmetric and order == list(range(size))
     # N_k column by column, and d_k, of the finished rows, last row first;
@@ -201,12 +197,7 @@ def _inverse_and_det(
         if mirrored:
             # columns i+1..size-1 from column i of the finished rows, first row first
             totals += [v * (r * pivot) for v, r in zip(reversed(columns[i]), reversed(ratios))]
-        scale = common * pivot
-        content = gcd(scale, *totals)
-        if scale < 0:
-            content = -content
-        scale //= content
-        numerators = [v // content for v in totals]
+        scale, numerators = _reduced(common * pivot, totals)
         for col, v in zip(columns[:width], numerators):
             col.append(v)
         finished.append(scale)

@@ -3,12 +3,12 @@
 Builds the normalized Hankel moment matrix of a family from its moment
 sequence, which each family's two-step moment recurrence produces entry by
 entry, on ints: one integer vector over one common denominator.  The engine
-reads only those 2n+1 moments: the Chebyshev algorithm turns them into the
-recurrence coefficients and squared norms h_m of the monic orthogonal
-polynomials, whose coefficients a_{m,i} follow from the three-term
-recurrence.  Both recurrences run on primitive integer rows, and Fractions
-appear again only in the norms and coefficients they return.  The exact
-inverse is then the Christoffel-Darboux kernel sum
+takes only that sequence of 2n+1 moments: the Chebyshev algorithm turns
+them into the recurrence coefficients and squared norms h_m of the monic
+orthogonal polynomials, whose coefficients a_{m,i} follow from the
+three-term recurrence.  Both recurrences run on primitive integer rows, and
+Fractions appear again only in the norms and coefficients they return.  The
+exact inverse is then the Christoffel-Darboux kernel sum
 
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m,
 
@@ -19,7 +19,8 @@ with norms h_m (``_kernel_inverts``).
 
 This engine is the authoritative exact-inverse path; the closed forms in
 ``closed_form`` must agree with it.  Every route's matrices are
-``ExactMatrix`` values, stored as reduced integer rows.
+``ExactMatrix`` values, stored as reduced integer rows, which only this
+module reads: the row scans of ``verify``'s checks live beside the type.
 
 The engine works against the abstract basis index.  For both Jacobi variants
 the matrix entries are the sign-folded sequence entry(i,j) =
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import eq, mul
 
 from .orthopoly import Family, FamilySpec, PolyCoeffs, _integer_params, _Record
 
@@ -140,10 +141,13 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _reduced(scale: int, ints: list[int]) -> _ScaledRow:
-    """The row ints / scale, for a positive scale, in the stored form."""
-    scale, *ints = _primitive([scale, *ints])
-    return scale, tuple(ints)
+def _reduced(scale: int, ints: Sequence[int]) -> _ScaledRow:
+    """The row ints / scale, for a nonzero scale, in the stored form."""
+    content = gcd(scale, *ints) if scale > 0 else -gcd(scale, *ints)
+    if content == 1:
+        return scale, tuple(ints)
+    # a list: tuple() of a generator grows by resizes that fragment the heap
+    return scale // content, tuple([v // content for v in ints])
 
 
 # a compared position whose two values differ: (row, col, expected, actual),
@@ -155,13 +159,53 @@ def _asymmetric(matrix: ExactMatrix) -> Iterator[_Cell]:
     """The entries below the diagonal that differ from their mirrors, in
     row-major order: N_i(j) s_j against N_j(i) s_i.  The matrix is
     symmetric when this yields nothing; verify reports the first cell, and
-    the elimination oracle reads it to decide its back-substitution."""
+    the verdict decides the elimination oracle's back-substitution."""
     stored = matrix._stored
     for i, (scale, ints) in enumerate(stored):
         for j in range(i):
             mirror_scale, mirror = stored[j]
             if ints[j] * mirror_scale != mirror[i] * scale:
                 yield i, j, (mirror[i], mirror_scale), (ints[j], scale)
+
+
+def _differing(expected: ExactMatrix, actual: ExactMatrix) -> Iterator[_Cell]:
+    """The entries where two matrices differ, in row-major order."""
+    if expected != actual:
+        yield from _differing_rows(expected, actual._stored)
+
+
+def _differing_rows(
+    expected: ExactMatrix, rows: Iterable[tuple[int, Sequence[int]]]
+) -> Iterator[_Cell]:
+    """The entries where a matrix differs from the rows T_i / t_i, t_i > 0,
+    in row-major order.  The matrix's row N_i / s_i has gcd(s_i, *N_i) = 1,
+    so when the two rows are equal, s_i divides t_i and T_i = N_i (t_i / s_i):
+    one divmod and a product per entry by the quotient pass a row, and only
+    a row that fails is cross-multiplied cell by cell."""
+    for i, ((s, want), (t, got)) in enumerate(zip(expected._stored, rows)):
+        spread, rest = divmod(t, s)
+        if not rest and all(map(eq, map(spread.__mul__, want), got)):
+            continue
+        for j, (e, a) in enumerate(zip(want, got)):
+            if e * t != a * s:
+                yield i, j, (e, s), (a, t)
+
+
+def _off_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """The entries where the matrix differs from the identity, in row-major
+    order."""
+    for i, (scale, ints) in enumerate(matrix._stored):
+        for j, v in enumerate(ints):
+            if v != (scale if i == j else 0):
+                yield i, j, (int(i == j), 1), (v, scale)
+
+
+def _odd_nonzero(matrix: ExactMatrix) -> Iterator[_Cell]:
+    """The nonzero entries at odd i + j, in row-major order."""
+    for i, (scale, ints) in enumerate(matrix._stored):
+        for j in range(1 - i % 2, len(ints), 2):
+            if ints[j]:
+                yield i, j, (0, 1), (ints[j], scale)
 
 
 def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
@@ -175,7 +219,7 @@ def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
     return Fraction(seq[k], denom)
 
 
-def _moment_sequence(spec: FamilySpec, count: int) -> tuple[int, list[int]]:
+def _moment_sequence(spec: FamilySpec, count: int) -> _ScaledRow:
     """hankel_moment(spec, k) for k = 0..count-1 as (D, [N_k]), mu_k = N_k / D
     in lowest terms, by the family's two-step relation
     d(k) mu_{k+1} = e(k) mu_k + f(k) mu_{k-1}, mu_0 = 1, mu_{-1} = 0:
@@ -219,7 +263,7 @@ def _moment_sequence(spec: FamilySpec, count: int) -> tuple[int, list[int]]:
     return _over_products(nums, divisors)
 
 
-def _over_products(nums: Sequence[int], divisors: Sequence[int]) -> tuple[int, list[int]]:
+def _over_products(nums: Sequence[int], divisors: Sequence[int]) -> _ScaledRow:
     """The rationals nums[k] / (divisors[0] ... divisors[k]), for nonzero int
     divisors, as (D, [N_k]) with N_k / D each, D > 0 and gcd(D, *N) = 1: each
     numerator is carried over the product of all the divisors, then one gcd
@@ -229,10 +273,7 @@ def _over_products(nums: Sequence[int], divisors: Sequence[int]) -> tuple[int, l
     for num, divisor in zip(reversed(nums), reversed(divisors)):
         scaled.append(num * tail)
         tail *= divisor
-    if tail < 0:
-        tail, scaled = -tail, [-v for v in scaled]
-    scale, *ints = _primitive([tail, *reversed(scaled)])
-    return scale, ints
+    return _reduced(tail, scaled[::-1])
 
 
 def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
@@ -242,7 +283,7 @@ def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     return _hankel(_moment_sequence(spec, 2 * n + 1))
 
 
-def _hankel(moments: tuple[int, list[int]]) -> ExactMatrix:
+def _hankel(moments: _ScaledRow) -> ExactMatrix:
     """The Hankel matrix of the 2n+1 values N_k / D given as (D, [N_k]):
     entry (i, j) is N_{i+j} / D."""
     denom, seq = moments
@@ -259,11 +300,6 @@ class OrthoTable(_Record):
     n: int
     monic: tuple[PolyCoeffs, ...]
     norms: tuple[Fraction, ...]
-
-    def __init__(
-        self, spec: FamilySpec, n: int, monic: tuple[PolyCoeffs, ...], norms: tuple[Fraction, ...]
-    ) -> None:
-        super().__init__(spec, n, monic, norms)
 
     def eval_monic(self, m: int, x: Fraction | int) -> Fraction:
         """Value of the degree-m monic polynomial at the point x."""
@@ -292,7 +328,9 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     and one gcd over the new row and its denominator reduces it.  Each p_k is
     a primitive integer vector with a positive leading coefficient, divided by
     that coefficient only when the output Fractions are built."""
-    rows, norms = _monic_rows(spec, n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    rows, norms = _monic_rows(_moment_sequence(spec, 2 * n + 1))
     return OrthoTable(
         spec=spec,
         n=n,
@@ -301,20 +339,16 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     )
 
 
-def _monic_rows(
-    spec: FamilySpec, n: int, moments: tuple[int, list[int]] | None = None
-) -> tuple[list[list[int]], list[Fraction]]:
-    """``gram_schmidt`` before its Fractions: the monic polynomial p_k as the
-    primitive integer row q_k = lead_k p_k, whose last entry lead_k is > 0,
-    and the norms h_k, for k = 0..n.  ``moments``, when given, is
-    ``_moment_sequence(spec, 2n+1)``, shared with the caller and left
-    unchanged."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    size = 2 * n + 1
+def _monic_rows(moments: tuple[int, Sequence[int]]) -> tuple[list[list[int]], list[Fraction]]:
+    """``gram_schmidt`` before its Fractions, from the 2n+1 moments N_k / D
+    given as (D, [N_k]) (``_moment_sequence``, left unchanged): the monic
+    polynomial p_k as the primitive integer row q_k = lead_k p_k, whose last
+    entry lead_k is > 0, and the norms h_k, for k = 0..n."""
     # sigma[j] = S_k(k + j) and sigma_before[j] = S_{k-1}(k - 1 + j); at k = 0
     # the stand-in S_{-1} = (1, 0, 0, ...) over 1 gives u = S_0(0), A = S_0(1)
-    denom, sigma = moments or _moment_sequence(spec, size)
+    denom, sigma = moments
+    size = len(sigma)
+    n = size // 2
     denom_before, sigma_before = 1, [1] + [0] * (size + 1)
     p, p_before = [1], []
     monic: list[list[int]] = []
@@ -400,14 +434,10 @@ def _kernel_totals(
 
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:
     """Exact inverse of the moment matrix via the kernel coefficient sum
-    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m."""
-    return _monic_kernel([_scaled(p.coeffs)[1] for p in table.monic], table.norms)
-
-
-def _monic_kernel(rows: Sequence[Sequence[int]], norms: Sequence[Fraction]) -> ExactMatrix:
-    """``kernel_inverse`` from the rows q_k = lead_k p_k of ``_monic_rows``,
-    its factor table ``_monic_factors`` summed by ``_kernel_sum``."""
-    return _kernel_sum(*_monic_factors(rows, norms))
+    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m, the factor table
+    ``_monic_factors`` of the rows q_k = lead_k p_k summed by ``_kernel_sum``."""
+    rows = [_scaled(p.coeffs)[1] for p in table.monic]
+    return _kernel_sum(*_monic_factors(rows, table.norms))
 
 
 def _monic_factors(
@@ -428,9 +458,9 @@ def _monic_factors(
 def _kernel_inverts(
     rows: Sequence[Sequence[int]], norms: Sequence[Fraction], matrix: ExactMatrix
 ) -> bool:
-    """Whether ``_monic_kernel(rows, norms)`` times ``matrix`` is exactly the
-    identity, decided without the product (Szego, section 3.2; Chihara 1978,
-    ch. I).
+    """Whether the kernel sum ``_kernel_sum(*_monic_factors(rows, norms))``
+    times ``matrix`` is exactly the identity, decided without the product
+    (Szego, section 3.2; Chihara 1978, ch. I).
 
     With P the lower-triangular matrix of the rows p_k = q_k / lead_k and
     H = diag(h_k), the kernel sum is P^T H^-1 P.  For a Hankel matrix M,
@@ -449,10 +479,8 @@ def _kernel_inverts(
     seq = [v * (denom // first_scale) for v in first[:-1]]
     seq += [v * (denom // last_scale) for v in last]
     width = len(stored)
-    for i, (scale, ints) in enumerate(stored):
-        spread, rest = divmod(denom, scale)
-        if rest or [v * spread for v in ints] != seq[i : i + width]:
-            return False
+    if next(_differing_rows(matrix, ((denom, seq[i : i + width]) for i in range(width))), None):
+        return False
     for k, (q, h) in enumerate(zip(rows, norms)):
         sums = [sum(map(mul, q, seq[j : j + k + 1])) for j in range(k + 1)]
         if any(sums[:-1]) or sums[-1] * h.denominator != h.numerator * q[-1] * denom:

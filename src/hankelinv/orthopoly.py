@@ -64,13 +64,14 @@ def _coerce(value: Fraction | int | str, name: str) -> Fraction:
 class _Record:
     """Base of the package's frozen value records.
 
-    A subclass lists its fields in ``__slots__``, and its ``__init__`` passes
-    their values, in that order, to the base ``__init__``; a subclass of a
-    record appends its own slots to the inherited fields.  The base compares
-    and hashes the field values, only against an instance of the very same
-    class, prints ``Name(field=value, ...)``, refuses assignment and deletion,
-    and pickles and copies by calling the class on the field values.  Unlike a
-    tuple, a record does not iterate, index or order."""
+    A subclass lists its fields in ``__slots__``; a subclass of a record
+    appends its own slots to the inherited fields.  The base ``__init__``
+    binds each field once, by position or keyword, or raises TypeError; a
+    subclass with defaults or checks passes its values on to it.  The base
+    compares and hashes the field values, only against an instance of the
+    very same class, prints ``Name(field=value, ...)``, refuses assignment
+    and deletion, and pickles and copies by calling the class on the field
+    values.  Unlike a tuple, a record does not iterate, index or order."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -79,9 +80,12 @@ class _Record:
         super().__init_subclass__()
         cls._fields += cls.__dict__.get("__slots__", ())
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values: object, **named: object) -> None:
+        bound = dict(zip(self._fields, values), **named)
+        if len(bound) != len(values) + len(named) or bound.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes each field {self._fields} once")
+        for name in self._fields:
+            object.__setattr__(self, name, bound[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

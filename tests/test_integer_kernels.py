@@ -18,7 +18,7 @@ Fraction references in ``_fraction_reference``, entry for entry.
 * The integer kernel sum ``gram._kernel_sum`` on lower-triangular factor
   tables of size 1..10, drawn the same way and taken from the closed forms.
 * ``kernel_inverse`` of a ``gram_schmidt`` table and the integer rows
-  ``verify`` sums (``_monic_rows`` into ``_monic_kernel``) against the
+  ``verify`` sums (``_monic_rows`` into ``_monic_factors``) against the
   Fraction kernel sum, over each family's parameters at n <= 10 and at
   n = 24 for the five parameter points of ROADMAP's layer table.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
@@ -54,6 +54,7 @@ from hankelinv.elimination import SingularMatrix, _inverse_and_det, bareiss_det,
 from hankelinv.gram import (
     ExactMatrix,
     NotPositiveDefinite,
+    _asymmetric,
     gram_schmidt,
     hankel_moment,
     kernel_inverse,
@@ -180,9 +181,19 @@ class TestScaledRows:
         first, second = matrix.rows, matrix.rows
         assert first == second and first is not second
 
-    @given(st.integers(1, 8).flatmap(lambda size: st.tuples(matrices(size), matrices(size))))
-    def test_products_and_inverses_are_stored_reduced(self, pair):
+    @given(
+        st.integers(1, 8).flatmap(lambda size: st.tuples(matrices(size), matrices(size))),
+        st.integers(-12, 12).filter(bool),
+    )
+    @example((ExactMatrix([[4, -6], [0, 0]]), ExactMatrix.identity(2)), -2)
+    def test_products_and_inverses_are_stored_reduced(self, pair, divisor):
         left, right = pair
+        # the rows of the left factor over a scale of either sign, reduced
+        # into the stored form, keep their values
+        for _, ints in left.scaled_rows():
+            scale, reduced = gram._reduced(divisor, ints)
+            assert scale > 0 and gcd(scale, *reduced) == 1
+            assert [Fraction(v, scale) for v in reduced] == [Fraction(v, divisor) for v in ints]
         built = [left @ right]
         try:
             built.append(gauss_inverse(left))
@@ -280,6 +291,11 @@ def symmetric_matrices(draw) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _symmetric(matrix: ExactMatrix) -> bool:
+    """The oracle's symmetry verdict, from one scan of the stored ints."""
+    return next(_asymmetric(matrix), None) is None
+
+
 class TestOneSweepMatchesTwo:
     """``_inverse_and_det``, one forward sweep of the augmented rows and
     back-substitution, against the integer Gauss-Jordan sweep it replaced:
@@ -292,11 +308,11 @@ class TestOneSweepMatchesTwo:
             expected, expected_det = reference.gauss_jordan_inverse_and_det(matrix)
         except SingularMatrix as exc:
             with pytest.raises(SingularMatrix) as caught:
-                _inverse_and_det(matrix)
+                _inverse_and_det(matrix, _symmetric(matrix))
             assert str(caught.value) == str(exc)
             assert bareiss_det(matrix) == 0
             return
-        actual, det = _inverse_and_det(matrix)
+        actual, det = _inverse_and_det(matrix, _symmetric(matrix))
         assert actual.scaled_rows() == expected.scaled_rows()
         assert type(det) is Fraction
         assert det == expected_det == bareiss_det(matrix)
@@ -338,7 +354,7 @@ class TestOneSweepMatchesTwo:
     def test_moment_matrices(self, spec, n):
         matrix = moment_matrix(spec, n)
         self._check(matrix)
-        assert _inverse_and_det(matrix)[1] == reference.bareiss_det(matrix)
+        assert _inverse_and_det(matrix, _symmetric(matrix))[1] == reference.bareiss_det(matrix)
 
     @pytest.mark.parametrize("spec", _TABLE_POINTS, ids=lambda s: s.family.value)
     def test_table_points_at_n_40(self, spec):
@@ -437,7 +453,8 @@ class TestIntegerKernelInverseMatchesFraction:
         # rows of the engine's core give the same inverse
         table = gram_schmidt(spec, n)
         expected = reference.kernel_inverse(table)
-        actual = gram._monic_kernel(*gram._monic_rows(spec, n))
+        rows, norms = gram._monic_rows(gram._moment_sequence(spec, 2 * n + 1))
+        actual = gram._kernel_sum(*gram._monic_factors(rows, norms))
         assert actual == expected and _stored_form(actual)
         assert kernel_inverse(table) == expected
 

@@ -212,12 +212,21 @@ RECORDS = [
 @pytest.mark.parametrize(("cls", "args", "fields", "text"), RECORDS)
 def test_record_contract(cls, args, fields, text):
     """What the frozen records promise: construction by position or keyword
-    with the defaults filled in, value equality and hashing within one class
-    only, no assignment or deletion, pickle and deepcopy round trips, and
-    the dataclass-style repr."""
+    with the defaults filled in, a TypeError for a missing, duplicate or
+    unknown field, value equality and hashing within one class only, no
+    assignment or deletion, pickle and deepcopy round trips, and the
+    dataclass-style repr."""
     record = cls(*args)
     assert {name: getattr(record, name) for name in fields} == fields
     assert cls(**fields) == record
+
+    first, *rest = fields
+    with pytest.raises(TypeError):
+        cls(**{name: fields[name] for name in rest})
+    with pytest.raises(TypeError):
+        cls(*args, **{first: fields[first]})
+    with pytest.raises(TypeError):
+        cls(*args, extra=None)
 
     twin = cls(*args)
     assert twin is not record and twin == record and hash(twin) == hash(record)

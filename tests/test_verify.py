@@ -15,10 +15,16 @@ from hankelinv import elimination, gram
 from hankelinv.closed_form import explicit_inverse
 from hankelinv.gram import (
     ExactMatrix,
+    _asymmetric,
+    _differing,
+    _differing_rows,
     _kernel_inverts,
+    _kernel_sum,
+    _moment_sequence,
     _monic_factors,
-    _monic_kernel,
     _monic_rows,
+    _odd_nonzero,
+    _off_identity,
     _scaled,
     moment_matrix,
 )
@@ -27,13 +33,9 @@ from hankelinv.verify import (
     CheckResult,
     VerifyReport,
     Witness,
-    _asymmetric,
     _check,
     _det_differs,
-    _differing,
     _differs_from_kernel,
-    _odd_nonzero,
-    _off_identity,
     verify,
 )
 
@@ -50,6 +52,16 @@ PARITY_CHECKS = ["matrix_checkerboard_zeros", "inverse_checkerboard_zeros"]
 
 # the module, not the function ``hankelinv.verify`` that the package exports
 _VERIFY_MODULE = importlib.import_module("hankelinv.verify")
+
+
+def _engine_rows(spec, n):
+    """The kernel engine's integer rows and norms of degree 0..n."""
+    return _monic_rows(_moment_sequence(spec, 2 * n + 1))
+
+
+def _kernel_inverse_of(rows, norms):
+    """The kernel inverse of the engine's rows and norms."""
+    return _kernel_sum(*_monic_factors(rows, norms))
 
 
 class TestVerify:
@@ -233,8 +245,8 @@ class TestWitnessOfAWrongKernel:
 
     @pytest.fixture(autouse=True)
     def corrupt_engine_rows(self, monkeypatch):
-        def corrupted(spec, n, *moments):
-            rows, norms = _monic_rows(spec, n, *moments)
+        def corrupted(moments):
+            rows, norms = _monic_rows(moments)
             rows[1] = [rows[1][0] + 1, *rows[1][1:]]
             return rows, norms
 
@@ -271,11 +283,11 @@ class TestWitnessOfAWrongKernel:
         ids=lambda spec: spec.family.value,
     )
     def test_first_differing_entry(self, spec):
-        rows, norms = _monic_rows(spec, 6)
+        rows, norms = _engine_rows(spec, 6)
         rows[1] = [rows[1][0] + 1, *rows[1][1:]]
         expected = reference.first_mismatch(
             "explicit_equals_kernel",
-            reference.entrywise(explicit_inverse(spec, 6), _monic_kernel(rows, norms)),
+            reference.entrywise(explicit_inverse(spec, 6), _kernel_inverse_of(rows, norms)),
         )
         assert self._failed(spec, 6) == {"explicit_equals_kernel": expected.witness}
 
@@ -297,7 +309,7 @@ class TestKernelTotalsMatchNormalizedKernel:
     @example(spec=FamilySpec.jacobi(Fraction(-1, 3), Fraction(-2, 3)), n=10, where=(10, 9))
     def test_same_cells(self, fault, spec, n, where):
         explicit = explicit_inverse(spec, n)
-        rows, norms = _monic_rows(spec, n)
+        rows, norms = _engine_rows(spec, n)
         i, j = (v % (n + 1) for v in where)
         if fault == "entry":
             entries = explicit.to_lists()
@@ -341,7 +353,7 @@ class TestKernelCertificate:
     @corner_examples(n=12)
     def test_verdict_is_the_identity_product(self, spec, n):
         matrix = moment_matrix(spec, n)
-        verdict = _kernel_inverts(*_monic_rows(spec, n), matrix)
+        verdict = _kernel_inverts(*_engine_rows(spec, n), matrix)
         assert verdict == (explicit_inverse(spec, n) @ matrix == ExactMatrix.identity(n + 1))
 
     @pytest.mark.parametrize("kind", ["coefficient", "norm", "entry"])
@@ -352,10 +364,10 @@ class TestKernelCertificate:
         k = data.draw(st.integers(1 if kind == "coefficient" else 0, n))
         i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
         rows, norms, matrix = _perturbed(
-            *_monic_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
+            *_engine_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
         )
         assert not _kernel_inverts(rows, norms, matrix)
-        assert _monic_kernel(rows, norms) @ matrix != ExactMatrix.identity(n + 1)
+        assert _kernel_inverse_of(rows, norms) @ matrix != ExactMatrix.identity(n + 1)
 
 
 class TestCheckHelpers:
@@ -364,6 +376,12 @@ class TestCheckHelpers:
         expected = CheckResult("x", False, Witness(0, 1, Fraction(0), Fraction(1)))
         assert _check("x", _off_identity(matrix)) == expected
         assert _check("x", _differing(ExactMatrix.identity(2), matrix)) == expected
+
+    def test_row_scale_must_divide(self):
+        # 3 does not divide 7, though 2 = 1 * floor(7 / 3): the row 2/7
+        # differs from 1/3 however the quotient's remainder is dropped
+        cells = _differing_rows(ExactMatrix([[Fraction(1, 3)]]), [(7, [2])])
+        assert list(cells) == [(0, 0, (1, 3), (2, 7))]
 
     def test_scalar_mismatch_marks_negative_position(self):
         result = _check("d", _det_differs(Fraction(1, 4), Fraction(1, 3)))
