@@ -29,6 +29,7 @@ from fractions import Fraction
 from .closed_form import (
     MAX_DIGITS,
     MAX_N,
+    _to_mpf,
     explicit_det,
     explicit_inverse,
     jacobi_det_as_printed,
@@ -73,19 +74,13 @@ def _parse_int(text: str) -> int:
 
 
 def _make_spec(request: argparse.Namespace) -> FamilySpec:
+    kwargs = {
+        field: parse_rational(text, name)
+        for field, name in (("alpha", "alpha"), ("beta", "beta"), ("lam", "lambda"))
+        if (text := getattr(request, field)) is not None
+    }
     try:
-        family = Family(request.family)
-    except ValueError:
-        raise UsageError(f"unknown family: {request.family!r}") from None
-    kwargs: dict[str, Fraction] = {}
-    if request.alpha is not None:
-        kwargs["alpha"] = parse_rational(request.alpha, "alpha")
-    if request.beta is not None:
-        kwargs["beta"] = parse_rational(request.beta, "beta")
-    if request.lam is not None:
-        kwargs["lam"] = parse_rational(request.lam, "lambda")
-    try:
-        return FamilySpec(family, **kwargs)
+        return FamilySpec(Family(request.family), **kwargs)
     except InvalidFamilySpec as exc:
         raise UsageError(str(exc)) from None
 
@@ -95,7 +90,7 @@ def _to_float(value: Fraction, request: argparse.Namespace, scale, power: int) -
         from mpmath import mp
 
         with mp.workdps(request.digits + 10):
-            scaled = mp.mpf(value.numerator) / value.denominator * scale**power
+            scaled = _to_mpf(value) * scale**power
         result = float(scaled)
     else:
         try:
@@ -170,11 +165,6 @@ def run(request: argparse.Namespace) -> int:
     if request.digits > MAX_DIGITS:
         raise UsageError(f"--digits must be <= {MAX_DIGITS}")
     spec = _make_spec(request)
-    point = {
-        name: parse_rational(text, name)
-        for name, text in (("x", request.x), ("y", request.y))
-        if text is not None
-    }
 
     if request.command == "verify":
         return _run_verify(request, spec)
@@ -185,6 +175,7 @@ def run(request: argparse.Namespace) -> int:
     if request.unnormalized:
         scale = unnormalized_scale(spec, request.digits)
 
+    point = None
     if request.command == "gen":
         value = moment_matrix(spec, request.n)
     elif request.command == "det":
@@ -201,12 +192,9 @@ def run(request: argparse.Namespace) -> int:
             value = kernel_inverse(gram_schmidt(spec, request.n))
         else:
             value = gauss_inverse(moment_matrix(spec, request.n))
-    elif request.command == "kernel":
-        if len(point) < 2:
-            raise UsageError("kernel requires --x and --y")
+    else:  # kernel
+        point = {name: parse_rational(getattr(request, name), name) for name in ("x", "y")}
         value = kernel_eval(gram_schmidt(spec, request.n), point["x"], point["y"])
-    else:  # pragma: no cover - argparse limits the choices
-        raise UsageError(f"unknown command: {request.command}")
 
     # how the family's total-mass scale enters each quantity: the matrix
     # scales linearly, its determinant as the (n+1)-fold product, and the
@@ -261,7 +249,8 @@ def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
     note = jacobi_det_as_printed(spec, request.n, request.digits)
     printed = note.printed
     printed_str = mp.nstr(printed, request.digits) if mp.isfinite(printed) else str(printed)
-    exact_float = mp.nstr(mp.mpf(note.exact.numerator) / note.exact.denominator, request.digits)
+    with mp.workdps(request.digits + 15):
+        exact_float = mp.nstr(_to_mpf(note.exact), request.digits)
     rel_error = mp.nstr(note.rel_error, 5) if mp.isfinite(note.rel_error) else "inf"
     tolerance = mp.nstr(note.tolerance, 5)
     verdict = "match" if note.agrees else "MISMATCH"
@@ -294,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact moment matrices of the classical orthogonal families: "
         "determinants, inverses, kernels, and cross-route verification.",
     )
-    # only the kernel command takes a point
-    parser.set_defaults(x=None, y=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("gen", "print the normalized moment matrix"),
@@ -336,20 +323,12 @@ _VALUE_OPTIONS = frozenset({"--alpha", "--beta", "--lambda", "--x", "--y"})
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (
-            token in _VALUE_OPTIONS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and _RATIONAL_RE.fullmatch(argv[i + 1])
-        ):
-            merged.append(f"{token}={argv[i + 1]}")
-            i += 2
-            continue
-        merged.append(token)
-        i += 1
+    for token in argv:
+        negative = token[:1] == "-" and _RATIONAL_RE.fullmatch(token)
+        if negative and merged and merged[-1] in _VALUE_OPTIONS:
+            merged[-1] += f"={token}"
+        else:
+            merged.append(token)
     return merged
 
 

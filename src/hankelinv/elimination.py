@@ -1,16 +1,18 @@
 """Independent elimination oracle: one forward elimination sweep on integer
-rows, alone for the determinant and, on the rows augmented by their
-scales, followed by back-substitution for the inverse, which yields the
-determinant as well.
+rows and their row scales, alone for the determinant and, carrying the
+right block diag(scales) as well, followed by back-substitution for the
+inverse, which yields the determinant as well.
 
 Each row is first scaled by the lcm of its denominators
-(``ExactMatrix.scaled_rows``) and updated as row <- p * row - q * pivot_row.
-A row's content comes out once, when the row becomes the pivot row, and not
-after each update: on moment matrices an update's content is small (2-6 bits
-on average at n = 24), so a gcd over the whole row after every update cost
-as much as the update and saved little size.  The inverse comes out in
-``ExactMatrix``'s stored integer form, each row reduced by one gcd
-(``gram._reduced``), and the determinant is one Fraction.
+(``ExactMatrix.scaled_rows``) and updated as row <- p * row - q * pivot_row,
+its scale multiplied by p.  A row's content comes out once, together with
+its scale's, when the row becomes the pivot row, and not after each update:
+on moment matrices an update's content is small (2-6 bits on average at
+n = 24), so a gcd over the whole row after every update cost as much as the
+update and saved little size.  The determinant is read off the finished
+sweep, sign * prod(pivots) / prod(scales), as one Fraction, and the inverse
+comes out in ``ExactMatrix``'s stored integer form, each row reduced by one
+gcd (``gram._reduced``).
 
 The inverse of a symmetric matrix is symmetric, so when the input is
 symmetric and the sweep exchanged no rows, back-substitution solves only the
@@ -38,69 +40,60 @@ class SingularMatrix(ArithmeticError):
     """gauss_inverse was asked to invert a singular matrix."""
 
 
-def _sweep(rows: list[list[int]], scales: list[int] | None = None) -> tuple[int, int, list[int]]:
-    """Eliminate below the diagonal of the square integer ``rows`` in place,
-    pivoting in each column on the first nonzero entry at or below the
-    diagonal, so that rows[k][k:size] ends as row k of an upper-triangular U.
+def _sweep(
+    matrix: ExactMatrix, carry: bool
+) -> tuple[Fraction, list[list[int]], list[int], list[int]]:
+    """Eliminate below the diagonal of [S M | S], S = diag(scales) the row
+    scales of ``matrix.scaled_rows()``, pivoting in each column on the first
+    nonzero entry at or below the diagonal, so that rows[k][k:size] ends as
+    row k of an upper-triangular U.
 
-    With ``scales``, the rows carry the right block diag(scales) as well.
-    Each row exchange also exchanges the two right-block columns, so the
-    block stays lower triangular: before step k the row at position r holds
-    right-block columns 0..k-1, appended to ``rows[r]``, and its own scale in
-    column r, kept as ``scales[r]``; its other entries are 0 and never
-    stored.  An update combines just the left tail, right columns 0..k and
-    the own scale, all the row's nonzero entries.
+    The right block stays lower triangular: each row exchange also
+    exchanges its two columns, so before step k the row at position r has
+    its own scale in column r, kept as ``scales[r]``, right-block columns
+    0..k-1 and zeros elsewhere.  An update multiplies the scale by p; with
+    ``carry`` it also combines right columns 0..k, appended to ``rows[r]``,
+    which back-substitution needs and the determinant does not.
 
-    Once step k has its pivot row, that row is divided by its content, the
-    gcd of all its nonzero entries, so U and the right block come out
-    primitive row by row.  This is the sweep's one reduction: rows below the
-    pivot keep the factors p that their updates bring, until their own step.
-    On moment matrices the content an update leaves averages 2-6 bits at
-    n = 24, and taking it after each update cost as much as the update.
+    Once step k has its pivot row, that row and its scale are divided by
+    their content, so U and the right block come out primitive row by row.
+    This is the sweep's one reduction: rows below the pivot keep the factors
+    p that their updates bring, until their own step.
 
-    On return, rows[k][size:] + [scales[k]] is row k of the right block over
-    columns 0..k, and order[c] is the original index of the row that ended
-    at position c, whose scale started in column order[c].
-
-    Returns (numerator, denominator, order), the determinant of the left
-    block as given being numerator / denominator = sign * prod(pivots) *
-    prod(contents) / prod(p), the contents those of the pivot rows: each
-    update multiplies the block's determinant by p, each reduction divides
-    it by the content, and each row exchange flips its sign.  Raises
-    SingularMatrix when a column has no pivot.
+    The sweep leaves U = L S M and the right block L S, both triangular, so
+    det M is sign * prod(U_kk) / prod(scales), the sign that of the row
+    exchanges.  Returns (det M, rows, scales, order): rows[k][size:] +
+    [scales[k]] is row k of the right block over columns 0..k when carried,
+    and order[c] is the original index of the row that ended at position c,
+    whose scale started in column order[c].  Raises SingularMatrix when a
+    column has no pivot.
     """
+    scaled = matrix.scaled_rows()
+    rows = [row for _, row in scaled]
+    scales = [scale for scale, _ in scaled]
     size = len(rows)
-    numerator, denominator = 1, 1
+    sign = 1
     order = list(range(size))
     for k in range(size):
         pivot_index = next((r for r in range(k, size) if rows[r][k]), None)
         if pivot_index is None:
             raise SingularMatrix(f"no pivot in column {k}")
         if pivot_index != k:
-            rows[k], rows[pivot_index] = rows[pivot_index], rows[k]
-            order[k], order[pivot_index] = order[pivot_index], order[k]
-            if scales is not None:
-                scales[k], scales[pivot_index] = scales[pivot_index], scales[k]
-            numerator = -numerator
+            for state in (rows, scales, order):
+                state[k], state[pivot_index] = state[pivot_index], state[k]
+            sign = -sign
         pivot_row = rows[k]
-        # the row's nonzero entries: its left tail from column k, right-block
-        # columns 0..k-1 and, with scales, its own scale in column k, last
-        entries = pivot_row[k:] if scales is None else [*pivot_row[k:], scales[k]]
-        content = gcd(*entries)
+        # entries left of column k are 0; from column k on, the left tail
+        # and any carried right-block columns 0..k-1
+        content = gcd(scales[k], *pivot_row[k:])
         if content > 1:
-            entries = [v // content for v in entries]
-            if scales is None:
-                pivot_row[k:] = entries
-            else:
-                pivot_row[k:] = entries[:-1]
-                scales[k] = entries[-1]
-            numerator *= content
-        pivot = entries[0]
-        numerator *= pivot
-        # entries left of column k are already 0 below the pivot, and with
-        # scales right-block column k is 0 in the rows below
-        pivot_tail = entries[1:]
-        if scales is not None:
+            pivot_row[k:] = [v // content for v in pivot_row[k:]]
+            scales[k] //= content
+        pivot = pivot_row[k]
+        pivot_tail = pivot_row[k + 1 :]
+        if carry:
+            # right-block column k: the pivot row's scale, 0 in the rows below
+            pivot_tail.append(scales[k])
             for row in rows[k + 1 :]:
                 row.append(0)
         for r in range(k + 1, size):
@@ -112,27 +105,22 @@ def _sweep(rows: list[list[int]], scales: list[int] | None = None) -> tuple[int,
             p, q = pivot // g, factor // g
             row[k] = 0
             row[k + 1 :] = [p * v - q * w for v, w in zip(row[k + 1 :], pivot_tail)]
-            if scales is not None:
-                scales[r] *= p
-            denominator *= p
-    return numerator, denominator, order
+            scales[r] *= p
+    det = Fraction(sign * prod(row[k] for k, row in enumerate(rows)), prod(scales))
+    return det, rows, scales, order
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:
-    """Exact determinant by forward elimination on integer rows.
-
-    Runs ``_sweep`` on the scaled integer rows, so det(matrix) is their
-    determinant over the product of the row scales.  Unlike the Bareiss
-    recurrence, whose leading minors carry the product of every row scale,
-    each pivot row is used primitive.  Row exchanges flip the sign; a column
-    without a pivot means determinant 0.
+    """Exact determinant by forward elimination on integer rows: ``_sweep``
+    without the right block, read as sign * prod(pivots) / prod(scales).
+    Unlike the Bareiss recurrence, whose leading minors carry the product of
+    every row scale, each pivot row is used primitive.  A column without a
+    pivot means determinant 0.
     """
-    scaled = matrix.scaled_rows()
     try:
-        numerator, denominator, _ = _sweep([row for _, row in scaled])
+        return _sweep(matrix, False)[0]
     except SingularMatrix:
         return Fraction(0)
-    return Fraction(numerator, denominator * prod(scale for scale, _ in scaled))
 
 
 def gauss_inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -161,7 +149,7 @@ def _inverse_and_det(matrix: ExactMatrix, symmetric: bool) -> tuple[ExactMatrix,
     U_ik X_k) / U_ii.  With each finished row X_k = N_k / d_k and D the lcm
     of those d_k, that is (D R_i - sum_k U_ik (D / d_k) N_k) / (D U_ii),
     reduced by one gcd, and its columns go back in place as the row is
-    stored.  The sweep's determinant is that of S M.
+    stored.  The determinant is the sweep's.
 
     When M is symmetric and the sweep exchanged no rows, X = M^-1 is
     symmetric with its columns in place.  Row i then back-substitutes only
@@ -173,10 +161,7 @@ def _inverse_and_det(matrix: ExactMatrix, symmetric: bool) -> tuple[ExactMatrix,
     caller's verdict on M, from one scan of its stored ints.
     """
     size = matrix.size
-    scaled = matrix.scaled_rows()
-    rows = [row for _, row in scaled]
-    scales = [scale for scale, _ in scaled]
-    numerator, denominator, order = _sweep(rows, scales)
+    det, rows, scales, order = _sweep(matrix, True)
     # the exchanges leave their mark in order, so identity order means none
     mirrored = symmetric and order == list(range(size))
     # N_k column by column, and d_k, of the finished rows, last row first;
@@ -208,4 +193,4 @@ def _inverse_and_det(matrix: ExactMatrix, symmetric: bool) -> tuple[ExactMatrix,
             inverse_row[c] = v
         stored.append((scale, tuple(inverse_row)))
     inverse = ExactMatrix._from_scaled(reversed(stored))
-    return inverse, Fraction(numerator, denominator * prod(scale for scale, _ in scaled))
+    return inverse, det

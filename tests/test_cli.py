@@ -345,6 +345,22 @@ class TestErrata:
         labels = [line.split(",")[0] for line in out.splitlines()]
         assert labels == ["as_printed", "exact", "exact_float", "verdict"]
 
+    @pytest.mark.parametrize("digits", [40, 60])
+    def test_exact_float_is_correct_to_digits(self, digits):
+        from mpmath import mp
+
+        code, out, _ = run_cli(
+            ["errata", "--family", "jacobi", "--alpha", "1/3", "--beta", "1/5", "--n", "3",
+             "--digits", str(digits), "--output", "json"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        exact = Fraction(doc["exact"])
+        # the same value printed at 60 extra digits of working precision
+        with mp.workdps(digits + 60):
+            expected = mp.nstr(mp.mpf(exact.numerator) / exact.denominator, digits)
+        assert doc["exact_float"] == expected
+
     def test_rejects_other_families(self):
         code, _, err = run_cli(["errata", "--family", "hermite", "--n", "1"])
         assert code == 2
@@ -407,10 +423,13 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
 
-    @pytest.mark.parametrize("text", ["２", " 2_0 ", "1_7", "٣"])
+    @pytest.mark.parametrize(
+        "text", ["２", " 2_0 ", "1_7", "٣", pytest.param("1" * 5000, id="5000-digits")]
+    )
     @pytest.mark.parametrize("option", ["--n", "--digits"])
     def test_non_ascii_or_loose_int_rejected(self, option, text):
-        # int() would read these as 2, 20, 17 and 3
+        # int() would read the first four as 2, 20, 17 and 3; the last has
+        # more digits than int() converts
         values = {"--n": "2", "--digits": "5", option: text}
         argv = ["det", "--family", "hermite", "--float", "--n", values["--n"], "--digits", values["--digits"]]
         code, out, err = run_cli(argv)

@@ -319,8 +319,9 @@ class TestOneSweepMatchesTwo:
 
     @given(matrices())
     @_with_examples
-    # rows with content 2 and 3 but scale 1: only the determinant-only sweep,
-    # which has no scale column, reduces them
+    # rows with content 2 and 3 but scale 1: a pivot row's content is taken
+    # together with its scale, so neither sweep reduces the first row, and the
+    # second reduces only by the p = 2 that its update brings to row and scale
     @example(ExactMatrix([[6, 4], [9, 3]]))
     def test_property(self, matrix):
         self._check(matrix)
@@ -328,6 +329,9 @@ class TestOneSweepMatchesTwo:
     @given(exchanging_matrices())
     @example(ExactMatrix([[0, 0, 1], [0, 2, 3], [4, 5, 6]]))
     @example(ExactMatrix([[0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 2, 0]]))
+    # an exchange, then pivot rows whose content, 2 and 3, their scale 1 does
+    # not share
+    @example(ExactMatrix([[0, 3], [6, 4]]))
     def test_row_exchanges(self, matrix):
         self._check(matrix)
 
