@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 MAX_DIGITS = 100_000
-# the largest n the CLI accepts, for every command: verify, the slowest,
-# grows about as n^4.5 and takes ~6 s for jacobi 1/8,1/9 at n = 100
+# the largest n the CLI accepts, for every command: verify and the oracle's
+# inverse, the slowest, grow faster than n^4 and take ~3 s for jacobi
+# 1/8,1/9 at n = 100 (README, the --n bullet)
 MAX_N = 100
 
 

@@ -8,14 +8,17 @@ them into the recurrence coefficients and squared norms h_m of the monic
 orthogonal polynomials, whose coefficients a_{m,i} follow from the
 three-term recurrence.  Both recurrences run on primitive integer rows, and
 Fractions appear again only in the norms and coefficients they return.  The
-exact inverse is then the Christoffel-Darboux kernel sum
+exact inverse is then the kernel
 
     B(j, k) = sum_m a_{m,j} a_{m,k} / h_m,
 
-summed on ints by the same core as the closed forms' factor tables.  The
-same integer rows certify that this inverse inverts the moment matrix,
-without the matrix product: the polynomials must be orthogonal under it
-with norms h_m (``_kernel_inverts``).
+which by Christoffel-Darboux needs only the top two polynomials: p_n p_n^T
+over h_n plus the Bezoutian of p_n and p_{n-1} over h_{n-1}
+(``_darboux_kernel``), about 1.5 n^2 integer products and no code shared
+with the closed forms' factor-table sum (``_kernel_sum``).  The same two
+rows certify that this inverse inverts the moment matrix, without the matrix
+product: each must be orthogonal under it to every lower power, with its
+norm (``_darboux_inverts``).
 
 This engine is the authoritative exact-inverse path; the closed forms in
 ``closed_form`` must agree with it.  Every route's matrices are
@@ -433,46 +436,80 @@ def _kernel_totals(
 
 
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:
-    """Exact inverse of the moment matrix via the kernel coefficient sum
-    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m, the factor table
-    ``_monic_factors`` of the rows q_k = lead_k p_k summed by ``_kernel_sum``."""
-    rows = [_scaled(p.coeffs)[1] for p in table.monic]
-    return _kernel_sum(*_monic_factors(rows, table.norms))
+    """Exact inverse of the moment matrix, the kernel coefficient sum
+    B(j, k) = sum_m a_{m,j} a_{m,k} / h_m in its Christoffel-Darboux form
+    (``_darboux_kernel``) from the table's top two polynomials, one gcd per
+    row."""
+    rows = [_scaled(p.coeffs)[1] for p in table.monic[-2:]]
+    denom, totals = _darboux_kernel(rows, table.norms[-2:])
+    return ExactMatrix._from_scaled(_reduced(denom, row) for row in totals)
 
 
-def _monic_factors(
+def _darboux_kernel(
     rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
-) -> tuple[list[tuple[int, list[int]]], tuple[int, list[int]]]:
-    """The factor table of B(i, j) = sum_k q_k(i) q_k(j) / (h_k lead_k^2) in
-    ``_kernel_sum``'s form: the integer columns q_k(i) over 1, and the
-    weights h_k.denominator / (h_k.numerator lead_k^2), each reduced by one
-    gcd, over the lcm D of their denominators, as ``_scaled`` would give
-    them."""
-    size = len(rows)
-    columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]
-    weights = [_primitive([h.denominator, h.numerator * q[-1] ** 2]) for q, h in zip(rows, norms)]
-    common = lcm(*(den for _, den in weights))
-    return columns, (common, [num * (common // den) for num, den in weights])
+) -> tuple[int, list[list[int]]]:
+    """The kernel inverse K = sum_k p_k p_k^T / h_k of orthogonal rows
+    q_k = lead_k p_k with norms h_k, in its Christoffel-Darboux form from
+    the last two rows alone (Szego, section 3.2), as one denominator D > 0
+    and symmetric integer rows T_i, row i being T_i / D.  With f = q_n,
+    g = q_{n-1} and L_k = lead_k,
+
+        K = f f^T / (h_n L_n^2) + Bez(f, g) / (h_{n-1} L_n L_{n-1}),
+
+    where the Bezoutian (f(x) g(y) - g(x) f(y)) / (x - y) has coefficients
+    B(i, j) = C(i+1, j) + B(i+1, j-1), C(a, b) = f_a g_b - g_a f_b, zero in
+    row and column n (Heinig and Rost, 1984).  The two weights, reduced by
+    one gcd each, go over their lcm D; g is scaled by its weight, so the
+    recurrence yields the weighted Bezoutian.  The lower triangle, about
+    1.5 n^2 products, is mirrored."""
+    f, h = rows[-1], norms[-1]
+    size = len(f)
+    top, top_den = _primitive([h.denominator, h.numerator * f[-1] ** 2])
+    if size > 1:
+        g, h_before = rows[-2], norms[-2]
+        bez, bez_den = _primitive([h_before.denominator, h_before.numerator * f[-1] * g[-1]])
+    else:
+        g, bez, bez_den = [], 0, 1
+    denom = lcm(top_den, bez_den)
+    top *= denom // top_den
+    bez *= denom // bez_den
+    g = [bez * v for v in g] + [0]
+    bezout = [0] * size  # row i + 1 of the weighted Bezoutian
+    lower = []
+    for i in reversed(range(size)):
+        if i < size - 1:
+            fa, ga = f[i + 1], g[i + 1]
+            bezout = [fa * gb - ga * fb + b for fb, gb, b in zip(f[: i + 1], g, [0, *bezout])]
+        weight = top * f[i]
+        lower.append([weight * fb + b for fb, b in zip(f[: i + 1], bezout)])
+    lower.reverse()
+    return denom, [row + [lower[j][i] for j in range(i + 1, size)] for i, row in enumerate(lower)]
 
 
-def _kernel_inverts(
+def _darboux_inverts(
     rows: Sequence[Sequence[int]], norms: Sequence[Fraction], matrix: ExactMatrix
 ) -> bool:
-    """Whether the kernel sum ``_kernel_sum(*_monic_factors(rows, norms))``
-    times ``matrix`` is exactly the identity, decided without the product
-    (Szego, section 3.2; Chihara 1978, ch. I).
+    """Whether ``_darboux_kernel(rows, norms)`` times ``matrix`` is exactly the
+    identity, decided from the last two rows without the product.
 
-    With P the lower-triangular matrix of the rows p_k = q_k / lead_k and
-    H = diag(h_k), the kernel sum is P^T H^-1 P.  For a Hankel matrix M,
-    entry(i, j) = mu_{i+j}, P M P^T is symmetric, so it equals H exactly when
-    P M is upper triangular with diagonal h_k, and then P^T H^-1 P M = I
-    since P is invertible.  That is, for every k,
+    The moments mu_0..mu_2n are read over one denominator from the first and
+    last stored rows of ``matrix``, and every stored row must be its window of
+    them.  With L(y^k) = mu_k, f = q_n and g = q_{n-1}, it then checks
 
-        sum_i q_k(i) mu_{i+j} = 0 for j < k,   = h_k lead_k for j = k,
+        (1) L(f y^j) = 0 for j < n, and = h_n L_n at j = n;
+        (2) L(g y^j) = 0 for j < n-1, and = h_{n-1} L_{n-1} at j = n-1,
 
-    about n^3 / 3 products of polynomial-sized ints.  The moments
-    mu_0..mu_2n are read over one denominator from the first and last stored
-    rows of ``matrix``, and every stored row must be its window of them."""
+    about 2 n^2 products.  These prove K M = I, that is
+    L_y[K(x, y) y^l] = x^l for l = 0..n, for any rows with nonzero leading
+    entries and any nonzero norms; no recurrence of the engine is trusted.
+    Write c = h_{n-1} L_n L_{n-1}, F(x) = L_y[(f(x) - f(y)) / (x - y)], G
+    likewise for g, and W = g F - f G.  Splitting y^l = x^l - (x^l - y^l) in
+    the Bezoutian term, and using f(x) g(y) - g(x) f(y) =
+    g(x) (f(x) - f(y)) - f(x) (g(x) - g(y)), (1) and (2) give
+    L_y[K(x, y) y^l] = x^l W(x) / c for l = 0..n.  The left side has degree
+    <= n in x, so at l = n, W is a constant, and K M = (W / c) I.  Entry
+    (n, n) of K M is L(f y^n) / (h_n L_n) = 1 by (1), since row n of K is
+    f / (h_n L_n), so W = c."""
     stored = matrix._stored
     (first_scale, first), (last_scale, last) = stored[0], stored[-1]
     denom = lcm(first_scale, last_scale)
@@ -481,8 +518,8 @@ def _kernel_inverts(
     width = len(stored)
     if next(_differing_rows(matrix, ((denom, seq[i : i + width]) for i in range(width))), None):
         return False
-    for k, (q, h) in enumerate(zip(rows, norms)):
-        sums = [sum(map(mul, q, seq[j : j + k + 1])) for j in range(k + 1)]
+    for q, h in zip(rows[-2:], norms[-2:]):
+        sums = [sum(map(mul, q, seq[j : j + len(q)])) for j in range(len(q))]
         if any(sums[:-1]) or sums[-1] * h.denominator != h.numerator * q[-1] * denom:
             return False
     return True

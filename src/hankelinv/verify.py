@@ -2,15 +2,18 @@
 elimination oracle, and report per-check results with witnesses.
 
 The identity check E M = I needs no product when the closed-form inverse E
-equals the kernel engine's K and the engine's rows certify K M = I: its monic
-polynomials are M-orthogonal with its norms (``gram._kernel_inverts``).
-Otherwise E @ M is formed and compared with the identity.
+equals the kernel engine's K and the engine's top two rows certify K M = I:
+its polynomials of degree n and n - 1 are orthogonal under M to every lower
+power, with its norms (``gram._darboux_inverts``).  Otherwise E @ M is
+formed and compared with the identity.  K is the Christoffel-Darboux form of
+those two rows (``gram._darboux_kernel``), not the factor-table sum that
+gives E, so a fault in that sum makes E differ from K, and the check falls
+back to the product.
 
-K is only compared, never returned, so it stays the integer totals T of the
-kernel sum over its one weight denominator D, row i being T_i / D.  The
-moment sequence is built once, for M and for the engine (its one input),
-and M's symmetry scan is the verdict the elimination oracle requires on
-whether to mirror its inverse.
+K is only compared, never returned, so it stays integer rows T over one
+denominator D, row i being T_i / D.  The moment sequence is built once, for
+M and for the engine (its one input), and M's symmetry scan is the verdict
+the elimination oracle requires on whether to mirror its inverse.
 
 Every check is one of ``gram``'s scans of stored integer rows that yields,
 in row-major order, only the cells that differ: entries of two matrices
@@ -37,11 +40,10 @@ from .gram import (
     _Cell,
     _differing,
     _differing_rows,
+    _darboux_inverts,
+    _darboux_kernel,
     _hankel,
-    _kernel_inverts,
-    _kernel_totals,
     _moment_sequence,
-    _monic_factors,
     _monic_rows,
     _odd_nonzero,
     _off_identity,
@@ -97,11 +99,12 @@ def _differs_from_kernel(
     expected: ExactMatrix, rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
 ) -> Iterator[_Cell]:
     """The entries where a matrix differs from the kernel inverse K of the
-    engine's rows and norms, in row-major order.  K is left as its integer
-    totals T over its one weight denominator D (``gram._kernel_totals``),
-    row i being T_i / D, and never normalized into an ``ExactMatrix``."""
-    columns, (common, weights) = _monic_factors(rows, norms)
-    return _differing_rows(expected, ((common, row) for row in _kernel_totals(columns, weights)))
+    engine's rows and norms, in row-major order.  K is left as the integer
+    rows T over one denominator D of its Christoffel-Darboux form
+    (``gram._darboux_kernel``), row i being T_i / D, and never normalized
+    into an ``ExactMatrix``."""
+    denom, totals = _darboux_kernel(rows, norms)
+    return _differing_rows(expected, ((denom, row) for row in totals))
 
 
 def _det_differs(expected: Fraction, actual: Fraction) -> Iterator[_Cell]:
@@ -114,9 +117,10 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     """Run the full battery for one (family, parameters, n):
 
       a. explicit_inverse x moment_matrix equals the identity exactly: it
-         holds when E equals the kernel inverse K and the engine's monic rows
-         are M-orthogonal with its norms, which gives K M = I; otherwise
-         E @ M is formed and compared with the identity, for its witness
+         holds when E equals the kernel inverse K and the engine's top two
+         rows are M-orthogonal to every lower power with its norms, which
+         gives K M = I; otherwise E @ M is formed and compared with the
+         identity, for its witness
       b. explicit, kernel, and elimination inverses agree entrywise
       c. explicit, norm-product, and elimination determinants agree (the last
          from the same forward sweep as the elimination inverse)
@@ -136,7 +140,7 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     equals_kernel = _check(
         "explicit_equals_kernel", _differs_from_kernel(explicit_inv, rows, norms)
     )
-    if equals_kernel.passed and _kernel_inverts(rows, norms, matrix):
+    if equals_kernel.passed and _darboux_inverts(rows, norms, matrix):
         inverts = CheckResult("inverse_identity", True)
     else:
         inverts = _check("inverse_identity", _off_identity(explicit_inv @ matrix))

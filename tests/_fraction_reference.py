@@ -3,7 +3,9 @@ references: the elimination oracle, the matrix product, the moment
 sequences (closed forms, with and without the Jacobi sign fold, and the
 two-step recurrence), rising factorials, classical
 Gram-Schmidt, the Chebyshev algorithm, the kernel sum and the kernel
-engine's inverse, the shifted-parameter
+engine's inverse, the Christoffel-Darboux kernel of the top two
+polynomials and its certificate with all three checks, the
+shifted-parameter
 anchor values of the closed forms, the jacobi anchor recurrence and the
 gegenbauer rising-factorial anchors, the five closed-form factor tables,
 the norm sequence, the closed-form determinant with one telescoping norm
@@ -15,21 +17,30 @@ which the reproducing-property tests pair with the moment matrix.
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
 algorithms, so the property tests can compare the integer and recurrence
-code against them entry for entry.  The one exception is
-``gauss_jordan_inverse_and_det``, the integer Gauss-Jordan sweep the oracle
-ran before forward elimination and back-substitution replaced it: the new
-code must store the same rows and give the same determinant and
-SingularMatrix message.
+code against them entry for entry.  The exceptions are integer code that
+the library ran before a faster form replaced it, which the new code must
+agree with: ``gauss_jordan_inverse_and_det``, the integer Gauss-Jordan
+sweep the oracle ran before forward elimination and back-substitution
+(same stored rows, determinant and SingularMatrix message), and the kernel
+engine's sum over every degree (``monic_factors``, ``sum_form_kernel``)
+with its certificate on every row (``kernel_inverts``), which the
+Christoffel-Darboux kernel and certificate of the top two rows replaced.
 """
-
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
 from hankelinv.elimination import SingularMatrix
-from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable, _kernel_sum, _scaled
+from hankelinv.gram import (
+    ExactMatrix,
+    NotPositiveDefinite,
+    OrthoTable,
+    _differing_rows,
+    _kernel_sum,
+)
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
 from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
 from hankelinv.verify import CheckResult, Witness
@@ -294,6 +305,121 @@ def kernel_inverse(table: OrthoTable) -> ExactMatrix:
     """B(j, k) = sum_m a_{m,j} a_{m,k} / h_m, the Fraction kernel sum of the
     table's monic coefficients with weights 1 / h_m."""
     return kernel_sum([p.coeffs for p in table.monic], [1 / h for h in table.norms])
+
+
+def monic_factors(
+    rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
+) -> tuple[list[tuple[int, list[int]]], tuple[int, list[int]]]:
+    """The factor table of B(i, j) = sum_k q_k(i) q_k(j) / (h_k lead_k^2) in
+    ``gram._kernel_sum``'s form: the integer columns q_k(i) over 1, and the
+    weights h_k.denominator / (h_k.numerator lead_k^2), each reduced by one
+    gcd, over the lcm D of their denominators.  The engine's integer sum
+    form, which the Christoffel-Darboux form replaced."""
+    size = len(rows)
+    columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]
+    weights = []
+    for q, h in zip(rows, norms):
+        content = gcd(h.denominator, h.numerator * q[-1] ** 2)
+        weights.append((h.denominator // content, h.numerator * q[-1] ** 2 // content))
+    common = lcm(*(den for _, den in weights))
+    return columns, (common, [num * (common // den) for num, den in weights])
+
+
+def sum_form_kernel(rows: Sequence[Sequence[int]], norms: Sequence[Fraction]) -> ExactMatrix:
+    """The kernel inverse of the engine's rows and norms summed over every
+    degree, sum_k q_k q_k^T / (h_k lead_k^2), by the integer kernel sum."""
+    return _kernel_sum(*monic_factors(rows, norms))
+
+
+def kernel_inverts(
+    rows: Sequence[Sequence[int]], norms: Sequence[Fraction], matrix: ExactMatrix
+) -> bool:
+    """The certificate that ``sum_form_kernel(rows, norms)`` inverts
+    ``matrix``, on every degree: each row of ``matrix`` is its window of
+    mu_0..mu_2n, and for every k, sum_i q_k(i) mu_{i+j} = 0 for j < k and
+    h_k lead_k for j = k (P M upper triangular with diagonal h_k), about
+    n^3 / 3 integer products.  The engine's certificate before the
+    Christoffel-Darboux one, which reads only the top two rows."""
+    stored = matrix._stored
+    (first_scale, first), (last_scale, last) = stored[0], stored[-1]
+    denom = lcm(first_scale, last_scale)
+    seq = [v * (denom // first_scale) for v in first[:-1]]
+    seq += [v * (denom // last_scale) for v in last]
+    width = len(stored)
+    if next(_differing_rows(matrix, ((denom, seq[i : i + width]) for i in range(width))), None):
+        return False
+    for k, (q, h) in enumerate(zip(rows, norms)):
+        sums = [sum(map(mul, q, seq[j : j + k + 1])) for j in range(k + 1)]
+        if any(sums[:-1]) or sums[-1] * h.denominator != h.numerator * q[-1] * denom:
+            return False
+    return True
+
+
+def _top_monic(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], list[Fraction]]:
+    """The top two polynomials p_n = q_n / lead_n and p_{n-1}, each as n + 1
+    Fraction coefficients; p_{n-1} is all zeros when n = 0."""
+    size = len(rows[-1])
+    f = [Fraction(v, rows[-1][-1]) for v in rows[-1]]
+    if size == 1:
+        return f, [Fraction(0)]
+    return f, [Fraction(v, rows[-2][-1]) for v in rows[-2]] + [Fraction(0)]
+
+
+def darboux_kernel(rows: Sequence[Sequence[int]], norms: Sequence[Fraction]) -> ExactMatrix:
+    """K = p_n p_n^T / h_n + Bez(p_n, p_{n-1}) / h_{n-1} on Fractions, every
+    entry on its own: the Bezoutian (f(x) g(y) - g(x) f(y)) / (x - y) of
+    f = p_n and g = p_{n-1} has coefficients
+    B(i, j) = sum_{t >= 0} C(i+1+t, j-t), C(a, b) = f_a g_b - g_a f_b, over
+    the t with i+1+t <= n and j-t >= 0."""
+    f, g = _top_monic(rows)
+    size = len(f)
+    h_before = norms[-2] if size > 1 else Fraction(1)
+
+    def bezout(i: int, j: int) -> Fraction:
+        terms = range(min(size - 2 - i, j) + 1)
+        return sum((f[i + 1 + t] * g[j - t] - g[i + 1 + t] * f[j - t] for t in terms), Fraction(0))
+
+    return ExactMatrix(
+        [f[i] * f[j] / norms[-1] + bezout(i, j) / h_before for j in range(size)]
+        for i in range(size)
+    )
+
+
+def darboux_certifies(
+    rows: Sequence[Sequence[int]], norms: Sequence[Fraction], matrix: ExactMatrix
+) -> bool:
+    """The Christoffel-Darboux certificate on Fractions with its third check
+    spelled out: every entry of ``matrix`` is mu_{i+j} of its first and last
+    rows; (1) L(f y^j) = 0 for j < n and h_n at j = n, f = p_n;
+    (2) L(g y^j) = 0 for j < n-1 and h_{n-1} at j = n-1, g = p_{n-1}; and
+    (3) W = g F - f G is the constant h_{n-1}, with the associated
+    polynomials F(x) = sum_d x^d sum_{i>d} f_i mu_{i-1-d} and G likewise."""
+    entries = matrix.rows
+    size = matrix.size
+    mu = [*entries[0], *entries[-1][1:]]
+    if any(entries[i][j] != mu[i + j] for i in range(size) for j in range(size)):
+        return False
+    f, g = _top_monic(rows)
+    g = g[:-1]
+    for p, h in zip([f, g][:size], norms[::-1]):
+        sums = [sum(c * mu[i + j] for i, c in enumerate(p)) for j in range(len(p))]
+        if any(sums[:-1]) or sums[-1] != h:
+            return False
+    if size == 1:
+        return True
+
+    def associated(p: list[Fraction]) -> list[Fraction]:
+        return [sum(p[i] * mu[i - 1 - d] for i in range(d + 1, len(p))) for d in range(len(p) - 1)]
+
+    def times(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * (2 * size - 3)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    wronskian = [x - y for x, y in zip(times(g, associated(f)), times(f, associated(g)))]
+    return wronskian == [norms[-2]] + [Fraction(0)] * (2 * size - 4)
 
 
 def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:
@@ -602,13 +728,11 @@ def odd_zeros(matrix: ExactMatrix) -> Iterator[_Cell]:
 def kernel_mismatches(
     explicit: ExactMatrix, rows: list[list[int]], norms: list[Fraction]
 ) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
-    """``explicit_equals_kernel``'s cells as verify found them before it
-    compared E with the kernel totals: the engine's kernel inverse built as
-    an ``ExactMatrix``, its weights 1 / (h lead^2) as Fractions, then every
-    entry of E cross-multiplied with it."""
-    size = len(rows)
-    columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]
-    kernel = _kernel_sum(columns, _scaled([1 / (h * q[-1] ** 2) for q, h in zip(rows, norms)]))
+    """``explicit_equals_kernel``'s cells as verify would find them with the
+    kernel inverse built as an ``ExactMatrix``: the Fraction
+    Christoffel-Darboux kernel of the engine's top two rows, then every entry
+    of E cross-multiplied with it."""
+    kernel = darboux_kernel(rows, norms)
     for i, ((s, want), (t, got)) in enumerate(zip(explicit._stored, kernel._stored)):
         for j, (e, a) in enumerate(zip(want, got)):
             if e * t != a * s:

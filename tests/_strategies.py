@@ -62,13 +62,13 @@ CORNERS = [
 ]
 
 
-def corner_examples(n: int):
-    """Decorator: run the test on every spec in CORNERS at size n, besides
-    the examples Hypothesis draws."""
+def corner_examples(n: int, **arguments):
+    """Decorator: run the test on every spec in CORNERS at size n, with any
+    further arguments as given, besides the examples Hypothesis draws."""
 
     def apply(test):
         for spec in CORNERS:
-            test = example(spec=spec, n=n)(test)
+            test = example(spec=spec, n=n, **arguments)(test)
         return test
 
     return apply

@@ -17,10 +17,13 @@ Fraction references in ``_fraction_reference``, entry for entry.
   and on what each producer builds.
 * The integer kernel sum ``gram._kernel_sum`` on lower-triangular factor
   tables of size 1..10, drawn the same way and taken from the closed forms.
-* ``kernel_inverse`` of a ``gram_schmidt`` table and the integer rows
-  ``verify`` sums (``_monic_rows`` into ``_monic_factors``) against the
-  Fraction kernel sum, over each family's parameters at n <= 10 and at
-  n = 24 for the five parameter points of ROADMAP's layer table.
+* ``kernel_inverse`` of a ``gram_schmidt`` table and the Christoffel-Darboux
+  kernel of the integer rows ``verify`` reads (``_monic_rows`` into
+  ``_darboux_kernel``) against the Fraction kernel sum, over each family's
+  parameters at n <= 10 and at n = 24 for the five parameter points of
+  ROADMAP's layer table; and that kernel against the integer sum over every
+  degree it replaced, at n <= 40, the corners and the table points
+  included.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
   recurrence anchors of the jacobi and gegenbauer inverses, over each
   family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
@@ -448,19 +451,37 @@ def _reduced_form(scaled: tuple[int, Sequence[int]]) -> bool:
     return denom > 0 and gcd(denom, *ints) == 1 and all(type(v) is int for v in ints)
 
 
+def _darboux_inverse(rows, norms) -> ExactMatrix:
+    """The Christoffel-Darboux kernel's integer rows over D, reduced."""
+    denom, totals = gram._darboux_kernel(rows, norms)
+    return ExactMatrix._from_scaled(gram._reduced(denom, row) for row in totals)
+
+
 class TestIntegerKernelInverseMatchesFraction:
     @given(spec=SPECS, n=_N)
     @corner_examples(10)
     @_large_examples(_TABLE_POINTS, sizes=(24,))
     def test_property(self, spec, n):
         # the public wrapper, from the table's Fractions, and the integer
-        # rows of the engine's core give the same inverse
+        # rows of the engine's core give the Fraction kernel sum over every
+        # degree
         table = gram_schmidt(spec, n)
         expected = reference.kernel_inverse(table)
         rows, norms = gram._monic_rows(gram._moment_sequence(spec, 2 * n + 1))
-        actual = gram._kernel_sum(*gram._monic_factors(rows, norms))
+        actual = _darboux_inverse(rows, norms)
         assert actual == expected and _stored_form(actual)
         assert kernel_inverse(table) == expected
+
+
+class TestDarbouxKernelMatchesSumForm:
+    @given(spec=SPECS, n=st.integers(0, 40))
+    @corner_examples(40)
+    @_large_examples(_TABLE_POINTS, sizes=(40,))
+    def test_property(self, spec, n):
+        # on the engine's rows and norms, the Christoffel-Darboux kernel of
+        # the top two rows is the integer sum over all n + 1 it replaced
+        rows, norms = gram._monic_rows(gram._moment_sequence(spec, 2 * n + 1))
+        assert _darboux_inverse(rows, norms) == reference.sum_form_kernel(rows, norms)
 
 
 class TestMomentRecurrenceMatchesClosedForm:

@@ -17,15 +17,13 @@ from hankelinv.gram import (
     ExactMatrix,
     _asymmetric,
     _differing,
+    _darboux_inverts,
+    _darboux_kernel,
     _differing_rows,
-    _kernel_inverts,
-    _kernel_sum,
     _moment_sequence,
-    _monic_factors,
     _monic_rows,
     _odd_nonzero,
     _off_identity,
-    _scaled,
     moment_matrix,
 )
 from hankelinv.orthopoly import FamilySpec
@@ -59,9 +57,11 @@ def _engine_rows(spec, n):
     return _monic_rows(_moment_sequence(spec, 2 * n + 1))
 
 
-def _kernel_inverse_of(rows, norms):
-    """The kernel inverse of the engine's rows and norms."""
-    return _kernel_sum(*_monic_factors(rows, norms))
+def _raised(rows, k, i):
+    """The rows with coefficient i of the degree-k row raised by 1."""
+    rows = [list(q) for q in rows]
+    rows[k][i] += 1
+    return rows
 
 
 class TestVerify:
@@ -238,17 +238,26 @@ class TestWitnessOfAFailedRoute:
 
 
 class TestWitnessOfAWrongKernel:
-    """Engine rows with coefficient 0 of degree 1 raised by 1 give a kernel
+    """Engine rows with coefficient 0 of degree n - 1, one of the two rows
+    that the Christoffel-Darboux kernel reads, raised by 1 give a kernel
     inverse K that differs from a correct closed form E.  The certificate is
-    not consulted, inverse_identity passes through the E @ M product, and only
-    explicit_equals_kernel fails, at the first entry where K differs from E."""
+    not consulted, inverse_identity passes through the E @ M product, and
+    only explicit_equals_kernel fails, at the first entry where K differs
+    from E.
+
+    At hermite n = 2, p_2 = t^2 - 1/2, p_1 = t, h_2 = h_1 = 1/2, E(0, 0) =
+    3/2 and E(0, 1) = 0.  K = p_2 p_2^T / h_2 + Bez(p_2, p_1) / h_1 with
+    Bez(0, 0) = f_1 g_0 - g_1 f_0 and Bez(0, 1) = f_2 g_0 - g_2 f_0, so
+    p_1 = t + 1 gives K(0, 0) = 1/2 + 1 = E(0, 0) and K(0, 1) = 0 + 2."""
+
+    below_top = 1
+    hermite_witness = Witness(0, 1, Fraction(0), Fraction(2))
 
     @pytest.fixture(autouse=True)
     def corrupt_engine_rows(self, monkeypatch):
         def corrupted(moments):
             rows, norms = _monic_rows(moments)
-            rows[1] = [rows[1][0] + 1, *rows[1][1:]]
-            return rows, norms
+            return _raised(rows, len(rows) - 1 - self.below_top, 0), norms
 
         monkeypatch.setattr(_VERIFY_MODULE, "_monic_rows", corrupted)
         self.products = 0
@@ -266,10 +275,8 @@ class TestWitnessOfAWrongKernel:
         return {c.name: c.witness for c in report.checks if not c.passed}
 
     def test_hermite(self):
-        # p_1 = t becomes t + 1, so K(0, 0) = 1 + 1 / h_1 + (1/2)^2 / h_2
-        # = 1 + 2 + 1/2 against E(0, 0) = 3/2
         assert self._failed(FamilySpec.hermite(), 2) == {
-            "explicit_equals_kernel": Witness(0, 0, Fraction(3, 2), Fraction(7, 2)),
+            "explicit_equals_kernel": self.hermite_witness,
         }
 
     @pytest.mark.parametrize(
@@ -284,20 +291,30 @@ class TestWitnessOfAWrongKernel:
     )
     def test_first_differing_entry(self, spec):
         rows, norms = _engine_rows(spec, 6)
-        rows[1] = [rows[1][0] + 1, *rows[1][1:]]
+        rows = _raised(rows, 6 - self.below_top, 0)
         expected = reference.first_mismatch(
             "explicit_equals_kernel",
-            reference.entrywise(explicit_inverse(spec, 6), _kernel_inverse_of(rows, norms)),
+            reference.entrywise(explicit_inverse(spec, 6), reference.darboux_kernel(rows, norms)),
         )
         assert self._failed(spec, 6) == {"explicit_equals_kernel": expected.witness}
 
 
+class TestWitnessOfAWrongTopRow(TestWitnessOfAWrongKernel):
+    """The same with coefficient 0 of the degree-n row raised by 1: at
+    hermite n = 2, p_2 = t^2 gives K(0, 0) = 0 + 0 against E(0, 0) = 3/2."""
+
+    below_top = 0
+    hermite_witness = Witness(0, 0, Fraction(3, 2), Fraction(0))
+
+
 class TestKernelTotalsMatchNormalizedKernel:
-    """``_differs_from_kernel`` compares E with the kernel totals T / D and
-    yields the cells, as values, that the reference scan of E against the
-    kernel inverse built as an ``ExactMatrix`` yields: on correct inputs, with
-    one entry of E raised by 1 (``TestWitnessOfAFailedRoute``'s fault, at any
-    position), and with one engine coefficient raised by 1."""
+    """``_differs_from_kernel`` compares E with the Christoffel-Darboux
+    kernel's integer rows T / D and yields the cells, as values, that the
+    reference scan of E against the Fraction Christoffel-Darboux kernel built
+    as an ``ExactMatrix`` yields: on correct inputs, with one entry of E
+    raised by 1 (``TestWitnessOfAFailedRoute``'s fault, at any position), and
+    with one coefficient of the degree-n or degree-(n-1) row raised by 1.
+    T / D is that kernel entry for entry."""
 
     @staticmethod
     def _values(cells):
@@ -316,8 +333,8 @@ class TestKernelTotalsMatchNormalizedKernel:
             entries[i][j] += 1
             explicit = ExactMatrix(entries)
         elif fault == "coefficient":
-            k, i = max(i, j), min(i, j)
-            rows[k] = [*rows[k][:i], rows[k][i] + 1, *rows[k][i + 1 :]]
+            k = max(n - j % 2, 0)
+            rows = _raised(rows, k, i % (k + 1))
         expected = list(reference.kernel_mismatches(explicit, rows, norms))
         actual = list(_differs_from_kernel(explicit, rows, norms))
         assert self._values(actual) == self._values(expected)
@@ -326,16 +343,18 @@ class TestKernelTotalsMatchNormalizedKernel:
         # may not: q_0 = (2) for (1) scales its term by 4 and its weight by 1/4
         if fault != "coefficient":
             assert bool(actual) == (fault == "entry")
-        weights = _scaled([1 / (h * q[-1] ** 2) for q, h in zip(rows, norms)])
-        assert _monic_factors(rows, norms)[1] == weights
+        denom, totals = _darboux_kernel(rows, norms)
+        kernel = reference.darboux_kernel(rows, norms)
+        assert denom > 0
+        assert [[Fraction(v, denom) for v in row] for row in totals] == kernel.to_lists()
 
 
 def _perturbed(rows, norms, matrix, kind, k, i, j):
-    """The certificate's inputs with one value raised by 1: coefficient i < k
-    of the degree-k row, the norm h_k, or the matrix entry (i, j)."""
-    rows, norms = [list(q) for q in rows], list(norms)
+    """The certificate's inputs with one value raised by 1: coefficient i of
+    the degree-k row, the norm h_k, or the matrix entry (i, j)."""
+    norms = list(norms)
     if kind == "coefficient":
-        rows[k][i % k] += 1
+        rows = _raised(rows, k, i)
     elif kind == "norm":
         norms[k] += 1
     else:
@@ -346,28 +365,64 @@ def _perturbed(rows, norms, matrix, kind, k, i, j):
 
 
 class TestKernelCertificate:
-    """``_kernel_inverts`` decides K M = I for the kernel inverse K of the
-    engine's rows and norms without forming the product."""
+    """``_darboux_inverts`` decides K M = I for the Christoffel-Darboux kernel
+    K of the engine's top two rows and norms without forming the product."""
 
     @given(spec=SPECS, n=st.integers(0, 12))
     @corner_examples(n=12)
     def test_verdict_is_the_identity_product(self, spec, n):
         matrix = moment_matrix(spec, n)
-        verdict = _kernel_inverts(*_engine_rows(spec, n), matrix)
+        verdict = _darboux_inverts(*_engine_rows(spec, n), matrix)
         assert verdict == (explicit_inverse(spec, n) @ matrix == ExactMatrix.identity(n + 1))
+
+    @pytest.mark.parametrize("kind", ["coefficient", "norm", "entry"])
+    @given(spec=SPECS, n=st.integers(0, 12), data=st.data())
+    def test_verdict_under_one_raised_value(self, kind, spec, n, data):
+        # any coefficient of any row, any norm, any entry of M: the verdict
+        # is whether the Christoffel-Darboux kernel of what was given
+        # inverts what was given, and the certificate with its third check
+        # spelled out agrees
+        k = data.draw(st.integers(0, n))
+        i = data.draw(st.integers(0, n if kind == "entry" else k))
+        j = data.draw(st.integers(0, n))
+        rows, norms, matrix = _perturbed(
+            *_engine_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
+        )
+        verdict = _darboux_inverts(rows, norms, matrix)
+        kernel = reference.darboux_kernel(rows, norms)
+        assert verdict == (kernel @ matrix == ExactMatrix.identity(n + 1))
+        assert verdict == reference.darboux_certifies(rows, norms, matrix)
 
     @pytest.mark.parametrize("kind", ["coefficient", "norm", "entry"])
     @given(spec=SPECS, n=st.integers(1, 12), data=st.data())
     def test_one_raised_value_is_rejected(self, kind, spec, n, data):
-        # a coefficient below the leading one: raising the leading one of
-        # degree 0 or 1 can rescale a row without changing its kernel term
-        k = data.draw(st.integers(1 if kind == "coefficient" else 0, n))
-        i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        # a value the certificate reads: a coefficient of q_n or q_{n-1}
+        # below the leading one (raising a leading one of degree 0 or 1 can
+        # rescale a row without changing K), h_n or h_{n-1}, or an entry of M
+        k = data.draw(st.integers(max(n - 1, 1) if kind == "coefficient" else n - 1, n))
+        i = data.draw(st.integers(0, n if kind == "entry" else max(k - 1, 0)))
+        j = data.draw(st.integers(0, n))
         rows, norms, matrix = _perturbed(
             *_engine_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
         )
-        assert not _kernel_inverts(rows, norms, matrix)
-        assert _kernel_inverse_of(rows, norms) @ matrix != ExactMatrix.identity(n + 1)
+        assert not _darboux_inverts(rows, norms, matrix)
+        kernel = reference.darboux_kernel(rows, norms)
+        assert kernel @ matrix != ExactMatrix.identity(n + 1)
+
+    @pytest.mark.parametrize("fault", ["none", "entry"])
+    @given(spec=SPECS, n=st.integers(0, 12), where=st.tuples(*[st.integers(0, 12)] * 2))
+    @corner_examples(n=12, where=(12, 11))
+    def test_agrees_with_the_certificate_on_every_row(self, fault, spec, n, where):
+        # on the engine's rows and norms, the top two rows decide as all
+        # n + 1 did, and both reject a moment matrix with one raised entry
+        rows, norms = _engine_rows(spec, n)
+        matrix = moment_matrix(spec, n)
+        if fault == "entry":
+            i, j = (v % (n + 1) for v in where)
+            rows, norms, matrix = _perturbed(rows, norms, matrix, "entry", 0, i, j)
+        verdict = _darboux_inverts(rows, norms, matrix)
+        assert verdict == reference.kernel_inverts(rows, norms, matrix)
+        assert verdict == (fault == "none")
 
 
 class TestCheckHelpers:
