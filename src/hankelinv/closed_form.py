@@ -10,8 +10,8 @@ columns: each column of f(k, i) is one integer vector over one positive
 denominator, and the weights one integer vector over another, from rising
 products of the parameters over their common denominator, the hermite
 anchors' running product, and, for jacobi, the printed three-term recurrence
-run on ints.  ``gram._kernel_sum`` sums them on ints, and the gegenbauer and
-jacobi determinants multiply integer norm ratios and leading coefficients.
+run on ints.  The local ``_kernel_sum`` sums them on ints, and the gegenbauer
+and jacobi determinants multiply integer norm ratios and leading coefficients.
 
 One published display is known to be suspect: the closed form for the jacobi
 determinant.  ``jacobi_det_as_printed`` keeps it verbatim (including its
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 from .elimination import bareiss_det
-from .gram import ExactMatrix, _kernel_sum, _over_products, _reduced, moment_matrix
+from .gram import ExactMatrix, _over_products, _reduced, moment_matrix
 from .orthopoly import Family, FamilySpec, _integer_params, _norm_ratios, _Record
 from .special import _rising, barnes_g_int, pochhammer
 
@@ -106,7 +107,7 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
     gegenbauer, and the printed three-term recurrence for jacobi.  The
     family's factor table f and weights w are built once on ints, as integer
     columns over one denominator each and integer weights over one common
-    denominator, then summed by ``gram._kernel_sum``."""
+    denominator, then summed on ints by ``_kernel_sum`` below."""
     if n < 0:
         raise ValueError("n must be >= 0")
     columns, weights = _FACTOR_TABLES[spec.family](spec, n)
@@ -267,6 +268,34 @@ _FACTOR_TABLES = {
     Family.JACOBI: _jacobi_table,
     Family.SHIFTED_JACOBI: _shifted_jacobi_table,
 }
+
+
+def _kernel_sum(
+    columns: Sequence[tuple[int, Sequence[int]]], weights: tuple[int, Sequence[int]]
+) -> ExactMatrix:
+    """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k) of a
+    lower-triangular factor table, f(k, i) = 0 for i > k, summed on ints.
+
+    Column i is (c_i, [G(k, i)] for k = i..n) with f(k, i) = G(k, i) / c_i,
+    c_i > 0, and the weights are (D, [V(k)]) with w(k) = V(k) / D, D > 0, so
+    that B(i, j) = T(i, j) / (c_i c_j D) with the integer totals
+    T(i, j) = sum_k G(k, i) V(k) G(k, j), one triangle summed and mirrored.
+    Row i is stored over c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one
+    gcd per row."""
+    common, scaled_weights = weights
+    size = len(columns)
+    totals = [[0] * size for _ in range(size)]
+    for i, (_, col_i) in enumerate(columns):
+        weighted = list(map(mul, col_i, scaled_weights[i:]))
+        for j in range(i, size):
+            totals[i][j] = totals[j][i] = sum(map(mul, weighted[j - i :], columns[j][1]))
+    scales = [c for c, _ in columns]
+    shared = lcm(*scales)
+    spread = [shared // c for c in scales]
+    return ExactMatrix._from_scaled(
+        _reduced(c_i * common * shared, list(map(mul, row, spread)))
+        for c_i, row in zip(scales, totals)
+    )
 
 
 class DiscrepancyNote(_Record):

@@ -56,7 +56,8 @@ def _sweep(
     which back-substitution needs and the determinant does not.
 
     Once step k has its pivot row, that row and its scale are divided by
-    their content, so U and the right block come out primitive row by row.
+    their content, signed to leave the scale positive (``gram._reduced``),
+    so U and the right block come out primitive row by row.
     This is the sweep's one reduction: rows below the pivot keep the factors
     p that their updates bring, until their own step.
 
@@ -85,10 +86,7 @@ def _sweep(
         pivot_row = rows[k]
         # entries left of column k are 0; from column k on, the left tail
         # and any carried right-block columns 0..k-1
-        content = gcd(scales[k], *pivot_row[k:])
-        if content > 1:
-            pivot_row[k:] = [v // content for v in pivot_row[k:]]
-            scales[k] //= content
+        scales[k], pivot_row[k:] = _reduced(scales[k], pivot_row[k:])
         pivot = pivot_row[k]
         pivot_tail = pivot_row[k + 1 :]
         if carry:

@@ -14,8 +14,7 @@ exact inverse is then the kernel
 
 which by Christoffel-Darboux needs only the top two polynomials: p_n p_n^T
 over h_n plus the Bezoutian of p_n and p_{n-1} over h_{n-1}
-(``_darboux_kernel``), about 1.5 n^2 integer products and no code shared
-with the closed forms' factor-table sum (``_kernel_sum``).  The same two
+(``_darboux_kernel``), about 1.5 n^2 integer products.  The same two
 rows certify that this inverse inverts the moment matrix, without the matrix
 product: each must be orthogonal under it to every lower power, with its
 norm (``_darboux_inverts``).
@@ -395,44 +394,6 @@ def _primitive(values: list[int]) -> list[int]:
     if content == 1:
         return values
     return [v // content for v in values]
-
-
-def _kernel_sum(
-    columns: Sequence[tuple[int, Sequence[int]]], weights: tuple[int, Sequence[int]]
-) -> ExactMatrix:
-    """Symmetric matrix B(i, j) = sum_k f(k, i) f(k, j) w(k) of a
-    lower-triangular factor table, f(k, i) = 0 for i > k, summed on ints.
-
-    Column i is (c_i, [G(k, i)] for k = i..n) with f(k, i) = G(k, i) / c_i,
-    c_i > 0, and the weights are (D, [V(k)]) with w(k) = V(k) / D, D > 0, so
-    that B(i, j) = T(i, j) / (c_i c_j D) with the integer totals T of
-    ``_kernel_totals``.  The closed forms' integer factor columns and the
-    kernel engine's integer rows go here directly.  Row i is stored over
-    c_i D lcm(c) with entries T(i, j) lcm(c) / c_j, one gcd per row."""
-    common, scaled_weights = weights
-    totals = _kernel_totals(columns, scaled_weights)
-    scales = [c for c, _ in columns]
-    shared = lcm(*scales)
-    spread = [shared // c for c in scales]
-    return ExactMatrix._from_scaled(
-        _reduced(c_i * common * shared, list(map(mul, row, spread)))
-        for c_i, row in zip(scales, totals)
-    )
-
-
-def _kernel_totals(
-    columns: Sequence[tuple[int, Sequence[int]]], weights: Sequence[int]
-) -> list[list[int]]:
-    """The integer totals T(i, j) = sum_k G(k, i) V(k) G(k, j) of
-    ``_kernel_sum``'s columns (c_i, [G(k, i)] for k = i..n) and integer
-    weights V(k), as symmetric rows; the scales c_i are not read."""
-    size = len(columns)
-    totals = [[0] * size for _ in range(size)]
-    for i, (_, col_i) in enumerate(columns):
-        weighted = list(map(mul, col_i, weights[i:]))
-        for j in range(i, size):
-            totals[i][j] = totals[j][i] = sum(map(mul, weighted[j - i :], columns[j][1]))
-    return totals
 
 
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:

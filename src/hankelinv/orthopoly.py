@@ -220,8 +220,8 @@ class PolyCoeffs(_Record):
 def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
     """Value at the family anchor of the degree-k polynomial whose parameters
     are raised by ``shift`` (alpha -> alpha+shift, beta -> beta+shift,
-    lambda -> lambda+shift).  These are the coefficients the closed-form
-    inverses are built from.
+    lambda -> lambda+shift).  No library path calls it; the tests check the
+    integer anchors of the closed forms' factor tables against it.
 
     Closed forms used:
       hermite        H_{2m}(0) = (-1)^m (2m)!/m!, odd degrees vanish

@@ -33,14 +33,9 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
+from hankelinv.closed_form import _kernel_sum
 from hankelinv.elimination import SingularMatrix
-from hankelinv.gram import (
-    ExactMatrix,
-    NotPositiveDefinite,
-    OrthoTable,
-    _differing_rows,
-    _kernel_sum,
-)
+from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable, _differing_rows
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
 from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
 from hankelinv.verify import CheckResult, Witness
@@ -311,9 +306,9 @@ def monic_factors(
     rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
 ) -> tuple[list[tuple[int, list[int]]], tuple[int, list[int]]]:
     """The factor table of B(i, j) = sum_k q_k(i) q_k(j) / (h_k lead_k^2) in
-    ``gram._kernel_sum``'s form: the integer columns q_k(i) over 1, and the
-    weights h_k.denominator / (h_k.numerator lead_k^2), each reduced by one
-    gcd, over the lcm D of their denominators.  The engine's integer sum
+    ``closed_form._kernel_sum``'s form: the integer columns q_k(i) over 1,
+    and the weights h_k.denominator / (h_k.numerator lead_k^2), each reduced
+    by one gcd, over the lcm D of their denominators.  The engine's integer sum
     form, which the Christoffel-Darboux form replaced."""
     size = len(rows)
     columns = [(1, [rows[k][i] for k in range(i, size)]) for i in range(size)]

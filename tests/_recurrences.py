@@ -33,16 +33,6 @@ def poly_shift_up(p: list[Fraction]) -> list[Fraction]:
     return [Fraction(0)] + list(p)
 
 
-def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def poly_eval(p: list[Fraction], x: Fraction | int) -> Fraction:
     x = Fraction(x)
     acc = Fraction(0)

@@ -18,10 +18,10 @@ from mpmath import mp
 
 from _fraction_reference import kernel_coeffs, moment
 from _recurrences import oracle_polys, taylor_shift
+from hankelinv.closed_form import _kernel_sum
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import (
     ExactMatrix,
-    _kernel_sum,
     det_from_norms,
     gram_schmidt,
     hankel_moment,

@@ -15,8 +15,9 @@ Fraction references in ``_fraction_reference``, entry for entry.
   five parameter points of ROADMAP's layer table.
 * ``ExactMatrix``'s stored form, reduced integer rows, on the same matrices
   and on what each producer builds.
-* The integer kernel sum ``gram._kernel_sum`` on lower-triangular factor
-  tables of size 1..10, drawn the same way and taken from the closed forms.
+* The integer kernel sum ``closed_form._kernel_sum`` on lower-triangular
+  factor tables of size 1..10, drawn the same way and taken from the closed
+  forms.
 * ``kernel_inverse`` of a ``gram_schmidt`` table and the Christoffel-Darboux
   kernel of the integer rows ``verify`` reads (``_monic_rows`` into
   ``_darboux_kernel``) against the Fraction kernel sum, over each family's
@@ -401,11 +402,11 @@ def factor_tables(draw) -> tuple[list[list[Fraction]], list[Fraction]]:
 
 
 def _integer_kernel_sum(factors, weights) -> ExactMatrix:
-    """``gram._kernel_sum`` of a Fraction factor table: each column and the
-    weights scaled by the lcm of their denominators."""
+    """``closed_form._kernel_sum`` of a Fraction factor table: each column
+    and the weights scaled by the lcm of their denominators."""
     size = len(factors)
     columns = [gram._scaled([factors[k][i] for k in range(i, size)]) for i in range(size)]
-    return gram._kernel_sum(columns, gram._scaled(weights))
+    return closed_form._kernel_sum(columns, gram._scaled(weights))
 
 
 class TestKernelSumMatchesFraction:
@@ -425,7 +426,8 @@ class TestKernelSumMatchesFraction:
         factors, weights = reference.FACTOR_TABLES[spec.family](spec, n)
         expected = reference.kernel_sum(factors, weights)
         assert _integer_kernel_sum(factors, weights) == expected
-        assert gram._kernel_sum(*closed_form._FACTOR_TABLES[spec.family](spec, n)) == expected
+        integer_table = closed_form._FACTOR_TABLES[spec.family](spec, n)
+        assert closed_form._kernel_sum(*integer_table) == expected
 
 
 def _large_examples(specs, sizes=(24, 40, 60)):
