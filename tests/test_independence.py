@@ -36,9 +36,9 @@ says which routes read the core and which check catches the fault.
   check falls back to E @ M, which is I.  E against the oracle reaches it
   only when the two matrices differ.
 * ``_reduced`` returning (2s, 2N), a row that is not reduced: nothing fails,
-  because every check compares values, by cross-multiplication or
-  scale-exact scans, and never the stored form; the stored form has its
-  own tests in ``test_integer_kernels``.
+  because every check compares values, cross-multiplied by the row scales
+  or against a row's own scale, and never the stored form; the stored form
+  has its own tests in ``test_integer_kernels``.
 
 Faults that make M indefinite (raising mu_3, or entry 2 of
 ``_over_products``) make the engine raise ``NotPositiveDefinite`` out of
