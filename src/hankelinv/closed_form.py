@@ -170,11 +170,6 @@ def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
     return columns, weights
 
 
-def _rising_rows(qc: int, q: int, n: int) -> list[list[int]]:
-    """Row k holds q^i (k + c)_i for i = 0..k, with qc = q c."""
-    return [_rising(qc, q, k, k) for k in range(n + 1)]
-
-
 def _jacobi_weight_tops(qc: int, q: int, n: int) -> list[int]:
     """q^k (2k + c) (c)_k / c for k = 0..n, with qc = q c and the removable
     c = 0 pole cancelled: 1, then (2qk + qc) (qc + q) ... (qc + q (k-1))."""
@@ -222,7 +217,7 @@ def _jacobi_table(spec: FamilySpec, n: int) -> _Table:
     # w(k) = k! (2k+c) (c)_k / c / ((a+1)_k (b+1)_k),  c = a + b + 1
     q, qa, qb, _ = _integer_params(spec)
     qc = qa + qb + q
-    upper = _rising_rows(qc, q, n)
+    upper = [_rising(qc, q, k, k) for k in range(n + 1)]  # row k: q^i (k + c)_i
     columns = []
     for i, (denom, anchor) in enumerate(_jacobi_anchors(spec, n)):
         sign = (-1) ** i
@@ -247,7 +242,7 @@ def _shifted_jacobi_table(spec: FamilySpec, n: int) -> _Table:
     # alpha + beta = -1 corner stays finite
     q, qa, qb, _ = _integer_params(spec)
     qc = qa + qb + q
-    upper = _rising_rows(qc, q, n)
+    upper = [_rising(qc, q, k, k) for k in range(n + 1)]  # row k: q^i (k + c)_i
     rising_a = _rising(qa, q, 1, n)
     columns = [
         _reduced(rising_a[i], [(-1) ** i * comb(k, i) * upper[k][i] for k in range(i, n + 1)])

@@ -144,7 +144,8 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _reduced(scale: int, ints: Sequence[int]) -> _ScaledRow:
-    """The row ints / scale, for a nonzero scale, in the stored form."""
+    """The row ints / scale, for a nonzero scale, in the stored form: the
+    package's one content rule, for the engine, closed forms and oracle."""
     content = gcd(scale, *ints) if scale > 0 else -gcd(scale, *ints)
     if content == 1:
         return scale, tuple(ints)
@@ -341,7 +342,7 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     )
 
 
-def _monic_rows(moments: tuple[int, Sequence[int]]) -> tuple[list[list[int]], list[Fraction]]:
+def _monic_rows(moments: _ScaledRow) -> tuple[list[tuple[int, ...]], list[Fraction]]:
     """``gram_schmidt`` before its Fractions, from the 2n+1 moments N_k / D
     given as (D, [N_k]) (``_moment_sequence``, left unchanged): the monic
     polynomial p_k as the primitive integer row q_k = lead_k p_k, whose last
@@ -352,8 +353,8 @@ def _monic_rows(moments: tuple[int, Sequence[int]]) -> tuple[list[list[int]], li
     size = len(sigma)
     n = size // 2
     denom_before, sigma_before = 1, [1] + [0] * (size + 1)
-    p, p_before = [1], []
-    monic: list[list[int]] = []
+    p, p_before = (1,), ()
+    monic: list[tuple[int, ...]] = []
     norms: list[Fraction] = []
     for k in range(n + 1):
         h = Fraction(sigma[0], denom)
@@ -366,13 +367,13 @@ def _monic_rows(moments: tuple[int, Sequence[int]]) -> tuple[list[list[int]], li
         if k == n:
             break
         head, head_before = sigma[0], sigma_before[0]
-        u, a_top, square = _primitive(
-            [head * head_before, sigma[1] * head_before - sigma_before[1] * head, head * head]
+        u, (a_top, square) = _reduced(
+            head * head_before, [sigma[1] * head_before - sigma_before[1] * head, head * head]
         )
         # p_{k+1} times D_k u lead(p_k) lead(p_{k-1}), u and A over the same content
         lead_before = p_before[-1] if p_before else 1
-        c_shift, c_a, c_b = _primitive(
-            [u * denom * lead_before, a_top * denom * lead_before, square * denom_before * p[-1]]
+        c_shift, (c_a, c_b) = _reduced(
+            u * denom * lead_before, [a_top * denom * lead_before, square * denom_before * p[-1]]
         )
         p_next = [
             c_shift * s - c_a * x - c_b * y
@@ -383,17 +384,9 @@ def _monic_rows(moments: tuple[int, Sequence[int]]) -> tuple[list[list[int]], li
             for x1, x2, y in zip(sigma[1:], sigma[2:], sigma_before[2:])
         ]
         sigma_before, denom_before = sigma, denom
-        denom, *sigma = _primitive([denom * u, *sigma_next])
-        p_before, p = p, _primitive(p_next)
+        denom, sigma = _reduced(denom * u, sigma_next)
+        p_before, p = p, _reduced(p_next[-1], p_next)[1]
     return monic, norms
-
-
-def _primitive(values: list[int]) -> list[int]:
-    """The integers divided by their content, the gcd of them all."""
-    content = gcd(*values)
-    if content == 1:
-        return values
-    return [v // content for v in values]
 
 
 def kernel_inverse(table: OrthoTable) -> ExactMatrix:
@@ -419,21 +412,14 @@ def _darboux_kernel(
 
     where the Bezoutian (f(x) g(y) - g(x) f(y)) / (x - y) has coefficients
     B(i, j) = C(i+1, j) + B(i+1, j-1), C(a, b) = f_a g_b - g_a f_b, zero in
-    row and column n (Heinig and Rost, 1984).  The two weights, reduced by
-    one gcd each, go over their lcm D; g is scaled by its weight, so the
+    row and column n (Heinig and Rost, 1984).  The two weights go over one
+    denominator D (``_scaled``); g is scaled by its weight, so the
     recurrence yields the weighted Bezoutian.  The lower triangle, about
     1.5 n^2 products, is mirrored."""
-    f, h = rows[-1], norms[-1]
+    f, g = rows[-1], rows[-2] if len(rows) > 1 else ()
     size = len(f)
-    top, top_den = _primitive([h.denominator, h.numerator * f[-1] ** 2])
-    if size > 1:
-        g, h_before = rows[-2], norms[-2]
-        bez, bez_den = _primitive([h_before.denominator, h_before.numerator * f[-1] * g[-1]])
-    else:
-        g, bez, bez_den = [], 0, 1
-    denom = lcm(top_den, bez_den)
-    top *= denom // top_den
-    bez *= denom // bez_den
+    bez_weight = 1 / (norms[-2] * f[-1] * g[-1]) if g else 0
+    denom, (top, bez) = _scaled([1 / (norms[-1] * f[-1] ** 2), bez_weight])
     g = [bez * v for v in g] + [0]
     bezout = [0] * size  # row i + 1 of the weighted Bezoutian
     lower = []

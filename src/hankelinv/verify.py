@@ -23,19 +23,20 @@ below the diagonal against their mirrors, entries at odd i + j against 0,
 or the two determinants as one cell at (-1, -1).  A check passes when its
 scan yields nothing; otherwise the first cell is the witness, the only entry
 whose Fractions are built.  Mismatches are reported, never raised, so a
-failing closed form still yields a complete report.
+failing closed form still yields a complete report.  The one exception: the
+engine raises ``NotPositiveDefinite`` out of ``verify`` on a moment sequence
+that is not positive definite, which no valid ``FamilySpec`` gives.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from math import prod
 
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import _inverse_and_det
 from .gram import (
-    ExactMatrix,
     _asymmetric,
     _Cell,
     _differing,
@@ -95,18 +96,6 @@ def _check(name: str, mismatches: Iterator[_Cell]) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _differs_from_kernel(
-    expected: ExactMatrix, rows: Sequence[Sequence[int]], norms: Sequence[Fraction]
-) -> Iterator[_Cell]:
-    """The entries where a matrix differs from the kernel inverse K of the
-    engine's rows and norms, in row-major order.  K is left as the integer
-    rows T over one denominator D of its Christoffel-Darboux form
-    (``gram._darboux_kernel``), row i being T_i / D, and never normalized
-    into an ``ExactMatrix``."""
-    denom, totals = _darboux_kernel(rows, norms)
-    return _differing_rows(expected, ((denom, row) for row in totals))
-
-
 def _det_differs(expected: Fraction, actual: Fraction) -> Iterator[_Cell]:
     """The scalar comparison as one cell at (-1, -1), when the two differ."""
     if expected != actual:
@@ -114,7 +103,9 @@ def _det_differs(expected: Fraction, actual: Fraction) -> Iterator[_Cell]:
 
 
 def verify(spec: FamilySpec, n: int) -> VerifyReport:
-    """Run the full battery for one (family, parameters, n):
+    """Run the full battery for one (family, parameters, n), reporting each
+    mismatch; a moment sequence that is not positive definite, which no valid
+    spec gives, raises ``NotPositiveDefinite``:
 
       a. explicit_inverse x moment_matrix equals the identity exactly: it
          holds when E equals the kernel inverse K and the engine's top two
@@ -137,9 +128,9 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     det_explicit = explicit_det(spec, n)
     det_norms = prod(norms, start=Fraction(1))
 
-    equals_kernel = _check(
-        "explicit_equals_kernel", _differs_from_kernel(explicit_inv, rows, norms)
-    )
+    denom, totals = _darboux_kernel(rows, norms)
+    kernel = ((denom, row) for row in totals)
+    equals_kernel = _check("explicit_equals_kernel", _differing_rows(explicit_inv, kernel))
     if equals_kernel.passed and _darboux_inverts(rows, norms, matrix):
         inverts = CheckResult("inverse_identity", True)
     else:

@@ -36,13 +36,22 @@ says which routes read the core and which check catches the fault.
   check falls back to E @ M, which is I.  E against the oracle reaches it
   only when the two matrices differ.
 * ``_reduced`` returning (2s, 2N), a row that is not reduced: nothing fails,
+  though the engine's rows and recurrence coefficients pass through it too,
   because every check compares values, cross-multiplied by the row scales
   or against a row's own scale, and never the stored form; the stored form
   has its own tests in ``test_integer_kernels``.
+* ``_reduced`` raising the last value of every row of two or more ints by 1:
+  M, E and the oracle's pivot rows are all wrong, so jacobi fails every
+  check it has.  The engine's mixed-moment rows are wrong too, and at the
+  other four points it sees a norm <= 0 at degree 2 and raises
+  ``NotPositiveDefinite`` out of ``verify``: the cost of one content rule
+  for every route.  Every point still catches the fault.
 
 Faults that make M indefinite (raising mu_3, or entry 2 of
 ``_over_products``) make the engine raise ``NotPositiveDefinite`` out of
-``verify`` instead of failing a check; the rows above use last-entry faults.
+``verify`` instead of failing a check, as ``verify``'s docstring says and
+``test_indefinite_moments_raise_out_of_verify`` asserts; the other rows use
+last-entry faults.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from fractions import Fraction
 import pytest
 
 import _fraction_reference as reference
-from hankelinv.gram import ExactMatrix, moment_matrix
+from hankelinv.gram import ExactMatrix, NotPositiveDefinite, moment_matrix
 from hankelinv.orthopoly import FamilySpec
 from hankelinv.verify import verify
 
@@ -78,6 +87,8 @@ _INVERSE_AND_DETS = {
     "det_explicit_equals_bareiss",
 }
 _DETS = {"det_explicit_equals_norm_product", "det_explicit_equals_bareiss"}
+# every check but the two checkerboard checks of hermite and gegenbauer
+_NON_PARITY = _INVERSE_AND_DETS | {"matrix_symmetric", "inverse_symmetric"}
 
 
 def _without_degree_n(kernel_sum):
@@ -163,8 +174,32 @@ def _unreduced(reduced):
     return faulty
 
 
+def _last_value_raised(reduced):
+    """``_reduced`` whose rows of two or more ints come out with the last
+    value raised by 1, its int by the row's scale."""
+
+    def faulty(scale, ints):
+        scale, ints = reduced(scale, ints)
+        if len(ints) >= 2:
+            ints = (*ints[:-1], ints[-1] + scale)
+        return scale, ints
+
+    return faulty
+
+
+def _third_moment_raised(moment_sequence):
+    """``_moment_sequence`` with mu_3 = N_3 / D raised by 1."""
+
+    def faulty(spec, count):
+        denom, seq = moment_sequence(spec, count)
+        return denom, [*seq[:3], seq[3] + denom, *seq[4:]]
+
+    return faulty
+
+
 # (defining module, core, fault, every module that binds the core, the
-# checks that fail at hermite, laguerre, gegenbauer, jacobi, jacobi-shifted)
+# checks that fail at hermite, laguerre, gegenbauer, jacobi, jacobi-shifted,
+# or NotPositiveDefinite where verify raises it)
 # the first row's id names its fault: the integer totals T(i, j) summed
 # without degree n
 _FAULTS = {
@@ -231,13 +266,19 @@ _FAULTS = {
         ["hankelinv.gram", "hankelinv.closed_form", "hankelinv.elimination"],
         [set()] * 5,
     ),
+    "reduced-last-value-raised": (
+        "hankelinv.gram",
+        "_reduced",
+        _last_value_raised,
+        ["hankelinv.gram", "hankelinv.closed_form", "hankelinv.elimination"],
+        [NotPositiveDefinite] * 3 + [_NON_PARITY, NotPositiveDefinite],
+    ),
 }
 
 
-def _patch(monkeypatch, fault):
-    """Patch the fault's core at every binding; the bindings must be the
-    listed ones, so that a new binding is not left unpatched."""
-    home, core, make_fault, bound_in, _ = _FAULTS[fault]
+def _patch(monkeypatch, home, core, make_fault, bound_in):
+    """Patch the core at every binding with its fault; the bindings must be
+    the listed ones, so that a new binding is not left unpatched."""
     original = getattr(importlib.import_module(home), core)
     bindings = [module for module in _MODULES if getattr(module, core, None) is original]
     assert [module.__name__ for module in bindings] == bound_in
@@ -249,10 +290,25 @@ def _patch(monkeypatch, fault):
 @pytest.mark.parametrize("spec", _TABLE_POINTS, ids=lambda spec: spec.family.value)
 @pytest.mark.parametrize("fault", list(_FAULTS))
 def test_failed_checks(monkeypatch, fault, spec):
-    _patch(monkeypatch, fault)
+    *patch, outcomes = _FAULTS[fault]
+    _patch(monkeypatch, *patch)
+    failing = outcomes[_TABLE_POINTS.index(spec)]
+    if failing is NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite):
+            verify(spec, 8)
+        return
     report = verify(spec, 8)
-    failing = _FAULTS[fault][4][_TABLE_POINTS.index(spec)]
     assert {check.name for check in report.checks if not check.passed} == failing
+
+
+@pytest.mark.parametrize("spec", _TABLE_POINTS, ids=lambda spec: spec.family.value)
+def test_indefinite_moments_raise_out_of_verify(monkeypatch, spec):
+    # the one exception to "mismatches are reported, never raised": no valid
+    # spec gives such moments, so verify has no handling for them
+    bound_in = ["hankelinv.gram", "hankelinv.verify"]
+    _patch(monkeypatch, "hankelinv.gram", "_moment_sequence", _third_moment_raised, bound_in)
+    with pytest.raises(NotPositiveDefinite):
+        verify(spec, 8)
 
 
 # hermite has no parameter to misread
@@ -261,7 +317,7 @@ def test_parameter_reading_fault_is_caught_only_by_the_fraction_references(monke
     # verify is blind to it (apart from laguerre's determinant, see the
     # table), but the moment matrix differs from the Fraction reference's,
     # which reads the parameters from the spec itself
-    _patch(monkeypatch, "integer_params-alpha-and-lambda")
+    _patch(monkeypatch, *_FAULTS["integer_params-alpha-and-lambda"][:4])
     reference_matrix = ExactMatrix(
         [[reference.hankel_moment(spec, i + j) for j in range(9)] for i in range(9)]
     )

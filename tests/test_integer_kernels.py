@@ -14,7 +14,8 @@ Fraction references in ``_fraction_reference``, entry for entry.
   exchange rows, on the moment matrices at n <= 10 and at n = 40 for the
   five parameter points of ROADMAP's layer table.
 * ``ExactMatrix``'s stored form, reduced integer rows, on the same matrices
-  and on what each producer builds.
+  and on what each producer builds; and the kernel engine's rows, which
+  ``_reduced`` leaves primitive with a positive last entry, at n <= 40.
 * The integer kernel sum ``closed_form._kernel_sum`` on lower-triangular
   factor tables of size 1..10, drawn the same way and taken from the closed
   forms.
@@ -214,6 +215,18 @@ class TestScaledRows:
         assert _stored_form(moment_matrix(spec, n))
         assert _stored_form(closed_form.explicit_inverse(spec, n))
         assert _stored_form(ExactMatrix.identity(n + 1))
+
+    @given(spec=SPECS, n=st.integers(0, 40))
+    @corner_examples(40)
+    def test_engine_rows_are_primitive_with_a_positive_last_entry(self, spec, n):
+        # _darboux_kernel and _darboux_inverts read L_k as row k's last entry
+        rows, norms = gram._monic_rows(gram._moment_sequence(spec, 2 * n + 1))
+        assert len(rows) == len(norms) == n + 1
+        for k, q in enumerate(rows):
+            assert type(q) is tuple and len(q) == k + 1
+            assert all(type(v) is int for v in q)
+            assert gcd(*q) == 1 and q[-1] > 0
+        assert all(h > 0 for h in norms)
 
 
 

@@ -33,7 +33,6 @@ from hankelinv.verify import (
     Witness,
     _check,
     _det_differs,
-    _differs_from_kernel,
     verify,
 )
 
@@ -308,13 +307,13 @@ class TestWitnessOfAWrongTopRow(TestWitnessOfAWrongKernel):
 
 
 class TestKernelTotalsMatchNormalizedKernel:
-    """``_differs_from_kernel`` compares E with the Christoffel-Darboux
-    kernel's integer rows T / D and yields the cells, as values, that the
-    reference scan of E against the Fraction Christoffel-Darboux kernel built
-    as an ``ExactMatrix`` yields: on correct inputs, with one entry of E
-    raised by 1 (``TestWitnessOfAFailedRoute``'s fault, at any position), and
-    with one coefficient of the degree-n or degree-(n-1) row raised by 1.
-    T / D is that kernel entry for entry."""
+    """``verify`` compares E with the Christoffel-Darboux kernel's integer
+    rows T / D (``_darboux_kernel`` into ``_differing_rows``) and yields the
+    cells, as values, that the reference scan of E against the Fraction
+    Christoffel-Darboux kernel built as an ``ExactMatrix`` yields: on correct
+    inputs, with one entry of E raised by 1 (``TestWitnessOfAFailedRoute``'s
+    fault, at any position), and with one coefficient of the degree-n or
+    degree-(n-1) row raised by 1.  T / D is that kernel entry for entry."""
 
     @staticmethod
     def _values(cells):
@@ -336,14 +335,14 @@ class TestKernelTotalsMatchNormalizedKernel:
             k = max(n - j % 2, 0)
             rows = _raised(rows, k, i % (k + 1))
         expected = list(reference.kernel_mismatches(explicit, rows, norms))
-        actual = list(_differs_from_kernel(explicit, rows, norms))
+        denom, totals = _darboux_kernel(rows, norms)
+        actual = list(_differing_rows(explicit, ((denom, row) for row in totals)))
         assert self._values(actual) == self._values(expected)
         assert repr(_check("k", iter(actual))) == repr(_check("k", iter(expected)))
         # a raised entry of E always differs from K; a raised coefficient
         # may not: q_0 = (2) for (1) scales its term by 4 and its weight by 1/4
         if fault != "coefficient":
             assert bool(actual) == (fault == "entry")
-        denom, totals = _darboux_kernel(rows, norms)
         kernel = reference.darboux_kernel(rows, norms)
         assert denom > 0
         assert [[Fraction(v, denom) for v in row] for row in totals] == kernel.to_lists()
