@@ -9,9 +9,10 @@ evaluation.  The inverses are built from factor tables held as integer
 columns: each column of f(k, i) is one integer vector over one positive
 denominator, and the weights one integer vector over another, from rising
 products of the parameters over their common denominator, the hermite
-anchors' running product, and, for jacobi, the printed three-term recurrence
-run on ints.  The local ``_kernel_sum`` sums them on ints, and the gegenbauer
-and jacobi determinants multiply integer norm ratios and leading coefficients.
+anchors' running product, and, for jacobi, the recurrence of the ratios
+P_d(0) / P_d(1) run on ints (1 for jacobi-shifted).  The local ``_kernel_sum``
+sums them on ints, and the gegenbauer and jacobi determinants multiply integer
+norm ratios and leading coefficients.
 
 One published display is known to be suspect: the closed form for the jacobi
 determinant.  ``jacobi_det_as_printed`` keeps it verbatim (including its
@@ -104,10 +105,11 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
     B(i, j) = sum_k f(k, i) f(k, j) w(k), built on anchor values of the
     family polynomials with shifted parameters: the running product
     H_{2m+2}(0) = -2 (2m+1) H_{2m}(0) for hermite, rising factorials for
-    gegenbauer, and the printed three-term recurrence for jacobi.  The
-    family's factor table f and weights w are built once on ints, as integer
-    columns over one denominator each and integer weights over one common
-    denominator, then summed on ints by ``_kernel_sum`` below."""
+    gegenbauer, and the recurrence of the ratios P_d(0) / P_d(1) for jacobi
+    (1 for jacobi-shifted).  The family's factor table f and weights w are
+    built once on ints, as integer columns over one denominator each and
+    integer weights over one common denominator, then summed on ints by
+    ``_kernel_sum`` below."""
     if n < 0:
         raise ValueError("n must be >= 0")
     columns, weights = _FACTOR_TABLES[spec.family](spec, n)
@@ -170,24 +172,18 @@ def _gegenbauer_table(spec: FamilySpec, n: int) -> _Table:
     return columns, weights
 
 
-def _jacobi_weight_tops(qc: int, q: int, n: int) -> list[int]:
-    """q^k (2k + c) (c)_k / c for k = 0..n, with qc = q c and the removable
-    c = 0 pole cancelled: 1, then (2qk + qc) (qc + q) ... (qc + q (k-1))."""
-    tail = _rising(qc, q, 1, n - 1)
-    return [1] + [(2 * q * k + qc) * tail[k - 1] for k in range(1, n + 1)]
+def _jacobi_ratios(spec: FamilySpec, n: int) -> list[tuple[int, Sequence[int]]]:
+    """Row i holds R_d = P_d^(a+i, b+i)(0) / P_d^(a+i, b+i)(1) for d = 0..n-i
+    as (Q_i, [N_d]), the value N_d / Q_i, from R_0 = 1, R_1 = (a-b)/(2(a+1))
+    and the three-term recurrence (DLMF 18.9.1) at x = 0 divided through by
+    P_d(1) = (a+1)_d / d!:
 
+        2 (d+s+1) (2d+s) (d+a+1) R_{d+1}
+            = (a^2 - b^2) (2d+s+1) R_d - 2 d (d+b) (2d+s+2) R_{d-1}
 
-def _jacobi_anchors(spec: FamilySpec, n: int) -> list[tuple[int, Sequence[int]]]:
-    """Row i holds P_d^(a+i, b+i)(0) for d = 0..n-i as (Q_i, [N_d]), the
-    value N_d / Q_i, from P_0 = 1, P_1(0) = (a-b)/2 and the three-term
-    recurrence (DLMF 18.9.1) at x = 0:
-
-        2 (d+1) (d+s+1) (2d+s) P_{d+1}(0)
-            = (a^2 - b^2) (2d+s+1) P_d(0) - 2 (d+a) (d+b) (2d+s+2) P_{d-1}(0)
-
-    with a, b the shifted parameters (alpha and beta of either jacobi
-    variant, raised by i) and s = a + b.  For d >= 1 the divisor is nonzero
-    on the whole domain, the alpha + beta = -1 corner included.
+    with a, b the shifted parameters (alpha and beta raised by i) and
+    s = a + b.  For d >= 1 every divisor is > 0 on the whole domain, the
+    alpha + beta = -1 corner included.
 
     Runs on ints: with the parameters over their common denominator q, each
     coefficient times q^3 is an integer, the values run as numerators over
@@ -199,13 +195,13 @@ def _jacobi_anchors(spec: FamilySpec, n: int) -> list[tuple[int, Sequence[int]]]
         a_i, b_i = qa + i * q, qb + i * q
         s = a_i + b_i
         squares = a_i * a_i - b_i * b_i
-        # P_d = nums[d] / (divisors[0] ... divisors[d])
-        nums, divisors = [1, a_i - b_i], [1, 2 * q]
+        # R_d = nums[d] / (divisors[0] ... divisors[d])
+        nums, divisors = [1, a_i - b_i], [1, 2 * (a_i + q)]
         for d in range(1, n - i):
             dq = d * q
-            after = 2 * (d + 1) * (dq + s + q) * (2 * dq + s) * q
+            after = 2 * (dq + s + q) * (2 * dq + s) * (dq + a_i + q)
             now = squares * (2 * dq + s + q)
-            before = 2 * (dq + a_i) * (dq + b_i) * (2 * dq + s + 2 * q)
+            before = 2 * dq * (dq + b_i) * (2 * dq + s + 2 * q)
             nums.append(now * nums[d] - before * nums[d - 1] * divisors[d])
             divisors.append(after)
         rows.append(_over_products(nums[: n - i + 1], divisors[: n - i + 1]))
@@ -213,42 +209,34 @@ def _jacobi_anchors(spec: FamilySpec, n: int) -> list[tuple[int, Sequence[int]]]
 
 
 def _jacobi_table(spec: FamilySpec, n: int) -> _Table:
-    # f(k, i) = (-1)^i / (2^i i!) * (k+c)_i P_{k-i}^(a+i, b+i)(0),
-    # w(k) = k! (2k+c) (c)_k / c / ((a+1)_k (b+1)_k),  c = a + b + 1
+    # both variants, from the polynomials P^(a+i, b+i) at the basis origin
+    # x0 in a basis of scale s: x0 = 0, s = 2 for jacobi, x0 = 1, s = 1 for
+    # jacobi-shifted; with c = a + b + 1 and R_i(d) = P_d^(a+i, b+i)(x0) /
+    # P_d^(a+i, b+i)(1), which is 1 at x0 = 1,
+    # f(k, i) = (-1)^i C(k, i) (k+c)_i R_i(k-i) / ((a+1)_i s^i),
+    # w(k) = (2k+c) (c)_k (a+1)_k / (c k! (b+1)_k).  For jacobi this is the
+    # printed display with row k of f times k! / (a+1)_k and w(k) over that
+    # factor squared; for jacobi-shifted the printed (c)_i (c+i)_k / (c)_k is
+    # collapsed to (k+c)_i, so the valid alpha + beta = -1 corner stays finite
     q, qa, qb, _ = _integer_params(spec)
     qc = qa + qb + q
-    upper = [_rising(qc, q, k, k) for k in range(n + 1)]  # row k: q^i (k + c)_i
-    columns = []
-    for i, (denom, anchor) in enumerate(_jacobi_anchors(spec, n)):
-        sign = (-1) ** i
-        columns.append(
-            _reduced(
-                2**i * factorial(i) * q**i * denom,
-                [sign * upper[k][i] * anchor[k - i] for k in range(i, n + 1)],
-            )
-        )
-    tops = _jacobi_weight_tops(qc, q, n)
-    weights = _over_products(
-        [f * top for f, top in zip(_rising(0, q, 1, n), tops)],  # q^k k! times top
-        [1, *((qa + q * t) * (qb + q * t) for t in range(1, n + 1))],
-    )
-    return columns, weights
-
-
-def _shifted_jacobi_table(spec: FamilySpec, n: int) -> _Table:
-    # f(k, i) = (-1)^i C(k, i) (k+c)_i / (a+1)_i,
-    # w(k) = (2k+c) (c)_k / c * (a+1)_k / (k! (b+1)_k); the printed
-    # (c)_i (c+i)_k / (c)_k is collapsed to (k+c)_i so the valid
-    # alpha + beta = -1 corner stays finite
-    q, qa, qb, _ = _integer_params(spec)
-    qc = qa + qb + q
+    if spec.family is Family.JACOBI:
+        scale, ratios = 2, _jacobi_ratios(spec, n)
+    else:
+        scale, ratios = 1, [(1, [1] * (n - i + 1)) for i in range(n + 1)]
     upper = [_rising(qc, q, k, k) for k in range(n + 1)]  # row k: q^i (k + c)_i
     rising_a = _rising(qa, q, 1, n)
     columns = [
-        _reduced(rising_a[i], [(-1) ** i * comb(k, i) * upper[k][i] for k in range(i, n + 1)])
-        for i in range(n + 1)
+        _reduced(
+            rising_a[i] * scale**i * denom,
+            [(-1) ** i * comb(k, i) * upper[k][i] * ratio[k - i] for k in range(i, n + 1)],
+        )
+        for i, (denom, ratio) in enumerate(ratios)
     ]
-    tops = _jacobi_weight_tops(qc, q, n)
+    # q^k (2k + c) (c)_k / c with the removable c = 0 pole cancelled: 1, then
+    # (2qk + qc) (qc + q) ... (qc + q (k-1)), times q^k (a+1)_k
+    tail = _rising(qc, q, 1, n - 1)
+    tops = [1] + [(2 * q * k + qc) * tail[k - 1] for k in range(1, n + 1)]
     weights = _over_products(
         [top * ra for top, ra in zip(tops, rising_a)],
         [1, *(q * t * (qb + q * t) for t in range(1, n + 1))],
@@ -261,7 +249,7 @@ _FACTOR_TABLES = {
     Family.LAGUERRE: _laguerre_table,
     Family.GEGENBAUER: _gegenbauer_table,
     Family.JACOBI: _jacobi_table,
-    Family.SHIFTED_JACOBI: _shifted_jacobi_table,
+    Family.SHIFTED_JACOBI: _jacobi_table,
 }
 
 

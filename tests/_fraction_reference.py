@@ -6,8 +6,10 @@ Gram-Schmidt, the Chebyshev algorithm, the kernel sum and the kernel
 engine's inverse, the Christoffel-Darboux kernel of the top two
 polynomials and its certificate with all three checks, the
 shifted-parameter
-anchor values of the closed forms, the jacobi anchor recurrence and the
-gegenbauer rising-factorial anchors, the five closed-form factor tables,
+anchor values of the closed forms, the jacobi anchor recurrence, its
+values over P_d(1) (the ratios of the integer jacobi table) and the
+gegenbauer rising-factorial anchors, the five closed-form factor tables
+(the printed jacobi display also rescaled to the integer table's rows),
 the norm sequence, the closed-form determinant with one telescoping norm
 product per degree and in one pass, the cell-by-cell scans of verify's
 checks, and its comparison of E with the kernel inverse normalized into an
@@ -459,6 +461,16 @@ def jacobi_anchors(a: Fraction, b: Fraction, n: int) -> list[list[Fraction]]:
     return rows
 
 
+def jacobi_ratios(a: Fraction, b: Fraction, n: int) -> list[list[Fraction]]:
+    """Row i holds P_d^(a+i, b+i)(0) / P_d^(a+i, b+i)(1) for d = 0..n-i: the
+    ``jacobi_anchors`` row over P_d^(a+i, b+i)(1) = (a+i+1)_d / d!."""
+    rows = []
+    for i, row in enumerate(jacobi_anchors(a, b, n)):
+        at_one = rising_factorials(a + i + 1, len(row) - 1)
+        rows.append([value * factorial(d) / at_one[d] for d, value in enumerate(row)])
+    return rows
+
+
 def norm_squared(spec: FamilySpec, m: int) -> Fraction:
     """Squared norm h_m as the telescoping product of the ratios
     h_r / h_{r-1}, r = 1..m, rebuilt from degree 1 (the jacobi ratio at
@@ -675,11 +687,23 @@ def shifted_jacobi_table(spec: FamilySpec, n: int) -> _Table:
     return factors, weights
 
 
+def rescaled_jacobi_table(spec: FamilySpec, n: int) -> _Table:
+    """``jacobi_table`` with row k of f times k! / (a+1)_k and w(k) over that
+    factor squared, the form of the integer table: the same kernel sum."""
+    factors, weights = jacobi_table(spec, n)
+    rising_a = rising_factorials(spec.alpha + 1, n)
+    scales = [factorial(k) / rising_a[k] for k in range(n + 1)]
+    return (
+        [[scale * value for value in row] for scale, row in zip(scales, factors)],
+        [weight / scale**2 for scale, weight in zip(scales, weights)],
+    )
+
+
 FACTOR_TABLES = {
     Family.HERMITE: hermite_table,
     Family.LAGUERRE: laguerre_table,
     Family.GEGENBAUER: gegenbauer_table,
-    Family.JACOBI: jacobi_table,
+    Family.JACOBI: rescaled_jacobi_table,
     Family.SHIFTED_JACOBI: shifted_jacobi_table,
 }
 

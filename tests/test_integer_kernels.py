@@ -27,10 +27,11 @@ Fraction references in ``_fraction_reference``, entry for entry.
   degree it replaced, at n <= 40, the corners and the table points
   included.
 * The moment recurrences, the Chebyshev-algorithm ``gram_schmidt`` and the
-  recurrence anchors of the jacobi and gegenbauer inverses, over each
-  family's parameters (p/q with |p|, q <= 9, plus the corners) at n <= 10.
+  recurrence anchors of the jacobi (the ratio rows times P_d(1)) and
+  gegenbauer inverses, over each family's parameters (p/q with |p|, q <= 9,
+  plus the corners) at n <= 10.
 * The integer moment sequence, the integer-row ``gram_schmidt`` and
-  ``_jacobi_anchors``, and each family's integer factor columns and weights
+  ``_jacobi_ratios``, and each family's integer factor columns and weights
   against the same recurrences and tables on Fractions, over the same
   parameters and at n = 24, 40 and 60 for the five parameter points of
   ROADMAP's layer table; the hermite anchors of the running product against
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given
@@ -578,17 +579,24 @@ class TestIntegerJacobiAnchorsMatchFraction:
     @_jacobi_corners
     @_large_examples(_TABLE_POINTS[3:4])
     def test_property(self, spec, n):
-        rows = closed_form._jacobi_anchors(spec, n)
+        rows = closed_form._jacobi_ratios(spec, n)
         assert all(_reduced_form(row) for row in rows)
-        assert [_as_fractions(row) for row in rows] == reference.jacobi_anchors(
+        assert [_as_fractions(row) for row in rows] == reference.jacobi_ratios(
             spec.alpha, spec.beta, n
         )
 
 
+def _jacobi_ratio_anchors(spec: FamilySpec, n: int) -> list[list[Fraction]]:
+    """The integer ratio rows times P_d^(a+i, b+i)(1) = (a+i+1)_d / d!."""
+    rows = []
+    for i, row in enumerate(closed_form._jacobi_ratios(spec, n)):
+        at_one = reference.rising_factorials(spec.alpha + i + 1, n - i)
+        rows.append([r * at_one[d] / factorial(d) for d, r in enumerate(_as_fractions(row))])
+    return rows
+
+
 _ANCHORS = {
-    Family.JACOBI: lambda spec, n: [
-        _as_fractions(row) for row in closed_form._jacobi_anchors(spec, n)
-    ],
+    Family.JACOBI: _jacobi_ratio_anchors,
     Family.GEGENBAUER: lambda spec, n: reference.gegenbauer_anchors(spec.lam, n),
 }
 
