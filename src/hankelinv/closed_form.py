@@ -11,13 +11,13 @@ denominator, and the weights one integer vector over another, from rising
 products of the parameters over their common denominator, the hermite
 anchors' running product, and, for jacobi, the recurrence of the ratios
 P_d(0) / P_d(1) run on ints (1 for jacobi-shifted).  The local ``_kernel_sum``
-sums them on ints, and the gegenbauer and jacobi determinants multiply integer
-norm ratios and leading coefficients.
+sums them on ints.  The determinants come from three displays: hermite's,
+laguerre's and the jacobi one, of which gegenbauer and jacobi-shifted are cases.
 
-One published display is known to be suspect: the closed form for the jacobi
-determinant.  ``jacobi_det_as_printed`` keeps it verbatim (including its
-prefactor) and evaluates it in floating point next to the exact elimination
-value, reporting — never asserting — the comparison.
+That jacobi display is printed with a wrong per-row factor, which
+``explicit_det`` corrects.  ``jacobi_det_as_printed`` keeps it verbatim
+(including its prefactor) and evaluates it in floating point next to the exact
+elimination value, reporting — never asserting — the comparison.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import mul
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, _over_products, _reduced, moment_matrix
-from .orthopoly import Family, FamilySpec, _integer_params, _norm_ratios, _Record
+from .orthopoly import Family, FamilySpec, _integer_params, _Record
 from .special import _rising, barnes_g_int, pochhammer
 
 __all__ = [
@@ -48,17 +48,21 @@ MAX_N = 100
 
 
 def explicit_det(spec: FamilySpec, n: int) -> Fraction:
-    """Closed-form determinant of the normalized (n+1) x (n+1) moment matrix.
+    """Closed-form determinant of the normalized (n+1) x (n+1) moment matrix,
+    each family from its printed display: hermite's superfactorial product,
+    laguerre's rising-factorial product, and for the other three the jacobi
+    display with its per-row factor corrected, which reduces (c = a + b + 1) to
 
-    hermite and laguerre come literally from the printed superfactorial /
-    rising-factorial products; the other families use the printed products
-    with each factor reduced to the rational monic-norm value
-    h_k / (leading coefficient)^2: the norms h_0..h_n as running products of
-    the integer norm ratios of ``orthopoly``, the leading coefficients as
-    integer rising products with the parameters over their common
-    denominator q, and one Fraction per degree.  (Multiplying all n+1
-    factors into one numerator and denominator first ends in one gcd of
-    ~100 000-bit ints at n = 60, which is slower.)"""
+        G(n+2) 2^(n^2) / (c/2+1)_n
+            * prod_{j=1..n} (c+1)_(j-1) (a+1)_j (b+1)_j / (c+1)_(2j-1)^2,
+
+    with no power of c left, so alpha + beta = -1 needs no special case.
+    gegenbauer is jacobi at a = b = lambda - 1/2, and jacobi-shifted is
+    jacobi over 2^(n(n+1)).  The rising products run on ints with the
+    parameters over their common denominator q, G(n+2) = 0! 1! ... n! enters
+    as j! in term j, and each term is one Fraction.  (One numerator and
+    denominator for all n terms ends in one gcd of ~100 000-bit ints at
+    n = 60, which is slower.)"""
     if n < 0:
         raise ValueError("n must be >= 0")
     fam = spec.family
@@ -71,31 +75,19 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
         return result
     q, qa, qb, ql = _integer_params(spec)
     if fam is Family.GEGENBAUER:
-        # leading coefficient of the degree-k polynomial: 2^k (lam)_k / k!,
-        # with q^k (lam)_k the product of ql + q t, t < k
-        rising = _rising(ql, q, 0, n)
-        leads = [(2**k * rising[k], q**k * factorial(k)) for k in range(n + 1)]
-    else:
-        # leading coefficient (k+c)_k / k!, times 2^-k in the jacobi monomial
-        # basis; for k >= 1, q^k (k+c)_k is the product of qc + q t,
-        # t = k..2k-1, a quotient of two entries of one running product from
-        # t = 1 with no factor qc, so c = 0 needs no special case
-        qc = qa + qb + q
-        rising = _rising(qc, q, 1, 2 * n - 1)
-        scale = 2 if fam is Family.JACOBI else 1
-        leads = [(1, 1)] + [
-            (rising[2 * k - 1], rising[k - 1] * q**k * factorial(k) * scale**k)
-            for k in range(1, n + 1)
-        ]
+        # a = b = lambda - 1/2 over the denominator 2q
+        q, qa, qb = 2 * q, 2 * ql - q, 2 * ql - q
+    qc = qa + qb + q
+    # q^j (c+1)_j, q^j (a+1)_j and q^j (b+1)_j; term j carries q^(j-1)
+    rc, ra, rb = _rising(qc, q, 1, 2 * n - 1), _rising(qa, q, 1, n), _rising(qb, q, 1, n)
     result = Fraction(1)
-    norm_num = norm_den = 1
-    for (lead_num, lead_den), (ratio_num, ratio_den) in zip(
-        leads, [(1, 1), *_norm_ratios(spec, n)]
-    ):
-        norm_num *= ratio_num
-        norm_den *= ratio_den
-        result *= Fraction(norm_num * lead_den**2, norm_den * lead_num**2)
-    return result
+    for j in range(1, n + 1):
+        top = factorial(j) * rc[j - 1] * ra[j] * rb[j] * q ** (j - 1)
+        result *= Fraction(top, rc[2 * j - 1] ** 2)
+    # 2^(n^2) / (c/2+1)_n = (2^(n+1) q)^n / prod_{t=1..n} (qc + 2 q t); over
+    # 2^(n(n+1)) for jacobi-shifted that is q^n / prod_t (qc + 2 q t)
+    base = q if fam is Family.SHIFTED_JACOBI else 2 ** (n + 1) * q
+    return result * Fraction(base**n, _rising(qc, 2 * q, 1, n)[-1])
 
 
 def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:

@@ -260,10 +260,41 @@ def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
 def norm_squared(spec: FamilySpec, m: int) -> Fraction:
     """Squared norm h_m of the degree-m standard-normalization polynomial
     under the probability-normalized weight (so h_0 = 1 for every family):
-    the product of the family's norm ratios (see ``_norm_ratios``)."""
+    the product of the exact ratios h_r / h_{r-1}, r = 1..m,
+
+      hermite     2r, so h_m = 2^m m!
+      laguerre    (a+r) / r, so h_m = (a+1)_m / m!
+      gegenbauer  (2l+r-1)(l+r-1) / (r (l+r))
+      jacobi both (a+1)(b+1) / (a+b+3) at r = 1, then for r >= 2
+                  (a+r)(b+r)(a+b+2r-1) / (r (a+b+2r+1)(a+b+r))
+
+    as int pairs with the parameters over their common denominator q, as
+    the ints qa = q a, qb = q b, ql = q l.  The r = 1 Jacobi ratio is
+    written with its removable a+b+1 factor cancelled, so alpha+beta = -1
+    stays finite.  No library path calls it."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    ratios = _norm_ratios(spec, m)
+    fam = spec.family
+    q, qa, qb, ql = _integer_params(spec)
+    if fam is Family.HERMITE:
+        ratio = lambda r: (2 * r, 1)
+    elif fam is Family.LAGUERRE:
+        ratio = lambda r: (qa + q * r, q * r)
+    elif fam is Family.GEGENBAUER:
+        ratio = lambda r: (
+            (2 * ql + q * (r - 1)) * (ql + q * (r - 1)),
+            q * r * (ql + q * r),
+        )
+    else:
+        ratio = lambda r: (
+            ((qa + q) * (qb + q), q * (qa + qb + 3 * q))
+            if r == 1
+            else (
+                (qa + q * r) * (qb + q * r) * (qa + qb + q * (2 * r - 1)),
+                q * r * (qa + qb + q * (2 * r + 1)) * (qa + qb + q * r),
+            )
+        )
+    ratios = [ratio(r) for r in range(1, m + 1)]
     return Fraction(prod(num for num, _ in ratios), prod(den for _, den in ratios))
 
 
@@ -275,39 +306,3 @@ def _integer_params(spec: FamilySpec) -> tuple[int, int, int, int]:
     values = (spec.alpha, spec.beta, spec.lam)
     q = lcm(*(v.denominator for v in values if v is not None))
     return q, *(0 if v is None else v.numerator * (q // v.denominator) for v in values)
-
-
-def _norm_ratios(spec: FamilySpec, count: int) -> list[tuple[int, int]]:
-    """The exact ratios h_m / h_{m-1}, m = 1..count, as (numerator,
-    denominator) int pairs with a positive denominator:
-
-      hermite     2m, so h_m = 2^m m!
-      laguerre    (a+m) / m, so h_m = (a+1)_m / m!
-      gegenbauer  (2l+m-1)(l+m-1) / (m (l+m))
-      jacobi both (a+1)(b+1) / (a+b+3) at m = 1, then for m >= 2
-                  (a+m)(b+m)(a+b+2m-1) / (m (a+b+2m+1)(a+b+m))
-
-    with the parameters over their common denominator q, as the ints
-    qa = q a, qb = q b, ql = q l.  The m = 1 Jacobi ratio is written with its
-    removable a+b+1 factor cancelled, so alpha+beta = -1 stays finite."""
-    fam = spec.family
-    q, qa, qb, ql = _integer_params(spec)
-    if fam is Family.HERMITE:
-        ratio = lambda m: (2 * m, 1)
-    elif fam is Family.LAGUERRE:
-        ratio = lambda m: (qa + q * m, q * m)
-    elif fam is Family.GEGENBAUER:
-        ratio = lambda m: (
-            (2 * ql + q * (m - 1)) * (ql + q * (m - 1)),
-            q * m * (ql + q * m),
-        )
-    else:
-        ratio = lambda m: (
-            ((qa + q) * (qb + q), q * (qa + qb + 3 * q))
-            if m == 1
-            else (
-                (qa + q * m) * (qb + q * m) * (qa + qb + q * (2 * m - 1)),
-                q * m * (qa + qb + q * (2 * m + 1)) * (qa + qb + q * m),
-            )
-        )
-    return [ratio(m) for m in range(1, count + 1)]

@@ -11,7 +11,8 @@ values over P_d(1) (the ratios of the integer jacobi table) and the
 gegenbauer rising-factorial anchors, the five closed-form factor tables
 (the printed jacobi display also rescaled to the integer table's rows),
 the norm sequence, the closed-form determinant with one telescoping norm
-product per degree and in one pass, the cell-by-cell scans of verify's
+product per degree and in one pass, the corrected jacobi determinant
+display, the cell-by-cell scans of verify's
 checks, and its comparison of E with the kernel inverse normalized into an
 ``ExactMatrix``.  Also the coefficients of the kernel section k_n(., y),
 which the reproducing-property tests pair with the moment matrix.
@@ -593,6 +594,29 @@ def explicit_det_one_pass(spec: FamilySpec, n: int) -> Fraction:
     result = Fraction(1)
     for norm, lead in zip(norm_sequence(spec, n + 1), leads):
         result *= norm / lead**2
+    return result
+
+
+def jacobi_det_display(spec: FamilySpec, n: int) -> Fraction:
+    """The corrected jacobi determinant display, literally, c = a + b + 1:
+
+        G(n+2) 2^((n+1)(n-1)) c^(n+1) / (c/2)_(n+1)
+            * prod_{j=0..n} (c)_j (a+1)_j (b+1)_j / (c)_(2j)^2,
+
+    over 2^(n(n+1)) for jacobi-shifted, and at a = b = lambda - 1/2 for
+    gegenbauer.  Undefined at c = 0, where every factor of c cancels."""
+    if spec.family is Family.GEGENBAUER:
+        a = b = spec.lam - Fraction(1, 2)
+    else:
+        a, b = spec.alpha, spec.beta
+    c = a + b + 1
+    result = barnes_g_int(n + 2) * Fraction(2) ** ((n + 1) * (n - 1)) * c ** (n + 1)
+    result /= pochhammer(c / 2, n + 1)
+    for j in range(n + 1):
+        result *= pochhammer(c, j) * pochhammer(a + 1, j) * pochhammer(b + 1, j)
+        result /= pochhammer(c, 2 * j) ** 2
+    if spec.family is Family.SHIFTED_JACOBI:
+        result /= Fraction(2) ** (n * (n + 1))
     return result
 
 

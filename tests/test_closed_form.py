@@ -10,11 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
-from _strategies import SPECS, corner_examples
+import _fraction_reference as reference
+from _strategies import FAMILY_SPECS, SPECS, corner_examples
 from hankelinv.closed_form import (
     MAX_DIGITS,
     DiscrepancyNote,
@@ -25,7 +26,7 @@ from hankelinv.closed_form import (
 )
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import ExactMatrix, moment_matrix
-from hankelinv.orthopoly import FamilySpec
+from hankelinv.orthopoly import Family, FamilySpec
 
 HERMITE = FamilySpec.hermite()
 HILBERT = FamilySpec.shifted_jacobi(0, 0)
@@ -85,6 +86,30 @@ class TestExplicitDet:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             explicit_det(HERMITE, -1)
+
+
+# the three families of the corrected jacobi display, off its c = 0 corner,
+# which the properties against the norm products cover
+_DISPLAY_SPECS = st.one_of(
+    *(FAMILY_SPECS[fam] for fam in (Family.GEGENBAUER, Family.JACOBI, Family.SHIFTED_JACOBI))
+).filter(lambda spec: spec.family is Family.GEGENBAUER or spec.alpha + spec.beta != -1)
+
+
+class TestJacobiDisplay:
+    @given(spec=_DISPLAY_SPECS, n=st.integers(0, 12))
+    @example(spec=FamilySpec.gegenbauer(Fraction(-4, 9)), n=12)
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), 9), n=12)
+    @example(spec=FamilySpec.shifted_jacobi(9, Fraction(-8, 9)), n=12)
+    def test_explicit_det_is_the_display(self, spec, n):
+        assert explicit_det(spec, n) == reference.jacobi_det_display(spec, n)
+
+    @given(lam=FAMILY_SPECS[Family.GEGENBAUER].map(lambda spec: spec.lam), n=st.integers(0, 8))
+    @example(lam=Fraction(-4, 9), n=8)
+    def test_gegenbauer_is_jacobi_at_lambda_minus_half(self, lam, n):
+        half = lam - Fraction(1, 2)
+        assert moment_matrix(FamilySpec.gegenbauer(lam), n) == moment_matrix(
+            FamilySpec.jacobi(half, half), n
+        )
 
 
 class TestExplicitInverse:
@@ -156,6 +181,30 @@ class TestJacobiDetAsPrinted:
         assert note.exact == bareiss_det(moment_matrix(spec, 3)) == Fraction(1, 512)
         assert note.rel_error == mp.inf
         assert note.agrees is False
+
+    @pytest.mark.parametrize(
+        ("alpha", "beta", "n"),
+        [
+            (Fraction(1, 3), Fraction(1, 5), 3),
+            (2, 3, 5),
+            (Fraction(-1, 2), Fraction(1, 7), 4),
+            (Fraction(7, 8), Fraction(-5, 9), 6),
+            (Fraction(1, 8), Fraction(1, 9), 10),
+        ],
+    )
+    def test_printed_display_is_off_by_its_per_row_factor(self, alpha, beta, n):
+        # the printed per-row factor Gamma(a+b+1) pi / Gamma(a+b+1)^2 should
+        # read Gamma(a+b+2) pi / (Gamma(a+1) Gamma(b+1)), so exact / printed
+        # is C^(n+1) with C their ratio
+        spec = FamilySpec.jacobi(alpha, beta)
+        note = jacobi_det_as_printed(spec, n, 60)
+        with mp.workdps(75):
+            a, b = (mp.mpf(v.numerator) / v.denominator for v in (spec.alpha, spec.beta))
+            per_row = (
+                mp.gamma(a + b + 1) * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
+            )
+            ratio = mp.mpf(note.exact.numerator) / note.exact.denominator / note.printed
+            assert abs(ratio / per_row ** (n + 1) - 1) < mp.mpf(10) ** -50
 
     def test_digits_parameter(self):
         note = jacobi_det_as_printed(FamilySpec.jacobi(0, 0), 2, digits=40)

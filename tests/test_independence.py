@@ -14,9 +14,9 @@ says which routes read the core and which check catches the fault.
 * ``_rising``, entry 2 of each list raised by 1: every closed form but
   hermite's builds its factor table and determinant from rising products,
   so E and the closed-form determinant are both wrong; hermite reads none.
-* ``_norm_ratios``, the m = 2 ratio raised by 1: only the gegenbauer and
-  jacobi determinants multiply these ratios, so only the two determinant
-  checks fail there; hermite and laguerre read none.
+* ``norm_squared``, h_2 raised by 1: no route reads the closed-form norms
+  (every determinant comes from its printed display, and the engine finds
+  its own norms), so nothing fails.
 * ``_over_products``, the last numerator raised by 1: it ends the moment
   sequence and every factor table's weights, so M and E are both wrong, and
   E against K, the identity, the oracle and both determinants fail.
@@ -112,15 +112,11 @@ def _entry_two_raised(rising):
     return faulty
 
 
-def _second_ratio_raised(norm_ratios):
-    """``_norm_ratios`` with h_2 / h_1 raised by 1."""
+def _degree_two_raised(norm_squared):
+    """``norm_squared`` with h_2 raised by 1."""
 
-    def faulty(spec, count):
-        ratios = norm_ratios(spec, count)
-        if count >= 2:
-            num, den = ratios[1]
-            ratios[1] = (num + den, den)
-        return ratios
+    def faulty(spec, m):
+        return norm_squared(spec, m) + (1 if m == 2 else 0)
 
     return faulty
 
@@ -217,12 +213,12 @@ _FAULTS = {
         ["hankelinv.special", "hankelinv.closed_form"],
         [set()] + [_INVERSE_AND_DETS] * 4,
     ),
-    "norm_ratios-second": (
+    "norm_squared-degree-2": (
         "hankelinv.orthopoly",
-        "_norm_ratios",
-        _second_ratio_raised,
-        ["hankelinv.orthopoly", "hankelinv.closed_form"],
-        [set(), set()] + [_DETS] * 3,
+        "norm_squared",
+        _degree_two_raised,
+        ["hankelinv.orthopoly"],
+        [set()] * 5,
     ),
     "over_products-last-numerator": (
         "hankelinv.gram",
