@@ -18,9 +18,7 @@ and --unnormalized additionally applies the family's total-mass scale.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import re
 import sys
@@ -130,8 +128,11 @@ def _emit(
 ) -> None:
     """Write one command's output in the requested format: ``fields`` follow
     the request's own fields in the JSON document, ``rows`` are the CSV rows
-    and ``lines`` the pretty text.  ``point`` is the kernel's (x, y)."""
+    and ``lines`` the pretty text.  ``point`` is the kernel's (x, y).  json
+    and csv are imported here, so that a request loads only its own format's."""
     if request.output == "json":
+        import json
+
         params = {name: str(value) for name, value in {**spec.params(), **(point or {})}.items()}
         doc = {
             "family": spec.family.value,
@@ -143,6 +144,8 @@ def _emit(
         }
         text = json.dumps(doc) + "\n"
     elif request.output == "csv":
+        import csv
+
         buffer = io.StringIO()
         csv.writer(buffer).writerows(rows)
         text = buffer.getvalue()
@@ -277,22 +280,34 @@ def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands and their help, in the order --help lists them
+_COMMANDS = {
+    "gen": "print the normalized moment matrix",
+    "det": "print its determinant",
+    "inv": "print its exact inverse",
+    "kernel": "evaluate the kernel at (x, y)",
+    "verify": "run the cross-route check battery",
+    "errata": "as-printed vs exact jacobi determinant report",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given one of the commands, the top-level
+    parser holds only that command's subparser, which parses every line that
+    starts with the command exactly as the full parser does; given nothing,
+    or any other name, all the commands."""
     parser = argparse.ArgumentParser(
         prog="hankelinv",
         description="Exact moment matrices of the classical orthogonal families: "
         "determinants, inverses, kernels, and cross-route verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("gen", "print the normalized moment matrix"),
-        ("det", "print its determinant"),
-        ("inv", "print its exact inverse"),
-        ("kernel", "evaluate the kernel at (x, y)"),
-        ("verify", "run the cross-route check battery"),
-        ("errata", "as-printed vs exact jacobi determinant report"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # the top-level usage that an "unrecognized arguments" error prints would
+    # otherwise list the one command built, not all of them
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        cmd = sub.add_parser(name, help=_COMMANDS[name])
         cmd.add_argument(
             "--family",
             required=True,
@@ -333,11 +348,13 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    argv = _merge_negative_values(list(argv))
+    # a line that starts with a command needs only that command's subparser
+    parser = build_parser(argv[0] if argv else None)
     try:
-        request = parser.parse_args(_merge_negative_values(list(argv)))
+        request = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # exact values can run past the default limit of 4300 digits that str()

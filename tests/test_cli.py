@@ -21,7 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelinv
-from hankelinv.cli import UsageError, build_parser, main, parse_rational, run
+from hankelinv.cli import (
+    _COMMANDS,
+    UsageError,
+    _merge_negative_values,
+    build_parser,
+    main,
+    parse_rational,
+    run,
+)
 from hankelinv.closed_form import MAX_DIGITS, MAX_N, explicit_det
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec
@@ -708,26 +716,90 @@ class TestLazyMpmath:
         assert proc.returncode == 0, proc.stderr
 
 
+def _cold_run(script: str) -> str:
+    """stdout of ``script`` in a fresh interpreter under -S, which keeps
+    site-packages' start-up hooks, and whatever they import, out of the
+    picture."""
+    package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestColdImport:
     def test_cli_import_loads_no_dataclasses_inspect_or_mpmath(self):
         # every CLI request imports the package in a fresh interpreter;
         # dataclasses would pull in inspect, ast, dis and tokenize with it,
-        # and typing alone costs several ms.  -S keeps site-packages'
-        # start-up hooks, which may load typing themselves, out of the picture.
+        # and typing alone costs several ms
         script = (
             "import sys, hankelinv.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing', 'mpmath'} & sys.modules.keys()))"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'mpmath', 'json', 'csv'} & sys.modules.keys()))"
         )
-        package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": package_root},
+        assert _cold_run(script) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "output, loaded", [("pretty", "[]"), ("json", "['json']"), ("csv", "['csv']")]
+    )
+    def test_json_and_csv_load_only_for_their_output(self, output, loaded):
+        script = (
+            "import sys, hankelinv.cli; "
+            f"code = hankelinv.cli.main(['det', '--family', 'hermite', '--n', '2', '--output', '{output}']); "
+            "print(code, sorted({'json', 'csv'} & sys.modules.keys()))"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert _cold_run(script).splitlines()[-1] == f"0 {loaded}"
+
+
+# lines the golden file has no case for: an argument after a complete
+# request, which the top-level parser reports, and each command's own errors
+_EXTRA_ARGVS = [
+    ["det", "--family", "hermite", "--n", "1", "extra"],
+    ["verify", "--family", "hermite", "--n", "1", "--bogus"],
+    *([command] for command in _COMMANDS),
+    ["kernel", "--family", "jacobi", "--alpha", "-1/2", "--beta", "1", "--n", "2", "--x", "-1", "--y", "0"],
+    ["--n", "1", "det"],
+    ["-h"],
+]
+
+
+def _parse(parser, argv: list[str]):
+    """``parser``'s namespace for ``argv`` or, when it exits, its exit code
+    and the bytes it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestOneCommandParser:
+    """``main`` builds only the subparser of the command a line starts with;
+    that parser must read every line as the full parser does, whatever
+    argparse's version prints."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_is_the_full_parsers(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = _parse(build_parser(command), [command, "--help"])
+        assert one == _parse(build_parser(), [command, "--help"])
+        assert one[0] == 0 and one[1].startswith(f"usage: hankelinv {command} ")
+
+    @pytest.mark.parametrize("argv", [case["argv"] for case in _GOLDEN] + _EXTRA_ARGVS)
+    def test_same_namespace_or_error(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = _merge_negative_values(argv)
+        parser = build_parser(argv[0] if argv else None)
+        assert _parse(parser, argv) == _parse(build_parser(), argv)
+
+    def test_other_first_tokens_build_every_command(self):
+        for first in (None, "-h", "frobnicate"):
+            assert _parse(build_parser(first), ["--help"]) == _parse(build_parser(), ["--help"])
 
 
 class TestModuleEntryPoint:
