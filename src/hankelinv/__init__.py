@@ -33,15 +33,7 @@ from .gram import (
     kernel_inverse,
     moment_matrix,
 )
-from .orthopoly import (
-    Family,
-    FamilySpec,
-    InvalidFamilySpec,
-    PolyCoeffs,
-    norm_squared,
-    special_value,
-)
-from .special import ZeroDenominator, barnes_g_int, binomial, hyp_terminating, pochhammer
+from .orthopoly import Family, FamilySpec, InvalidFamilySpec, PolyCoeffs
 from .verify import CheckResult, VerifyReport, Witness, verify
 
 __version__ = "0.1.0"
@@ -59,24 +51,17 @@ __all__ = [
     "SingularMatrix",
     "VerifyReport",
     "Witness",
-    "ZeroDenominator",
     "__version__",
-    "barnes_g_int",
     "bareiss_det",
-    "binomial",
     "det_from_norms",
     "explicit_det",
     "explicit_inverse",
     "gauss_inverse",
     "gram_schmidt",
-    "hyp_terminating",
     "jacobi_det_as_printed",
     "kernel_eval",
     "kernel_inverse",
     "moment_matrix",
-    "norm_squared",
-    "pochhammer",
-    "special_value",
     "unnormalized_scale",
     "verify",
 ]

@@ -35,7 +35,7 @@ from .closed_form import (
 )
 from .elimination import bareiss_det, gauss_inverse
 from .gram import det_from_norms, gram_schmidt, kernel_eval, kernel_inverse, moment_matrix
-from .orthopoly import Family, FamilySpec, InvalidFamilySpec
+from .orthopoly import _PARAM_NAMES, Family, FamilySpec, InvalidFamilySpec
 from .verify import VerifyReport, verify
 
 __all__ = ["UsageError", "run", "main"]
@@ -74,7 +74,7 @@ def _parse_int(text: str) -> int:
 def _make_spec(request: argparse.Namespace) -> FamilySpec:
     kwargs = {
         field: parse_rational(text, name)
-        for field, name in (("alpha", "alpha"), ("beta", "beta"), ("lam", "lambda"))
+        for field, name in _PARAM_NAMES.items()
         if (text := getattr(request, field)) is not None
     }
     try:

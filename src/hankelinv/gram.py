@@ -44,7 +44,6 @@ __all__ = [
     "ExactMatrix",
     "NotPositiveDefinite",
     "OrthoTable",
-    "hankel_moment",
     "moment_matrix",
     "gram_schmidt",
     "kernel_inverse",

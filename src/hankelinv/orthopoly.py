@@ -1,9 +1,13 @@
 """The five classical orthogonal-polynomial families.
 
-Holds the validated family/parameter record (FamilySpec), the coefficient
-record of a polynomial in the family basis (PolyCoeffs), closed-form values of
-the standard-normalization polynomials at the family anchor point, and their
-squared norms under the probability-normalized weight.  All of it exact.
+Holds the validated family/parameter record (FamilySpec) and the coefficient
+record of a polynomial in the family basis (PolyCoeffs).  Two test references
+sit outside ``__all__``: ``special_value``, the closed-form values of the
+standard-normalization polynomials at the family anchor point, and
+``norm_squared``, their squared norms under the probability-normalized
+weight.  No library path calls either; they stay here until the scalar layer
+moves into the tests, since the benchmark tracer wraps them by module and
+name.  All of it exact.
 
 Conventions
 -----------
@@ -22,14 +26,7 @@ from math import factorial, lcm, prod
 
 from .special import hyp_terminating, pochhammer
 
-__all__ = [
-    "Family",
-    "FamilySpec",
-    "InvalidFamilySpec",
-    "PolyCoeffs",
-    "special_value",
-    "norm_squared",
-]
+__all__ = ["Family", "FamilySpec", "InvalidFamilySpec", "PolyCoeffs"]
 
 
 class InvalidFamilySpec(ValueError):
@@ -52,6 +49,9 @@ _REQUIRED: dict[Family, tuple[str, ...]] = {
     Family.JACOBI: ("alpha", "beta"),
     Family.SHIFTED_JACOBI: ("alpha", "beta"),
 }
+
+# each parameter field and the name a user gives it, in output order
+_PARAM_NAMES = {"alpha": "alpha", "beta": "beta", "lam": "lambda"}
 
 
 def _coerce(value: Fraction | int | str, name: str) -> Fraction:
@@ -136,11 +136,12 @@ class FamilySpec(_Record):
             raise InvalidFamilySpec(f"family must be a Family member, not {family!r}")
         required = _REQUIRED[family]
         params = {"alpha": alpha, "beta": beta, "lam": lam}
-        for name, value in params.items():
-            if name in required:
+        for field, value in params.items():
+            name = _PARAM_NAMES[field]
+            if field in required:
                 if value is None:
                     raise InvalidFamilySpec(f"{family.value} requires {name}")
-                params[name] = _coerce(value, name)
+                params[field] = _coerce(value, name)
             elif value is not None:
                 raise InvalidFamilySpec(f"{family.value} takes no {name}")
         super().__init__(family, *params.values())
@@ -180,14 +181,11 @@ class FamilySpec(_Record):
 
     def params(self) -> dict[str, Fraction]:
         """Present parameters keyed by their user-facing names."""
-        out: dict[str, Fraction] = {}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        return out
+        return {
+            name: value
+            for field, name in _PARAM_NAMES.items()
+            if (value := getattr(self, field)) is not None
+        }
 
 
 class PolyCoeffs(_Record):

@@ -1,6 +1,14 @@
 """Exact scalar building blocks: rising factorials, binomials, integer Barnes-G
 values, and terminating hypergeometric sums over arbitrary-precision rationals.
 
+None of it is package API.  ``closed_form`` calls ``_rising`` (its factor
+tables and ``explicit_det``), and ``explicit_det`` also calls ``pochhammer``
+and ``barnes_g_int``.  ``ZeroDenominator``, ``binomial`` and
+``hyp_terminating`` serve only the tests, the last also through the test
+reference ``orthopoly.special_value``; they stay here until the scalar layer
+moves into the tests, since the benchmark tracer wraps them by module and
+name.
+
 Every value returned is a ``fractions.Fraction`` in canonical form (reduced,
 positive denominator); nothing here touches floating point.
 """
@@ -10,13 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-__all__ = [
-    "ZeroDenominator",
-    "pochhammer",
-    "binomial",
-    "barnes_g_int",
-    "hyp_terminating",
-]
+__all__: list[str] = []
 
 
 class ZeroDenominator(ArithmeticError):

@@ -32,7 +32,7 @@ from hankelinv.cli import (
 )
 from hankelinv.closed_form import MAX_DIGITS, MAX_N, explicit_det
 from hankelinv.gram import moment_matrix
-from hankelinv.orthopoly import Family, FamilySpec
+from hankelinv.orthopoly import Family, FamilySpec, InvalidFamilySpec
 from hankelinv.verify import CheckResult, VerifyReport, Witness
 
 
@@ -411,6 +411,21 @@ class TestUsageErrors:
         code, _, err = run_cli(["gen", "--family", "hermite", "--alpha", "1", "--n", "1"])
         assert code == 2
         assert "takes no alpha" in err
+
+    # λ is --lambda on the command line, and the errors say so, not the
+    # field name lam
+    def test_missing_lambda_named_as_typed(self):
+        code, out, err = run_cli(["det", "--family", "gegenbauer", "--n", "1"])
+        assert (code, out, err) == (2, "", "error: gegenbauer requires lambda\n")
+
+    def test_extraneous_lambda_named_as_typed(self):
+        code, out, err = run_cli(["det", "--family", "hermite", "--lambda", "1/2", "--n", "1"])
+        assert (code, out, err) == (2, "", "error: hermite takes no lambda\n")
+
+    def test_library_names_lambda_as_typed(self):
+        with pytest.raises(InvalidFamilySpec) as info:
+            FamilySpec.gegenbauer("x")
+        assert str(info.value) == "lambda is not a rational number: 'x'"
 
     def test_malformed_rational(self):
         code, _, err = run_cli(["gen", "--family", "laguerre", "--alpha", "1.5", "--n", "1"])

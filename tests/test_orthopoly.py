@@ -8,12 +8,14 @@ family polynomials purely from their three-term recurrences
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
+import hankelinv
 from _recurrences import oracle_polys, poly_eval, taylor_shift
 from hankelinv.closed_form import DiscrepancyNote
 from hankelinv.gram import OrthoTable
@@ -362,3 +364,47 @@ class TestNormSquared:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             norm_squared(HERMITE, -2)
+
+
+# the package API: what a route, verify or the CLI needs.  The scalar layer
+# (and gram.hankel_moment) is not part of it, but each name still resolves
+# in its own module, for the tests and the benchmark tracer
+_PUBLIC = {
+    "CheckResult", "DiscrepancyNote", "ExactMatrix", "Family", "FamilySpec",
+    "InvalidFamilySpec", "NotPositiveDefinite", "OrthoTable", "PolyCoeffs",
+    "SingularMatrix", "VerifyReport", "Witness", "__version__", "bareiss_det",
+    "det_from_norms", "explicit_det", "explicit_inverse", "gauss_inverse",
+    "gram_schmidt", "jacobi_det_as_printed", "kernel_eval", "kernel_inverse",
+    "moment_matrix", "unnormalized_scale", "verify",
+}
+_UNEXPORTED = [
+    ("special", "ZeroDenominator"),
+    ("special", "barnes_g_int"),
+    ("special", "binomial"),
+    ("special", "hyp_terminating"),
+    ("special", "pochhammer"),
+    ("orthopoly", "special_value"),
+    ("orthopoly", "norm_squared"),
+    ("gram", "hankel_moment"),
+]
+
+
+class TestPublicAPI:
+    def test_package_exports_exactly_the_public_names(self):
+        assert len(hankelinv.__all__) == len(_PUBLIC) == 25
+        assert set(hankelinv.__all__) == _PUBLIC
+        assert importlib.import_module("hankelinv.special").__all__ == []
+
+    @pytest.mark.parametrize(("module", "name"), _UNEXPORTED)
+    def test_unexported_name_resolves_only_in_its_module(self, module, name):
+        mod = importlib.import_module(f"hankelinv.{module}")
+        assert not hasattr(hankelinv, name)
+        assert name not in mod.__all__
+        assert callable(getattr(mod, name))
+
+    @pytest.mark.parametrize(
+        "module", ["cli", "closed_form", "elimination", "gram", "orthopoly", "special", "verify"]
+    )
+    def test_every_exported_name_resolves(self, module):
+        mod = importlib.import_module(f"hankelinv.{module}")
+        assert all(hasattr(mod, name) for name in mod.__all__)
