@@ -168,6 +168,9 @@ def run(request: argparse.Namespace) -> int:
     if request.digits > MAX_DIGITS:
         raise UsageError(f"--digits must be <= {MAX_DIGITS}")
     spec = _make_spec(request)
+    point = None
+    if request.command == "kernel":
+        point = {name: parse_rational(getattr(request, name), name) for name in ("x", "y")}
 
     if request.command == "verify":
         return _run_verify(request, spec)
@@ -178,7 +181,6 @@ def run(request: argparse.Namespace) -> int:
     if request.unnormalized:
         scale = unnormalized_scale(spec, request.digits)
 
-    point = None
     if request.command == "gen":
         value = moment_matrix(spec, request.n)
     elif request.command == "det":
@@ -196,7 +198,6 @@ def run(request: argparse.Namespace) -> int:
         else:
             value = gauss_inverse(moment_matrix(spec, request.n))
     else:  # kernel
-        point = {name: parse_rational(getattr(request, name), name) for name in ("x", "y")}
         value = kernel_eval(gram_schmidt(spec, request.n), point["x"], point["y"])
 
     # how the family's total-mass scale enters each quantity: the matrix

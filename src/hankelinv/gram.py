@@ -193,15 +193,6 @@ def _differing_rows(
                 yield i, j, (e, s), (a, t)
 
 
-def _off_identity(matrix: ExactMatrix) -> Iterator[_Cell]:
-    """The entries where the matrix differs from the identity, in row-major
-    order."""
-    for i, (scale, ints) in enumerate(matrix._stored):
-        for j, v in enumerate(ints):
-            if v != (scale if i == j else 0):
-                yield i, j, (int(i == j), 1), (v, scale)
-
-
 def _odd_nonzero(matrix: ExactMatrix) -> Iterator[_Cell]:
     """The nonzero entries at odd i + j, in row-major order."""
     for i, (scale, ints) in enumerate(matrix._stored):

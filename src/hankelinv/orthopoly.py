@@ -55,7 +55,10 @@ _PARAM_NAMES = {"alpha": "alpha", "beta": "beta", "lam": "lambda"}
 
 
 def _coerce(value: Fraction | int | str, name: str) -> Fraction:
+    # a float would keep its binary value (0.1 is not 1/10), and a bool is no number
     try:
+        if isinstance(value, (float, bool)):
+            raise TypeError(type(value).__name__)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
         raise InvalidFamilySpec(f"{name} is not a rational number: {value!r}") from exc

@@ -17,11 +17,11 @@ the elimination oracle requires on whether to mirror its inverse.
 
 Every check is one of ``gram``'s scans of stored integer rows that yields,
 in row-major order, only the cells that differ: entries of two matrices
-cross-multiplied by their row scales (E against K's totals, or against the
-oracle's stored rows), entries of a product against the identity, entries
-below the diagonal against their mirrors, entries at odd i + j against 0,
-or the two determinants as one cell at (-1, -1).  A check passes when its
-scan yields nothing; otherwise the first cell is the witness, the only entry
+cross-multiplied by their row scales (E against K's totals or the oracle's
+stored rows, or the identity against E @ M), entries below the diagonal
+against their mirrors, entries at odd i + j against 0, or the two
+determinants as one cell at (-1, -1).  A check passes when its scan
+yields nothing; otherwise the first cell is the witness, the only entry
 whose Fractions are built.  Mismatches are reported, never raised, so a
 failing closed form still yields a complete report.  The one exception: the
 engine raises ``NotPositiveDefinite`` out of ``verify`` on a moment sequence
@@ -37,6 +37,7 @@ from math import prod
 from .closed_form import explicit_det, explicit_inverse
 from .elimination import _inverse_and_det
 from .gram import (
+    ExactMatrix,
     _asymmetric,
     _Cell,
     _differing,
@@ -47,7 +48,6 @@ from .gram import (
     _moment_sequence,
     _monic_rows,
     _odd_nonzero,
-    _off_identity,
 )
 from .orthopoly import Family, FamilySpec, _Record
 
@@ -134,7 +134,8 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     if equals_kernel.passed and _darboux_inverts(rows, norms, matrix):
         inverts = CheckResult("inverse_identity", True)
     else:
-        inverts = _check("inverse_identity", _off_identity(explicit_inv @ matrix))
+        identity = ExactMatrix.identity(matrix.size)
+        inverts = _check("inverse_identity", _differing(identity, explicit_inv @ matrix))
     checks = [
         symmetric,
         inverts,

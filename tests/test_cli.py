@@ -16,11 +16,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelinv
+from hankelinv import cli
 from hankelinv.cli import (
     _COMMANDS,
     UsageError,
@@ -205,6 +207,39 @@ class TestInv:
         )
         assert code == 0
         assert json.loads(out)["result"] == [[2.0, -1.0], [-1.0, 1.0]]
+
+
+# the function that each --method of det and inv runs; the three routes
+# print the same values, so only their calls tell them apart
+_ROUTES = {
+    ("det", "explicit"): "explicit_det",
+    ("det", "kernel"): "det_from_norms",
+    ("det", "oracle"): "bareiss_det",
+    ("inv", "explicit"): "explicit_inverse",
+    ("inv", "kernel"): "kernel_inverse",
+    ("inv", "oracle"): "gauss_inverse",
+}
+
+
+class TestMethodRoutes:
+    @pytest.mark.parametrize(("command", "method"), list(_ROUTES))
+    def test_each_method_runs_its_own_route(self, command, method, monkeypatch):
+        calls = dict.fromkeys(_ROUTES.values(), 0)
+
+        def counting(name):
+            route = getattr(cli, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return route(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        argv = [command, "--family", "laguerre", "--alpha", "1/2", "--n", "3", "--method", method]
+        assert run_cli(argv)[0] == 0
+        assert calls == {name: int(name == _ROUTES[command, method]) for name in calls}
 
 
 class TestKernel:
@@ -768,6 +803,24 @@ class TestColdImport:
             "print(code, sorted({'json', 'csv'} & sys.modules.keys()))"
         )
         assert _cold_run(script).splitlines()[-1] == f"0 {loaded}"
+
+    def test_malformed_kernel_point_fails_before_any_work(self):
+        # --x and --y are read right after the family, so the mass scale of
+        # --unnormalized, which imports mpmath, is never computed for them;
+        # mpmath stays importable under -S, so that loading it is seen
+        argv = ["kernel", "--family", "hermite", "--n", "1", "--x", "1/0", "--y", "0",
+                "--float", "--unnormalized"]
+        mpmath_root = os.path.dirname(os.path.dirname(mpmath.__file__))
+        script = (
+            f"import sys; sys.path.append({mpmath_root!r})\n"
+            "import contextlib, io, hankelinv.cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = hankelinv.cli.main({argv!r})\n"
+            "print(code, repr(err.getvalue()), 'mpmath' in sys.modules)"
+        )
+        stderr = "error: malformed rational for x: zero denominator\n"
+        assert _cold_run(script) == f"2 {stderr!r} False\n"
 
 
 # lines the golden file has no case for: an argument after a complete

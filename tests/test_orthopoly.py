@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import importlib
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,19 @@ class TestFamilySpec:
         for value in ("x", float("inf"), float("-inf"), [1], object()):
             with pytest.raises(InvalidFamilySpec, match="^alpha is not a rational number: "):
                 FamilySpec.laguerre(value)
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, True], ids=repr)
+    def test_float_and_bool_parameters_rejected(self, value):
+        # a float's binary value is seldom the rational meant, even when
+        # exact, and a bool is no number
+        with pytest.raises(InvalidFamilySpec, match=f"^alpha is not a rational number: {value!r}$"):
+            FamilySpec.laguerre(value)
+        with pytest.raises(InvalidFamilySpec, match=f"^beta is not a rational number: {value!r}$"):
+            FamilySpec.jacobi(0, value)
+
+    @pytest.mark.parametrize("value", [1, "1/10", Fraction(1, 10), Decimal("0.1")], ids=repr)
+    def test_exact_parameter_types_accepted(self, value):
+        assert FamilySpec.laguerre(value).alpha == Fraction(value)
 
     @pytest.mark.parametrize("family", ["hermite", None, 0])
     def test_family_must_be_a_family_member(self, family):

@@ -23,7 +23,6 @@ from hankelinv.gram import (
     _moment_sequence,
     _monic_rows,
     _odd_nonzero,
-    _off_identity,
     moment_matrix,
 )
 from hankelinv.orthopoly import FamilySpec
@@ -150,18 +149,15 @@ class TestVerify:
         ):
             assert verify(spec, 12).passed
 
-    def test_failed_identity_check_builds_no_identity_matrix(self, monkeypatch):
-        # the product E @ M is scanned against the identity in place
+    def test_failed_identity_check_witness(self, monkeypatch):
+        # the product E @ M is compared with the identity, its first
+        # differing cell the witness
         def corrupted(spec, n):
             rows = explicit_inverse(spec, n).to_lists()
             rows[0][1] += 1
             return ExactMatrix(rows)
 
-        def identity(size):
-            raise AssertionError("identity matrix built")
-
         monkeypatch.setattr(_VERIFY_MODULE, "explicit_inverse", corrupted)
-        monkeypatch.setattr(ExactMatrix, "identity", identity)
         checks = {c.name: c for c in verify(FamilySpec.shifted_jacobi(0, 0), 2).checks}
         assert checks["inverse_identity"].witness == Witness(0, 0, Fraction(1), Fraction(3, 2))
 
@@ -428,7 +424,6 @@ class TestCheckHelpers:
     def test_matrix_mismatch_witness(self):
         matrix = ExactMatrix([[1, 1], [0, 1]])
         expected = CheckResult("x", False, Witness(0, 1, Fraction(0), Fraction(1)))
-        assert _check("x", _off_identity(matrix)) == expected
         assert _check("x", _differing(ExactMatrix.identity(2), matrix)) == expected
 
     def test_row_scale_must_divide(self):
@@ -534,7 +529,7 @@ class TestCompareMatchesCellScan:
     @given(matrix=_rescaled())
     def test_identity_on_integer_rows(self, matrix):
         self._same(
-            _check("a", _off_identity(matrix)),
+            _check("a", _differing(ExactMatrix.identity(matrix.size), matrix)),
             reference.first_mismatch("a", reference.against_identity(matrix)),
         )
 
