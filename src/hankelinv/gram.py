@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import eq, mul
 
-from .orthopoly import Family, FamilySpec, PolyCoeffs, _integer_params, _Record
+from .orthopoly import Family, FamilySpec, PolyCoeffs, _exact, _integer_params, _Record
 
 __all__ = [
     "ExactMatrix",
@@ -72,7 +72,7 @@ class ExactMatrix:
     __slots__ = ("_stored",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
-        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(_exact, row)) for row in rows)
         size = len(rows)
         if size == 0 or any(len(row) != size for row in rows):
             raise ValueError("ExactMatrix must be square and nonempty")
@@ -294,10 +294,6 @@ class OrthoTable(_Record):
     monic: tuple[PolyCoeffs, ...]
     norms: tuple[Fraction, ...]
 
-    def eval_monic(self, m: int, x: Fraction | int) -> Fraction:
-        """Value of the degree-m monic polynomial at the point x."""
-        return self.monic[m].eval_at(Fraction(x) - self.spec.basis_origin)
-
 
 def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     """Monic orthogonal polynomials of the family basis under the Hankel form
@@ -424,14 +420,18 @@ def _darboux_kernel(
 
 
 def _darboux_inverts(
-    rows: Sequence[Sequence[int]], norms: Sequence[Fraction], matrix: ExactMatrix
+    rows: Sequence[Sequence[int]],
+    norms: Sequence[Fraction],
+    moments: _ScaledRow,
+    matrix: ExactMatrix,
 ) -> bool:
     """Whether ``_darboux_kernel(rows, norms)`` times ``matrix`` is exactly the
     identity, decided from the last two rows without the product.
 
-    The moments mu_0..mu_2n are read over one denominator from the first and
-    last stored rows of ``matrix``, and every stored row must be its window of
-    them.  With L(y^k) = mu_k, f = q_n and g = q_{n-1}, it then checks
+    The moments mu_k = N_k / D, k = 0..2n, come as (D, [N_k]) with D > 0:
+    the sequence ``matrix`` was built from (``_hankel``).  Every stored row
+    of ``matrix`` must be its window of them, or the verdict is False.  With
+    L(y^k) = mu_k, f = q_n and g = q_{n-1}, it then checks
 
         (1) L(f y^j) = 0 for j < n, and = h_n L_n at j = n;
         (2) L(g y^j) = 0 for j < n-1, and = h_{n-1} L_{n-1} at j = n-1,
@@ -447,12 +447,8 @@ def _darboux_inverts(
     <= n in x, so at l = n, W is a constant, and K M = (W / c) I.  Entry
     (n, n) of K M is L(f y^n) / (h_n L_n) = 1 by (1), since row n of K is
     f / (h_n L_n), so W = c."""
-    stored = matrix._stored
-    (first_scale, first), (last_scale, last) = stored[0], stored[-1]
-    denom = lcm(first_scale, last_scale)
-    seq = [v * (denom // first_scale) for v in first[:-1]]
-    seq += [v * (denom // last_scale) for v in last]
-    width = len(stored)
+    denom, seq = moments
+    width = matrix.size
     if next(_differing_rows(matrix, ((denom, seq[i : i + width]) for i in range(width))), None):
         return False
     for q, h in zip(rows[-2:], norms[-2:]):
@@ -463,11 +459,11 @@ def _darboux_inverts(
 
 
 def kernel_eval(table: OrthoTable, x: Fraction | int, y: Fraction | int) -> Fraction:
-    """Exact kernel value k_n(x, y) = sum_m monic_m(x) monic_m(y) / h_m."""
-    return sum(
-        table.eval_monic(m, x) * table.eval_monic(m, y) / table.norms[m]
-        for m in range(table.n + 1)
-    )
+    """Exact kernel value k_n(x, y) = sum_m monic_m(x) monic_m(y) / h_m, the
+    monic polynomials evaluated in the basis variable x - t0 and y - t0."""
+    origin = table.spec.basis_origin
+    u, v = _exact(x) - origin, _exact(y) - origin
+    return sum(p.eval_at(u) * p.eval_at(v) / h for p, h in zip(table.monic, table.norms))
 
 
 def det_from_norms(table: OrthoTable) -> Fraction:

@@ -54,12 +54,20 @@ _REQUIRED: dict[Family, tuple[str, ...]] = {
 _PARAM_NAMES = {"alpha": "alpha", "beta": "beta", "lam": "lambda"}
 
 
+def _exact(value: Fraction | int | str) -> Fraction:
+    """A caller's number as a Fraction, the package's one rule: a float would
+    keep its binary value (0.1 is not 1/10) and a bool is no number, so both
+    raise TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{value!r} is not an exact rational number")
+    return Fraction(value)
+
+
 def _coerce(value: Fraction | int | str, name: str) -> Fraction:
-    # a float would keep its binary value (0.1 is not 1/10), and a bool is no number
     try:
-        if isinstance(value, (float, bool)):
-            raise TypeError(type(value).__name__)
-        return Fraction(value)
+        return _exact(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
         raise InvalidFamilySpec(f"{name} is not a rational number: {value!r}") from exc
 
@@ -200,7 +208,7 @@ class PolyCoeffs(_Record):
     def __init__(self, coeffs: tuple[Fraction | int, ...]) -> None:
         if not coeffs:
             raise ValueError("PolyCoeffs cannot be empty")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_exact, coeffs))
         if coeffs[-1] == 0 and len(coeffs) > 1:
             raise ValueError("leading coefficient must be nonzero")
         super().__init__(coeffs)
@@ -211,7 +219,7 @@ class PolyCoeffs(_Record):
 
     def eval_at(self, t: Fraction | int) -> Fraction:
         """Value of the polynomial at basis-variable value t (Horner)."""
-        t = Fraction(t)
+        t = _exact(t)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c

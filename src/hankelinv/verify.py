@@ -12,8 +12,8 @@ back to the product.
 
 K is only compared, never returned, so it stays integer rows T over one
 denominator D, row i being T_i / D.  The moment sequence is built once, for
-M and for the engine (its one input), and M's symmetry scan is the verdict
-the elimination oracle requires on whether to mirror its inverse.
+M, the engine (its one input) and the certificate, and M's symmetry scan is
+the verdict the elimination oracle requires on whether to mirror its inverse.
 
 Every check is one of ``gram``'s scans of stored integer rows that yields,
 in row-major order, only the cells that differ: entries of two matrices
@@ -131,7 +131,7 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
     denom, totals = _darboux_kernel(rows, norms)
     kernel = ((denom, row) for row in totals)
     equals_kernel = _check("explicit_equals_kernel", _differing_rows(explicit_inv, kernel))
-    if equals_kernel.passed and _darboux_inverts(rows, norms, matrix):
+    if equals_kernel.passed and _darboux_inverts(rows, norms, moments, matrix):
         inverts = CheckResult("inverse_identity", True)
     else:
         identity = ExactMatrix.identity(matrix.size)

@@ -426,7 +426,7 @@ def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:
     n = table.n
     out = [Fraction(0)] * (n + 1)
     for m in range(n + 1):
-        weight = table.eval_monic(m, y) / table.norms[m]
+        weight = table.monic[m].eval_at(y - table.spec.basis_origin) / table.norms[m]
         coeffs = table.monic[m].coeffs
         for b in range(m + 1):
             out[b] += weight * coeffs[b]

@@ -11,13 +11,19 @@ Cross-routes used here:
 from __future__ import annotations
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from _fraction_reference import kernel_coeffs, moment
 from _recurrences import oracle_polys, taylor_shift
+from _strategies import SPECS, corner_examples
 from hankelinv.closed_form import _kernel_sum
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import (
@@ -40,6 +46,14 @@ HILBERT = FamilySpec.shifted_jacobi(0, 0)
 
 ALL_SPECS = [HERMITE, LAGUERRE, GEGENBAUER, JACOBI, SHIFTED]
 
+# kernel points p/q with |p/q| <= 2 and q <= 9
+POINTS = st.fractions(Fraction(-2), Fraction(2), max_denominator=9)
+
+
+def _not_exact(value):
+    """The TypeError message for a float or bool given as a number."""
+    return f"^{re.escape(repr(value))} is not an exact rational number$"
+
 
 class TestExactMatrix:
     def test_must_be_square(self):
@@ -55,6 +69,12 @@ class TestExactMatrix:
         assert eye @ a == a
         b = ExactMatrix([[0, 1], [1, 0]])
         assert (a @ b).to_lists() == [[2, 1], [4, 3]]
+
+    @pytest.mark.parametrize("value", [0.1, True], ids=repr)
+    def test_float_and_bool_entries_rejected(self, value):
+        # a float would keep its binary value and a bool is no number
+        with pytest.raises(TypeError, match=_not_exact(value)):
+            ExactMatrix([[value]])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -228,12 +248,6 @@ class TestGramSchmidt:
         assert large.monic[: 4] == small.monic
         assert large.norms[: 4] == small.norms
 
-    def test_eval_monic_uses_basis_origin(self):
-        table = gram_schmidt(HILBERT, 1)
-        # monic degree one is (t - 1/2) in the shifted variable t = x - 1
-        assert table.eval_monic(1, Fraction(3, 2)) == 0
-        assert table.eval_monic(1, 1) == Fraction(-1, 2)
-
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             gram_schmidt(HERMITE, -1)
@@ -314,6 +328,37 @@ class TestKernel:
         table = gram_schmidt(HERMITE, 1)
         assert kernel_eval(table, Fraction(1, 2), Fraction(1, 2)) == Fraction(3, 2)
 
+    def test_kernel_eval_uses_basis_origin(self):
+        table = gram_schmidt(HILBERT, 1)
+        # monic degree one is (t - 1/2) in the shifted variable t = x - 1, so
+        # it vanishes at x = 3/2 and is -1/2 at x = 1; h_0 = 1, h_1 = 1/12
+        assert kernel_eval(table, Fraction(3, 2), 7) == 1
+        assert kernel_eval(table, 1, 1) == 1 + Fraction(1, 4) * 12
+
+    @pytest.mark.parametrize("value", [0.1, True], ids=repr)
+    def test_float_and_bool_points_rejected(self, value):
+        # a float would keep its binary value and a bool is no number
+        table = gram_schmidt(HERMITE, 1)
+        for x, y in ((value, 1), (1, value)):
+            with pytest.raises(TypeError, match=_not_exact(value)):
+                kernel_eval(table, x, y)
+
+    def test_decimal_point_is_exact(self):
+        table = gram_schmidt(HERMITE, 1)
+        assert kernel_eval(table, Decimal("0.1"), "1") == Fraction(6, 5)
+
+    @given(spec=SPECS, n=st.integers(0, 12), x=POINTS, y=st.none() | POINTS)
+    @corner_examples(n=12, x=Fraction(-1, 3), y=None)
+    def test_is_the_inverse_between_power_vectors(self, spec, n, x, y):
+        # the paper's identity k_n(x, y) = v(x)^T M^-1 v(y), with
+        # v(x) = (1, u, ..., u^n) and u = x - t0; y = None draws x = y
+        y = x if y is None else y
+        table = gram_schmidt(spec, n)
+        inverse = kernel_inverse(table).rows
+        vx, vy = ([(t - spec.basis_origin) ** k for k in range(n + 1)] for t in (x, y))
+        expected = sum(a * sum(map(mul, row, vy)) for a, row in zip(vx, inverse))
+        assert kernel_eval(table, x, y) == expected
+
     def test_symmetry_random_points(self):
         rng = random.Random(20260814)
         for spec in ALL_SPECS:
@@ -360,12 +405,13 @@ class TestKernel:
             (Fraction(2), Fraction(0)),
             (Fraction(-3, 5), Fraction(1, 7)),
         ]
+
+        def monic(m, x):
+            return table.monic[m].eval_at(x - table.spec.basis_origin)
+
         for x, y in points:
             lhs = kernel_eval(short, x, y) * (x - y)
-            rhs = (
-                table.eval_monic(n + 1, x) * table.eval_monic(n, y)
-                - table.eval_monic(n, x) * table.eval_monic(n + 1, y)
-            ) / table.norms[n]
+            rhs = (monic(n + 1, x) * monic(n, y) - monic(n, x) * monic(n + 1, y)) / table.norms[n]
             assert lhs == rhs
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)

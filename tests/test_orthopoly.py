@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import importlib
 import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -141,6 +142,21 @@ class TestPolyCoeffs:
         p = PolyCoeffs((1, Fraction(-2, 3), 3))
         assert p.coeffs == (1, Fraction(-2, 3), 3)
         assert all(type(c) is Fraction for c in p.coeffs)
+
+    @pytest.mark.parametrize("value", [0.1, True], ids=repr)
+    def test_float_and_bool_rejected(self, value):
+        # as for FamilySpec's parameters, but as a TypeError naming the value
+        message = f"^{re.escape(repr(value))} is not an exact rational number$"
+        for coeffs in ((value, 1), (0, value)):
+            with pytest.raises(TypeError, match=message):
+                PolyCoeffs(coeffs)
+        with pytest.raises(TypeError, match=message):
+            PolyCoeffs((0, 1)).eval_at(value)
+
+    @pytest.mark.parametrize("value", [1, "1/10", Fraction(1, 10), Decimal("0.1")], ids=repr)
+    def test_exact_types_accepted(self, value):
+        assert PolyCoeffs((value, 1)).coeffs[0] == Fraction(value)
+        assert PolyCoeffs((0, 1)).eval_at(value) == Fraction(value)
 
 
 _WITNESS = Witness(0, 1, Fraction(1, 2), Fraction(-3))

@@ -6,7 +6,7 @@ import importlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 import _fraction_reference as reference
@@ -15,11 +15,13 @@ from hankelinv import elimination, gram
 from hankelinv.closed_form import explicit_inverse
 from hankelinv.gram import (
     ExactMatrix,
+    NotPositiveDefinite,
     _asymmetric,
     _differing,
     _darboux_inverts,
     _darboux_kernel,
     _differing_rows,
+    _hankel,
     _moment_sequence,
     _monic_rows,
     _odd_nonzero,
@@ -52,7 +54,18 @@ _VERIFY_MODULE = importlib.import_module("hankelinv.verify")
 
 def _engine_rows(spec, n):
     """The kernel engine's integer rows and norms of degree 0..n."""
-    return _monic_rows(_moment_sequence(spec, 2 * n + 1))
+    return _monic_rows(_moments(spec, n))
+
+
+def _moments(spec, n):
+    """The 2n + 1 moments as (D, [N_k]), the sequence M and the engine take."""
+    return _moment_sequence(spec, 2 * n + 1)
+
+
+def _one_raised(moments, k):
+    """The moments (D, [N_k]) with N_k raised by 1."""
+    denom, seq = moments
+    return denom, [v + (m == k) for m, v in enumerate(seq)]
 
 
 def _raised(rows, k, i):
@@ -367,23 +380,23 @@ class TestKernelCertificate:
     @corner_examples(n=12)
     def test_verdict_is_the_identity_product(self, spec, n):
         matrix = moment_matrix(spec, n)
-        verdict = _darboux_inverts(*_engine_rows(spec, n), matrix)
+        verdict = _darboux_inverts(*_engine_rows(spec, n), _moments(spec, n), matrix)
         assert verdict == (explicit_inverse(spec, n) @ matrix == ExactMatrix.identity(n + 1))
 
     @pytest.mark.parametrize("kind", ["coefficient", "norm", "entry"])
     @given(spec=SPECS, n=st.integers(0, 12), data=st.data())
     def test_verdict_under_one_raised_value(self, kind, spec, n, data):
-        # any coefficient of any row, any norm, any entry of M: the verdict
-        # is whether the Christoffel-Darboux kernel of what was given
-        # inverts what was given, and the certificate with its third check
-        # spelled out agrees
+        # any coefficient of any row, any norm, any entry of M, certified
+        # against the moments M was built from: the verdict is whether the
+        # Christoffel-Darboux kernel of what was given inverts what was
+        # given, and the certificate with its third check spelled out agrees
         k = data.draw(st.integers(0, n))
         i = data.draw(st.integers(0, n if kind == "entry" else k))
         j = data.draw(st.integers(0, n))
         rows, norms, matrix = _perturbed(
             *_engine_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
         )
-        verdict = _darboux_inverts(rows, norms, matrix)
+        verdict = _darboux_inverts(rows, norms, _moments(spec, n), matrix)
         kernel = reference.darboux_kernel(rows, norms)
         assert verdict == (kernel @ matrix == ExactMatrix.identity(n + 1))
         assert verdict == reference.darboux_certifies(rows, norms, matrix)
@@ -400,7 +413,7 @@ class TestKernelCertificate:
         rows, norms, matrix = _perturbed(
             *_engine_rows(spec, n), moment_matrix(spec, n), kind, k, i, j
         )
-        assert not _darboux_inverts(rows, norms, matrix)
+        assert not _darboux_inverts(rows, norms, _moments(spec, n), matrix)
         kernel = reference.darboux_kernel(rows, norms)
         assert kernel @ matrix != ExactMatrix.identity(n + 1)
 
@@ -415,9 +428,36 @@ class TestKernelCertificate:
         if fault == "entry":
             i, j = (v % (n + 1) for v in where)
             rows, norms, matrix = _perturbed(rows, norms, matrix, "entry", 0, i, j)
-        verdict = _darboux_inverts(rows, norms, matrix)
+        verdict = _darboux_inverts(rows, norms, _moments(spec, n), matrix)
         assert verdict == reference.kernel_inverts(rows, norms, matrix)
         assert verdict == (fault == "none")
+
+    @given(spec=SPECS, n=st.integers(0, 12), data=st.data())
+    def test_moments_other_than_the_matrix_are_rejected(self, spec, n, data):
+        # M as built and one of the moments given raised: whatever the rows,
+        # the certificate takes only the sequence M was built from
+        raised = _one_raised(_moments(spec, n), data.draw(st.integers(0, 2 * n)))
+        assert not _darboux_inverts(*_engine_rows(spec, n), raised, moment_matrix(spec, n))
+
+    @pytest.mark.parametrize("engine", ["given", "raised"])
+    @given(spec=SPECS, n=st.integers(0, 12), data=st.data())
+    def test_verdict_on_the_matrix_of_a_raised_sequence(self, engine, spec, n, data):
+        # M built from a sequence with one moment raised, certified against
+        # the engine's rows of the sequence as given or as raised: the
+        # verdict is whether their kernel inverts M, which only the raised
+        # sequence's own rows do
+        moments = _moments(spec, n)
+        raised = _one_raised(moments, data.draw(st.integers(0, 2 * n)))
+        matrix = _hankel(raised)
+        try:
+            rows, norms = _monic_rows(raised if engine == "raised" else moments)
+        except NotPositiveDefinite:
+            reject()
+        verdict = _darboux_inverts(rows, norms, raised, matrix)
+        kernel = reference.darboux_kernel(rows, norms)
+        assert verdict == (kernel @ matrix == ExactMatrix.identity(n + 1))
+        assert verdict == reference.darboux_certifies(rows, norms, matrix)
+        assert verdict == (engine == "raised")
 
 
 class TestCheckHelpers:
@@ -486,8 +526,10 @@ def _square(draw) -> ExactMatrix:
     else:
         rows = [[draw(_ENTRIES) for _ in range(size)] for _ in range(size)]
     if draw(st.booleans()):
+        # Fraction zeros: an int 0 divided below would be the float 0.0
         rows = [[rows[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
     if draw(st.booleans()):
+        # Fraction zeros: an int 0 divided below would be the float 0.0
         rows = [[0 if (i + j) % 2 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
     return ExactMatrix(draw(_changed(rows)))
 
@@ -501,7 +543,11 @@ def _rescaled(draw) -> ExactMatrix:
     rows = draw(_square()).to_lists()
     size = len(rows)
     if draw(st.booleans()):
-        rows = [[v if (i + j) % 2 else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        # Fraction zeros: an int 0 divided below would be the float 0.0
+        rows = [
+            [v if (i + j) % 2 else Fraction(0) for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, size - 1))
         divisor = draw(st.sampled_from([2, 3]))
