@@ -205,12 +205,10 @@ def run(request: argparse.Namespace) -> int:
     # inverse / kernel as the reciprocal
     power = {"gen": 1, "det": request.n + 1, "inv": -1, "kernel": -1}[request.command]
     payload = _payload(value, request, scale, power)
-    if isinstance(payload, list):
-        rows, lines = payload, _pretty_matrix(payload)
-    else:
-        rows, lines = [[payload]], [str(payload)]
+    # a scalar prints as the 1x1 table, whose one cell is str(payload)
+    table = payload if isinstance(payload, list) else [[payload]]
     key = "det" if request.command == "det" else "result"
-    _emit(request, spec, {key: payload}, rows, lines, point)
+    _emit(request, spec, {key: payload}, table, _pretty_matrix(table), point)
     return 0
 
 

@@ -29,7 +29,7 @@ from operator import mul
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, _over_products, _reduced, moment_matrix
-from .orthopoly import Family, FamilySpec, _integer_params, _Record
+from .orthopoly import Family, FamilySpec, _integer_params, _Record, _size
 from .special import _rising, barnes_g_int, pochhammer
 
 __all__ = [
@@ -63,8 +63,7 @@ def explicit_det(spec: FamilySpec, n: int) -> Fraction:
     as j! in term j, and each term is one Fraction.  (One numerator and
     denominator for all n terms ends in one gcd of ~100 000-bit ints at
     n = 60, which is slower.)"""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _size(n)
     fam = spec.family
     if fam is Family.HERMITE:
         return barnes_g_int(n + 2) / Fraction(2) ** (n * (n + 1) // 2)
@@ -102,9 +101,7 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
     built once on ints, as integer columns over one denominator each and
     integer weights over one common denominator, then summed on ints by
     ``_kernel_sum`` below."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    columns, weights = _FACTOR_TABLES[spec.family](spec, n)
+    columns, weights = _FACTOR_TABLES[spec.family](spec, _size(n))
     return _kernel_sum(columns, weights)
 
 
@@ -297,9 +294,8 @@ def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> Discrep
     corrected matrix.  The verdict is reported, never asserted."""
     if spec.family is not Family.JACOBI:
         raise ValueError("the as-printed determinant comparison is jacobi-only")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 1 <= digits <= MAX_DIGITS:
+    n = _size(n)
+    if not 1 <= (digits := _size(digits, "digits")) <= MAX_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
     from mpmath import mp
 
@@ -341,11 +337,8 @@ def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> Discrep
             printed = mp.nan
         exact_f = _to_mpf(exact)
         tolerance = mp.mpf(10) ** (-mp.mpf(digits) / 2)
-        if mp.isfinite(printed):
-            rel_error = abs(printed - exact_f) / abs(exact_f)
-        else:
-            rel_error = mp.inf
-        agrees = bool(mp.isfinite(printed) and rel_error <= tolerance)
+        rel_error = abs(printed - exact_f) / abs(exact_f) if mp.isfinite(printed) else mp.inf
+        agrees = rel_error <= tolerance
     return DiscrepancyNote(
         exact=exact,
         printed=printed,
@@ -361,7 +354,7 @@ def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:
     significant figures.  Multiplying the normalized matrix by this scale
     recovers the unnormalized moment matrix.  The only operation here that is
     allowed to return a non-rational."""
-    if not 1 <= digits <= MAX_DIGITS:
+    if not 1 <= (digits := _size(digits, "digits")) <= MAX_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
     from mpmath import mp
 

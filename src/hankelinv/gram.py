@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import eq, mul
 
-from .orthopoly import Family, FamilySpec, PolyCoeffs, _exact, _integer_params, _Record
+from .orthopoly import Family, FamilySpec, PolyCoeffs, _exact, _integer_params, _Record, _size
 
 __all__ = [
     "ExactMatrix",
@@ -206,8 +206,7 @@ def hankel_moment(spec: FamilySpec, k: int) -> Fraction:
     equals hankel_moment(spec, i + j).  For the two Jacobi variants it is the
     (-1)^k sign-folded moment of the weight.  The k-th entry of the family's
     moment recurrence (see ``_moment_sequence``)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _size(k, "k")
     denom, seq = _moment_sequence(spec, k + 1)
     return Fraction(seq[k], denom)
 
@@ -271,9 +270,7 @@ def _over_products(nums: Sequence[int], divisors: Sequence[int]) -> _ScaledRow:
 
 def moment_matrix(spec: FamilySpec, n: int) -> ExactMatrix:
     """The (n+1) x (n+1) normalized Hankel/Gram matrix of the family."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _hankel(_moment_sequence(spec, 2 * n + 1))
+    return _hankel(_moment_sequence(spec, 2 * _size(n) + 1))
 
 
 def _hankel(moments: _ScaledRow) -> ExactMatrix:
@@ -317,8 +314,7 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     and one gcd over the new row and its denominator reduces it.  Each p_k is
     a primitive integer vector with a positive leading coefficient, divided by
     that coefficient only when the output Fractions are built."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _size(n)
     rows, norms = _monic_rows(_moment_sequence(spec, 2 * n + 1))
     return OrthoTable(
         spec=spec,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import index
 
 from .special import hyp_terminating, pochhammer
 
@@ -63,6 +64,18 @@ def _exact(value: Fraction | int | str) -> Fraction:
     if isinstance(value, (float, bool)):
         raise TypeError(f"{value!r} is not an exact rational number")
     return Fraction(value)
+
+
+def _size(value: int, name: str = "n") -> int:
+    """A caller's size, count or degree as an int, the package's one rule for
+    them: a bool is no number, and a float, Fraction or str is no index, so
+    each raises TypeError; a negative value raises ValueError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    value = index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return value
 
 
 def _coerce(value: Fraction | int | str, name: str) -> Fraction:
@@ -239,10 +252,7 @@ def special_value(spec: FamilySpec, k: int, shift: int = 0) -> Fraction:
       laguerre       L_k^(a)(0) = (a+1)_k / k!
       jacobi-shifted P_k^(a,b)(1) = (a+1)_k / k!, the same value
     """
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
+    k, shift = _size(k, "k"), _size(shift, "shift")
     fam = spec.family
     if fam is Family.HERMITE:
         if k % 2:
@@ -281,8 +291,7 @@ def norm_squared(spec: FamilySpec, m: int) -> Fraction:
     the ints qa = q a, qb = q b, ql = q l.  The r = 1 Jacobi ratio is
     written with its removable a+b+1 factor cancelled, so alpha+beta = -1
     stays finite.  No library path calls it."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _size(m, "m")
     fam = spec.family
     q, qa, qb, ql = _integer_params(spec)
     if fam is Family.HERMITE:

@@ -49,7 +49,7 @@ from .gram import (
     _monic_rows,
     _odd_nonzero,
 )
-from .orthopoly import Family, FamilySpec, _Record
+from .orthopoly import Family, FamilySpec, _Record, _size
 
 __all__ = ["Witness", "CheckResult", "VerifyReport", "verify"]
 
@@ -117,8 +117,7 @@ def verify(spec: FamilySpec, n: int) -> VerifyReport:
          from the same forward sweep as the elimination inverse)
       d. symmetry everywhere; checkerboard zeros for the even-weight families
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _size(n)
     moments = _moment_sequence(spec, 2 * n + 1)
     matrix = _hankel(moments)
     rows, norms = _monic_rows(moments)

@@ -19,8 +19,14 @@ from mpmath import mpf
 
 import hankelinv
 from _recurrences import oracle_polys, poly_eval, taylor_shift
-from hankelinv.closed_form import DiscrepancyNote
-from hankelinv.gram import OrthoTable
+from hankelinv.closed_form import (
+    DiscrepancyNote,
+    explicit_det,
+    explicit_inverse,
+    jacobi_det_as_printed,
+    unnormalized_scale,
+)
+from hankelinv.gram import OrthoTable, gram_schmidt, hankel_moment, moment_matrix
 from hankelinv.orthopoly import (
     Family,
     FamilySpec,
@@ -29,7 +35,7 @@ from hankelinv.orthopoly import (
     norm_squared,
     special_value,
 )
-from hankelinv.verify import CheckResult, VerifyReport, Witness
+from hankelinv.verify import CheckResult, VerifyReport, Witness, verify
 
 HERMITE = FamilySpec.hermite()
 LAGUERRE = FamilySpec.laguerre(Fraction(7, 3))
@@ -438,3 +444,55 @@ class TestPublicAPI:
     def test_every_exported_name_resolves(self, module):
         mod = importlib.import_module(f"hankelinv.{module}")
         assert all(hasattr(mod, name) for name in mod.__all__)
+
+
+class _Index:
+    """An int-like object: it has ``__index__`` and nothing else."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+# every library size argument, as (call on that argument, its name)
+_JACOBI_00 = FamilySpec.jacobi(0, 0)
+_SIZES = {
+    "moment_matrix-n": (lambda v: moment_matrix(HERMITE, v), "n"),
+    "gram_schmidt-n": (lambda v: gram_schmidt(HERMITE, v), "n"),
+    "explicit_det-n": (lambda v: explicit_det(JACOBI, v), "n"),
+    "explicit_inverse-n": (lambda v: explicit_inverse(JACOBI, v), "n"),
+    "jacobi_det_as_printed-n": (lambda v: jacobi_det_as_printed(_JACOBI_00, v), "n"),
+    "verify-n": (lambda v: verify(HERMITE, v), "n"),
+    "hankel_moment-k": (lambda v: hankel_moment(LAGUERRE, v), "k"),
+    "special_value-k": (lambda v: special_value(JACOBI, v), "k"),
+    "special_value-shift": (lambda v: special_value(JACOBI, 2, shift=v), "shift"),
+    "norm_squared-m": (lambda v: norm_squared(GEGENBAUER, v), "m"),
+    "jacobi_det_as_printed-digits": (
+        lambda v: jacobi_det_as_printed(_JACOBI_00, 1, digits=v),
+        "digits",
+    ),
+    "unnormalized_scale-digits": (lambda v: unnormalized_scale(LAGUERRE, v), "digits"),
+}
+
+
+@pytest.mark.parametrize("entry", _SIZES)
+class TestSizeRule:
+    """One rule for every size: an int or an object with ``__index__``, no
+    bool, never negative (``orthopoly._size``)."""
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, Fraction(2), "2"], ids=repr)
+    def test_non_index_raises_type_error(self, entry, value):
+        call, _ = _SIZES[entry]
+        with pytest.raises(TypeError):
+            call(value)
+
+    def test_negative_raises_value_error(self, entry):
+        call, name = _SIZES[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            call(-1)
+
+    def test_index_object_gives_the_int_result(self, entry):
+        call, _ = _SIZES[entry]
+        assert call(_Index(2)) == call(2)
