@@ -11,8 +11,9 @@ Commands
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage or
 validation error.  Exact values serialize as canonical "p/q" strings (bare "p"
-for integers); --float emits doubles rounded to --digits significant figures,
-and --unnormalized additionally applies the family's total-mass scale.
+for integers); --float emits the nearest doubles, times the family's total
+mass to the quantity's power under --unnormalized, and rounded to --digits
+significant figures below 17.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .closed_form import (
     explicit_det,
     explicit_inverse,
     jacobi_det_as_printed,
-    unnormalized_scale,
 )
 from .elimination import bareiss_det, gauss_inverse
 from .gram import det_from_norms, gram_schmidt, kernel_eval, kernel_inverse, moment_matrix
@@ -83,33 +83,48 @@ def _make_spec(request: argparse.Namespace) -> FamilySpec:
         raise UsageError(str(exc)) from None
 
 
-def _to_float(value: Fraction, request: argparse.Namespace, scale, power: int) -> float:
-    if scale is not None:
-        from mpmath import mp
+def _float(value: Fraction) -> float:
+    try:
+        return float(value)  # correctly rounded by construction
+    except OverflowError:
+        return math.inf
 
-        with mp.workdps(request.digits + 10):
-            scaled = _to_mpf(value) * scale**power
-        result = float(scaled)
+
+def _doubles(
+    values: list[Fraction], request: argparse.Namespace, spec: FamilySpec, power: int
+) -> list[float]:
+    """The doubles --float prints: the nearest double to each value, times
+    the family's total mass to ``power`` under --unnormalized, rounded to
+    --digits significant figures below 17."""
+    if request.unnormalized:
+        from .doubles import scaled_doubles
+
+        doubles = scaled_doubles(values, spec, power)
     else:
-        try:
-            result = float(value)  # correctly rounded by construction
-        except OverflowError:
-            result = math.inf
-    if request.digits < 17:
-        result = float(f"{result:.{request.digits}g}")
-    # a double would overflow to inf or silently round a nonzero value to 0
-    if not math.isfinite(result) or (result == 0 and value != 0):
-        raise UsageError("--float value outside double range; drop --float for the exact value")
-    return result
+        doubles = map(_float, values)
+    out = []
+    for value, result in zip(values, doubles):
+        if request.digits < 17:
+            result = float(f"{result:.{request.digits}g}")
+        # a double would overflow to inf or silently round a nonzero value to 0
+        if not math.isfinite(result) or (result == 0 and value != 0):
+            raise UsageError("--float value outside double range; drop --float for the exact value")
+        out.append(result)
+    return out
 
 
-def _payload(value, request: argparse.Namespace, scale, power: int):
-    if isinstance(value, Fraction):
-        if request.as_float:
-            return _to_float(value, request, scale, power)
-        return str(value)
-    # matrix: list of rows
-    return [[_payload(entry, request, scale, power) for entry in row] for row in value.rows]
+def _payload(value, request: argparse.Namespace, spec: FamilySpec, power: int):
+    """The printed value, a scalar or a matrix as its list of rows, with
+    "p/q" strings or under --float doubles."""
+    scalar = isinstance(value, Fraction)
+    entries = [value] if scalar else [entry for row in value.rows for entry in row]
+    if request.as_float:
+        cells = _doubles(entries, request, spec, power)
+    else:
+        cells = list(map(str, entries))
+    if scalar:
+        return cells[0]
+    return [cells[i : i + value.size] for i in range(0, len(cells), value.size)]
 
 
 def _pretty_matrix(payload: list[list[object]]) -> list[str]:
@@ -177,10 +192,6 @@ def run(request: argparse.Namespace) -> int:
     if request.command == "errata":
         return _run_errata(request, spec)
 
-    scale = None
-    if request.unnormalized:
-        scale = unnormalized_scale(spec, request.digits)
-
     if request.command == "gen":
         value = moment_matrix(spec, request.n)
     elif request.command == "det":
@@ -204,7 +215,7 @@ def run(request: argparse.Namespace) -> int:
     # scales linearly, its determinant as the (n+1)-fold product, and the
     # inverse / kernel as the reciprocal
     power = {"gen": 1, "det": request.n + 1, "inv": -1, "kernel": -1}[request.command]
-    payload = _payload(value, request, scale, power)
+    payload = _payload(value, request, spec, power)
     # a scalar prints as the 1x1 table, whose one cell is str(payload)
     table = payload if isinstance(payload, list) else [[payload]]
     key = "det" if request.command == "det" else "result"

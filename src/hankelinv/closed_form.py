@@ -349,6 +349,23 @@ def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> Discrep
     )
 
 
+# the total mass of each family's unnormalized weight as 2^e prod Gamma(s) /
+# prod Gamma(t): (e, (s, ...), (t, ...)); jacobi-shifted has the jacobi row
+# (README, "--unnormalized").  Read by unnormalized_scale and by the decimal
+# route of --float, doubles.scaled_doubles
+def _mass_table(spec: FamilySpec) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    half = Fraction(1, 2)
+    fam = spec.family
+    if fam is Family.HERMITE:
+        return Fraction(0), (half,), ()
+    if fam is Family.LAGUERRE:
+        return Fraction(0), (spec.alpha + 1,), ()
+    if fam is Family.GEGENBAUER:
+        return Fraction(0), (half, spec.lam + half), (spec.lam + 1,)
+    a, b = spec.alpha, spec.beta
+    return a + b + 1, (a + 1, b + 1), (a + b + 2,)
+
+
 def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:
     """Total mass of the family's unnormalized weight, to ``digits``
     significant figures.  Multiplying the normalized matrix by this scale
@@ -358,14 +375,11 @@ def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
     from mpmath import mp
 
+    power, tops, bottoms = _mass_table(spec)
     with mp.workdps(digits + 10):
-        fam = spec.family
-        if fam is Family.HERMITE:
-            return mp.sqrt(mp.pi)
-        if fam is Family.LAGUERRE:
-            return mp.gamma(_to_mpf(spec.alpha) + 1)
-        if fam is Family.GEGENBAUER:
-            return mp.beta(mp.mpf(1) / 2, _to_mpf(spec.lam) + mp.mpf(1) / 2)
-        a = _to_mpf(spec.alpha)
-        b = _to_mpf(spec.beta)
-        return mp.power(2, a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
+        scale = mp.power(2, _to_mpf(power))
+        for s in tops:
+            scale *= mp.gamma(_to_mpf(s))
+        for t in bottoms:
+            scale /= mp.gamma(_to_mpf(t))
+        return scale

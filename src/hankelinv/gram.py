@@ -59,6 +59,8 @@ class NotPositiveDefinite(ArithmeticError):
 # one stored row: (s, N) with s > 0 and gcd(s, *N) = 1, the row being N / s
 _ScaledRow = tuple[int, tuple[int, ...]]
 
+_NOT_SQUARE = "ExactMatrix must be square and nonempty"
+
 
 class ExactMatrix:
     """Immutable square matrix of rationals, row-major.
@@ -75,7 +77,7 @@ class ExactMatrix:
         rows = tuple(tuple(map(_exact, row)) for row in rows)
         size = len(rows)
         if size == 0 or any(len(row) != size for row in rows):
-            raise ValueError("ExactMatrix must be square and nonempty")
+            raise ValueError(_NOT_SQUARE)
         self._stored = tuple((scale, tuple(ints)) for scale, ints in map(_scaled, rows))
 
     @classmethod
@@ -87,6 +89,10 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "ExactMatrix":
+        """The size x size identity; ``size`` follows ``orthopoly._size``
+        and must be >= 1, as the rows of ``ExactMatrix`` must."""
+        if not (size := _size(size, "size")):
+            raise ValueError(_NOT_SQUARE)
         return cls._from_scaled((1, (0,) * i + (1,) + (0,) * (size - 1 - i)) for i in range(size))
 
     @property

@@ -15,7 +15,9 @@ product per degree and in one pass, the corrected jacobi determinant
 display, the cell-by-cell scans of verify's
 checks, and its comparison of E with the kernel inverse normalized into an
 ``ExactMatrix``.  Also the coefficients of the kernel section k_n(., y),
-which the reproducing-property tests pair with the moment matrix.
+which the reproducing-property tests pair with the moment matrix, and the
+mpmath route of ``--float --unnormalized`` (``unnormalized_scale``,
+``scaled_doubles``) that the decimal route replaced.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -780,3 +782,43 @@ def kernel_mismatches(
         for j, (e, a) in enumerate(zip(want, got)):
             if e * t != a * s:
                 yield i, j, (e, s), (a, t)
+
+
+def unnormalized_scale(spec: FamilySpec, digits: int):
+    """The family's total mass as an mpmath number at ``digits`` + 10
+    working digits, from the textbook formula of each family: sqrt(pi),
+    Gamma(alpha + 1), B(1/2, lambda + 1/2) and, for both jacobi variants,
+    2^(alpha + beta + 1) Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2)."""
+    from mpmath import mp
+
+    def exact(value: Fraction):
+        return mp.mpf(value.numerator) / value.denominator
+
+    with mp.workdps(digits + 10):
+        fam = spec.family
+        if fam is Family.HERMITE:
+            return mp.sqrt(mp.pi)
+        if fam is Family.LAGUERRE:
+            return mp.gamma(exact(spec.alpha) + 1)
+        if fam is Family.GEGENBAUER:
+            return mp.beta(mp.mpf(1) / 2, exact(spec.lam) + mp.mpf(1) / 2)
+        a, b = exact(spec.alpha), exact(spec.beta)
+        return mp.power(2, a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
+
+
+def scaled_doubles(values: list[Fraction], spec: FamilySpec, power: int, digits: int) -> list[float]:
+    """``--float --unnormalized``'s doubles, as the CLI printed them before
+    the decimal route: each value times ``unnormalized_scale`` to ``power``
+    at ``digits`` + 10 working digits, converted by mpmath's ``float``, then
+    rounded to ``digits`` significant figures below 17."""
+    from mpmath import mp
+
+    scale = unnormalized_scale(spec, digits)
+    out = []
+    for value in values:
+        with mp.workdps(digits + 10):
+            result = float(mp.mpf(value.numerator) / value.denominator * scale**power)
+        if digits < 17:
+            result = float(f"{result:.{digits}g}")
+        out.append(result)
+    return out

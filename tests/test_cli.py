@@ -16,7 +16,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,8 +168,13 @@ class TestDet:
             ["det", "--family", "hermite", "--n", "80", "--float"],
             ["det", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--n", "80", "--float"],
             ["det", "--family", "hermite", "--n", "100", "--float", "--unnormalized", "--output", "json"],
+            # Gamma(10^30 + 1) and its reciprocal, decided from their logs
+            ["gen", "--family", "laguerre", "--alpha", "10" + "0" * 29, "--n", "0", "--float",
+             "--unnormalized"],
+            ["inv", "--family", "laguerre", "--alpha", "10" + "0" * 29, "--n", "0", "--float",
+             "--unnormalized"],
         ],
-        ids=["overflow", "underflow-to-zero", "unnormalized-infinity"],
+        ids=["overflow", "underflow-to-zero", "unnormalized-infinity", "huge-mass", "huge-mass-inverse"],
     )
     def test_float_outside_double_range_is_usage_error(self, argv):
         code, out, err = run_cli(argv)
@@ -640,6 +644,14 @@ class TestUnnormalized:
         expected = 1 / math.sqrt(math.pi)
         assert abs(value - expected) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("digits", ["18", "4000", str(MAX_DIGITS)])
+    def test_digits_above_17_print_the_same_double(self, digits):
+        # --float prints the double nearest the exact value times the mass
+        # power; more digits only bound --digits
+        argv = ["det", "--family", "laguerre", "--alpha", "1/3", "--n", "2", "--float",
+                "--unnormalized"]
+        assert run_cli([*argv, "--digits", digits]) == run_cli([*argv, "--digits", "17"])
+
     def test_normalized_flag_in_document(self):
         code, out, _ = run_cli(
             ["gen", "--family", "hermite", "--n", "1", "--float", "--unnormalized", "--output", "json"]
@@ -738,32 +750,57 @@ class TestGoldenOutput:
         assert {"argv": case["argv"], "exit": code, "stdout": out, "stderr": err} == case
 
 
+_UNNORMALIZED_FLOAT = {
+    "gen": ["gen", "--family", "laguerre", "--alpha", "1/3", "--n", "3"],
+    "det": ["det", "--family", "laguerre", "--alpha", "1/3", "--n", "2", "--digits", "4000"],
+    "inv": ["inv", "--family", "jacobi", "--alpha", "1/3", "--beta", "1/5", "--n", "4"],
+    "kernel": ["kernel", "--family", "gegenbauer", "--lambda", "3/2", "--n", "3", "--x", "1/2",
+               "--y", "1/3"],
+}
+
+
+def _loads_mpmath(script: list[str]) -> None:
+    """Run ``script`` in a fresh interpreter, in which it asserts what it
+    expects of sys.modules."""
+    package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(["import sys", *script])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestLazyMpmath:
     def test_exact_requests_do_not_import_mpmath(self):
-        # the float-unnormalized request checks that the probe would see
-        # mpmath once it is loaded
-        script = "\n".join(
+        # the errata request checks that the probe would see mpmath once it
+        # is loaded
+        _loads_mpmath(
             [
-                "import sys",
                 "import hankelinv",
                 "assert 'mpmath' not in sys.modules, 'import hankelinv'",
                 "from hankelinv.cli import main",
                 "assert main(['det', '--family', 'hermite', '--n', '2']) == 0",
                 "assert main(['verify', '--family', 'laguerre', '--alpha', '1/2', '--n', '3']) == 0",
                 "assert 'mpmath' not in sys.modules, 'exact request'",
-                "assert main(['det', '--family', 'hermite', '--n', '2', '--float', '--unnormalized']) == 0",
-                "assert 'mpmath' in sys.modules, 'float request'",
+                "assert main(['errata', '--family', 'jacobi', '--alpha', '1', '--beta', '2', '--n', '2']) == 0",
+                "assert 'mpmath' in sys.modules, 'errata request'",
             ]
         )
-        package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": package_root},
+
+    @pytest.mark.parametrize("command", list(_UNNORMALIZED_FLOAT))
+    def test_unnormalized_float_requests_do_not_import_mpmath(self, command):
+        # the mass scale runs on decimal; --digits 4000 only bounds --digits
+        argv = [*_UNNORMALIZED_FLOAT[command], "--float", "--unnormalized"]
+        _loads_mpmath(
+            [
+                "from hankelinv.cli import main",
+                f"assert main({argv!r}) == 0",
+                "assert 'mpmath' not in sys.modules, 'float request'",
+            ]
         )
-        assert proc.returncode == 0, proc.stderr
 
 
 def _cold_run(script: str) -> str:
@@ -805,19 +842,19 @@ class TestColdImport:
         assert _cold_run(script).splitlines()[-1] == f"0 {loaded}"
 
     def test_malformed_kernel_point_fails_before_any_work(self):
-        # --x and --y are read right after the family, so the mass scale of
-        # --unnormalized, which imports mpmath, is never computed for them;
-        # mpmath stays importable under -S, so that loading it is seen
+        # --x and --y are read right after the family, so neither the kernel
+        # engine nor the mass scale of --unnormalized runs for them; the
+        # engine's one entry in the CLI records whether it is called
         argv = ["kernel", "--family", "hermite", "--n", "1", "--x", "1/0", "--y", "0",
                 "--float", "--unnormalized"]
-        mpmath_root = os.path.dirname(os.path.dirname(mpmath.__file__))
         script = (
-            f"import sys; sys.path.append({mpmath_root!r})\n"
             "import contextlib, io, hankelinv.cli\n"
+            "calls = []\n"
+            "hankelinv.cli.gram_schmidt = lambda *args: calls.append(args)\n"
             "err = io.StringIO()\n"
             "with contextlib.redirect_stderr(err):\n"
             f"    code = hankelinv.cli.main({argv!r})\n"
-            "print(code, repr(err.getvalue()), 'mpmath' in sys.modules)"
+            "print(code, repr(err.getvalue()), bool(calls))"
         )
         stderr = "error: malformed rational for x: zero denominator\n"
         assert _cold_run(script) == f"2 {stderr!r} False\n"

@@ -76,6 +76,21 @@ class TestExactMatrix:
         with pytest.raises(TypeError, match=_not_exact(value)):
             ExactMatrix([[value]])
 
+    @pytest.mark.parametrize(
+        ("size", "error", "message"),
+        [
+            (0, ValueError, "square and nonempty"),
+            (-1, ValueError, "size must be >= 0"),
+            (True, TypeError, "size must be an int"),
+            (2.0, TypeError, "float"),
+        ],
+        ids=repr,
+    )
+    def test_identity_size_follows_the_size_rule(self, size, error, message):
+        # the one size rule, then the nonempty rule of the constructor
+        with pytest.raises(error, match=message):
+            ExactMatrix.identity(size)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ExactMatrix.identity(2) @ ExactMatrix.identity(3)
