@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .closed_form import (
     MAX_DIGITS,
-    MAX_N,
     _to_mpf,
     explicit_det,
     explicit_inverse,
@@ -39,6 +38,14 @@ from .orthopoly import _PARAM_NAMES, Family, FamilySpec, InvalidFamilySpec
 from .verify import VerifyReport, verify
 
 __all__ = ["UsageError", "run", "main"]
+
+# the largest n the CLI accepts, for every command: verify and the oracle's
+# inverse, the slowest, grow faster than n^4 and take ~3 s for jacobi
+# 1/8,1/9 at n = 100 (README, the --n bullet)
+MAX_N = 100
+# the largest errata --digits: mpmath's Barnes G and Gamma at that precision
+# take ~4 s for jacobi 1/8,1/9 at n = MAX_N, and 81 s at 1 000 digits
+MAX_ERRATA_DIGITS = 500
 
 # ASCII digits only: \d would also admit other scripts' digits, which
 # Fraction() and int() accept
@@ -257,6 +264,8 @@ def _run_verify(request: argparse.Namespace, spec: FamilySpec) -> int:
 def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
     if spec.family is not Family.JACOBI:
         raise UsageError("errata applies to the jacobi family only")
+    if request.digits > MAX_ERRATA_DIGITS:
+        raise UsageError(f"errata --digits must be <= {MAX_ERRATA_DIGITS}")
     from mpmath import mp
 
     note = jacobi_det_as_printed(spec, request.n, request.digits)
@@ -326,9 +335,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         cmd.add_argument(
             "--n", required=True, type=_parse_int, help="largest index; matrix is (n+1)x(n+1)"
         )
-        cmd.add_argument("--alpha")
-        cmd.add_argument("--beta")
-        cmd.add_argument("--lambda", dest="lam")
+        for field, option in _PARAM_NAMES.items():
+            cmd.add_argument(f"--{option}", dest=field)
         cmd.add_argument("--method", choices=["explicit", "kernel", "oracle"], default="explicit")
         cmd.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
         cmd.add_argument("--float", dest="as_float", action="store_true")
@@ -343,7 +351,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 # options whose values are rationals and may begin with a minus sign;
 # argparse would otherwise read "-1/2" as an option name, so such pairs are
 # merged into the --option=value form before parsing
-_VALUE_OPTIONS = frozenset({"--alpha", "--beta", "--lambda", "--x", "--y"})
+_VALUE_OPTIONS = frozenset(f"--{name}" for name in [*_PARAM_NAMES.values(), "x", "y"])
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

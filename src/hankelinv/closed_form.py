@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 MAX_DIGITS = 100_000
-# the largest n the CLI accepts, for every command: verify and the oracle's
-# inverse, the slowest, grow faster than n^4 and take ~3 s for jacobi
-# 1/8,1/9 at n = 100 (README, the --n bullet)
-MAX_N = 100
 
 
 def explicit_det(spec: FamilySpec, n: int) -> Fraction:

@@ -24,6 +24,8 @@ import hankelinv
 from hankelinv import cli
 from hankelinv.cli import (
     _COMMANDS,
+    MAX_ERRATA_DIGITS,
+    MAX_N,
     UsageError,
     _merge_negative_values,
     build_parser,
@@ -31,7 +33,7 @@ from hankelinv.cli import (
     parse_rational,
     run,
 )
-from hankelinv.closed_form import MAX_DIGITS, MAX_N, explicit_det
+from hankelinv.closed_form import MAX_DIGITS, explicit_det
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec, InvalidFamilySpec
 from hankelinv.verify import CheckResult, VerifyReport, Witness
@@ -409,9 +411,19 @@ class TestErrata:
         assert doc["exact_float"] == expected
 
     def test_rejects_other_families(self):
-        code, _, err = run_cli(["errata", "--family", "hermite", "--n", "1"])
+        # the family is checked before errata's --digits bound
+        argv = ["errata", "--family", "hermite", "--n", "1", "--digits", str(MAX_ERRATA_DIGITS + 1)]
+        code, _, err = run_cli(argv)
         assert code == 2
         assert "jacobi" in err
+
+    # errata at the bound itself takes seconds, so CI runs it, not tier-1
+    @pytest.mark.parametrize("digits", [MAX_ERRATA_DIGITS + 1, MAX_DIGITS])
+    def test_digits_above_errata_maximum(self, digits):
+        argv = ["errata", "--family", "jacobi", "--alpha", "1/8", "--beta", "1/9", "--n", "2"]
+        code, out, err = run_cli([*argv, "--digits", str(digits)])
+        assert code == 2 and out == ""
+        assert err == f"error: errata --digits must be <= {MAX_ERRATA_DIGITS}\n"
 
     @pytest.mark.parametrize("output", ["pretty", "json", "csv"])
     def test_gamma_pole_corner_reports_nan(self, output):

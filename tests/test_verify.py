@@ -177,10 +177,6 @@ class TestVerify:
     def test_degree_zero(self):
         assert verify(FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2)), 0).passed
 
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            verify(FamilySpec.hermite(), -1)
-
     @given(spec=SPECS, n=st.integers(0, 8))
     @corner_examples(n=8)
     def test_property_passes(self, spec, n):
