@@ -230,31 +230,18 @@ def run(request: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_doc(check):
-    if check.witness is None:
-        return None
-    return {
-        "row": check.witness.row,
-        "col": check.witness.col,
-        "expected": str(check.witness.expected),
-        "actual": str(check.witness.actual),
-    }
-
-
 def _run_verify(request: argparse.Namespace, spec: FamilySpec) -> int:
     report: VerifyReport = verify(spec, request.n)
-    checks = [
-        {"name": c.name, "passed": c.passed, "witness": _witness_doc(c)} for c in report.checks
-    ]
-    rows = [[c.name, "pass" if c.passed else "fail"] for c in report.checks]
     width = max(len(c.name) for c in report.checks)
-    lines = []
+    checks, rows, lines = [], [], []
     for c in report.checks:
-        line = f"{c.name.ljust(width)}  {'pass' if c.passed else 'FAIL'}"
-        if c.witness is not None:
-            w = c.witness
+        doc, line = None, f"{c.name.ljust(width)}  {'pass' if c.passed else 'FAIL'}"
+        if (w := c.witness) is not None:
             where = "det" if w.row < 0 else f"({w.row},{w.col})"
             line += f"  at {where}: expected {w.expected}, got {w.actual}"
+            doc = {"row": w.row, "col": w.col, "expected": str(w.expected), "actual": str(w.actual)}
+        checks.append({"name": c.name, "passed": c.passed, "witness": doc})
+        rows.append([c.name, "pass" if c.passed else "fail"])
         lines.append(line)
     lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed")
     _emit(request, spec, {"checks": checks, "passed": report.passed}, rows, lines)

@@ -29,7 +29,7 @@ from operator import mul
 
 from .elimination import bareiss_det
 from .gram import ExactMatrix, _over_products, _reduced, moment_matrix
-from .orthopoly import Family, FamilySpec, _integer_params, _Record, _size
+from .orthopoly import Family, FamilySpec, _Record, _size
 from .special import _rising, barnes_g_int, pochhammer
 
 __all__ = [
@@ -99,6 +99,16 @@ def explicit_inverse(spec: FamilySpec, n: int) -> ExactMatrix:
     ``_kernel_sum`` below."""
     columns, weights = _FACTOR_TABLES[spec.family](spec, _size(n))
     return _kernel_sum(columns, weights)
+
+
+def _integer_params(spec: FamilySpec) -> tuple[int, int, int, int]:
+    """(q, q alpha, q beta, q lambda) with q the lcm of the denominators of
+    the parameters present, so that each of the last three is an int; an
+    absent parameter reads 0.  The integer products name them q, qa, qb and
+    ql; ``gram``'s moment route clears the denominators on its own."""
+    values = (spec.alpha, spec.beta, spec.lam)
+    q = lcm(*(v.denominator for v in values if v is not None))
+    return q, *(0 if v is None else v.numerator * (q // v.denominator) for v in values)
 
 
 # a family's inverse as integer columns (c_i, [X(k, i)] for k = i..n), with

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import eq, mul
 
-from .orthopoly import Family, FamilySpec, PolyCoeffs, _exact, _integer_params, _Record, _size
+from .orthopoly import Family, FamilySpec, PolyCoeffs, _exact, _Record, _size
 
 __all__ = [
     "ExactMatrix",
@@ -234,13 +234,16 @@ def _moment_sequence(spec: FamilySpec, count: int) -> _ScaledRow:
     satisfy.  Every divisor d(k) is > 0 on the whole parameter domain.
 
     Runs on ints: with the parameters over their common denominator q
-    (qa = q a, qb = q b, ql = q l), the coefficients times q are integers
-    d', e', f', and mu_k = M_k / P_k over the running product
-    P_k = d'(0) ... d'(k-1) of the divisors, where
+    (qa = q a, qb = q b, ql = q l, cleared here and not by the closed forms'
+    reader, so that ``verify`` sees a misread parameter), the coefficients
+    times q are integers d', e', f', and mu_k = M_k / P_k over the running
+    product P_k = d'(0) ... d'(k-1) of the divisors, where
     M_{k+1} = e'(k) M_k + f'(k) d'(k-1) M_{k-1}; one gcd at the end reduces
     the sequence over P_{count-1}."""
     fam = spec.family
-    q, qa, qb, ql = _integer_params(spec)
+    a, b, l = (v or 0 for v in (spec.alpha, spec.beta, spec.lam))
+    q = lcm(a.denominator, b.denominator, l.denominator)
+    qa, qb, ql = int(q * a), int(q * b), int(q * l)
     if fam is Family.HERMITE:
         step = lambda k: (2, 0, k)
     elif fam is Family.LAGUERRE:
@@ -289,11 +292,11 @@ def _hankel(moments: _ScaledRow) -> ExactMatrix:
 
 class OrthoTable(_Record):
     """Monic orthogonal polynomials of degree 0..n (family-basis coefficients)
-    together with their squared norms under the matrix bilinear form."""
+    together with their squared norms under the matrix bilinear form; n is
+    ``len(monic) - 1``."""
 
-    __slots__ = ("spec", "n", "monic", "norms")
+    __slots__ = ("spec", "monic", "norms")
     spec: FamilySpec
-    n: int
     monic: tuple[PolyCoeffs, ...]
     norms: tuple[Fraction, ...]
 
@@ -320,11 +323,9 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
     and one gcd over the new row and its denominator reduces it.  Each p_k is
     a primitive integer vector with a positive leading coefficient, divided by
     that coefficient only when the output Fractions are built."""
-    n = _size(n)
-    rows, norms = _monic_rows(_moment_sequence(spec, 2 * n + 1))
+    rows, norms = _monic_rows(_moment_sequence(spec, 2 * _size(n) + 1))
     return OrthoTable(
         spec=spec,
-        n=n,
         monic=tuple(PolyCoeffs(tuple(Fraction(c, q[-1]) for c in q)) for q in rows),
         norms=tuple(norms),
     )

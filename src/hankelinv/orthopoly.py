@@ -5,9 +5,10 @@ record of a polynomial in the family basis (PolyCoeffs).  Two test references
 sit outside ``__all__``: ``special_value``, the closed-form values of the
 standard-normalization polynomials at the family anchor point, and
 ``norm_squared``, their squared norms under the probability-normalized
-weight.  No library path calls either; they stay here until the scalar layer
-moves into the tests, since the benchmark tracer wraps them by module and
-name.  All of it exact.
+weight as a product of Fraction ratios.  No library path calls either; they
+stay here until the scalar layer moves into the tests, since the benchmark
+tracer wraps them by module and name.  No route arithmetic lives here: each
+route clears the parameters' denominators itself.  All of it exact.
 
 Conventions
 -----------
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import index
 
 from .special import hyp_terminating, pochhammer
@@ -287,40 +288,22 @@ def norm_squared(spec: FamilySpec, m: int) -> Fraction:
       jacobi both (a+1)(b+1) / (a+b+3) at r = 1, then for r >= 2
                   (a+r)(b+r)(a+b+2r-1) / (r (a+b+2r+1)(a+b+r))
 
-    as int pairs with the parameters over their common denominator q, as
-    the ints qa = q a, qb = q b, ql = q l.  The r = 1 Jacobi ratio is
-    written with its removable a+b+1 factor cancelled, so alpha+beta = -1
-    stays finite.  No library path calls it."""
+    as Fractions.  The r = 1 jacobi ratio is written with its removable
+    a+b+1 factor cancelled, so alpha+beta = -1 stays finite.  No library
+    path calls it."""
     m = _size(m, "m")
     fam = spec.family
-    q, qa, qb, ql = _integer_params(spec)
+    a, b, l = spec.alpha, spec.beta, spec.lam
     if fam is Family.HERMITE:
-        ratio = lambda r: (2 * r, 1)
+        ratio = lambda r: 2 * r
     elif fam is Family.LAGUERRE:
-        ratio = lambda r: (qa + q * r, q * r)
+        ratio = lambda r: (a + r) / r
     elif fam is Family.GEGENBAUER:
-        ratio = lambda r: (
-            (2 * ql + q * (r - 1)) * (ql + q * (r - 1)),
-            q * r * (ql + q * r),
-        )
+        ratio = lambda r: (2 * l + r - 1) * (l + r - 1) / (r * (l + r))
     else:
         ratio = lambda r: (
-            ((qa + q) * (qb + q), q * (qa + qb + 3 * q))
+            (a + 1) * (b + 1) / (a + b + 3)
             if r == 1
-            else (
-                (qa + q * r) * (qb + q * r) * (qa + qb + q * (2 * r - 1)),
-                q * r * (qa + qb + q * (2 * r + 1)) * (qa + qb + q * r),
-            )
+            else (a + r) * (b + r) * (a + b + 2 * r - 1) / (r * (a + b + 2 * r + 1) * (a + b + r))
         )
-    ratios = [ratio(r) for r in range(1, m + 1)]
-    return Fraction(prod(num for num, _ in ratios), prod(den for _, den in ratios))
-
-
-def _integer_params(spec: FamilySpec) -> tuple[int, int, int, int]:
-    """(q, q alpha, q beta, q lambda) with q the lcm of the denominators of
-    the parameters present, so that each of the last three is an int; an
-    absent parameter reads 0.  The integer recurrences name them q, qa, qb
-    and ql."""
-    values = (spec.alpha, spec.beta, spec.lam)
-    q = lcm(*(v.denominator for v in values if v is not None))
-    return q, *(0 if v is None else v.numerator * (q // v.denominator) for v in values)
+    return prod(map(ratio, range(1, m + 1)), start=Fraction(1))

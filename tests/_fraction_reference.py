@@ -232,7 +232,6 @@ def gram_schmidt(spec: FamilySpec, n: int) -> OrthoTable:
         norms.append(h)
     return OrthoTable(
         spec=spec,
-        n=n,
         monic=tuple(PolyCoeffs(tuple(c)) for c in monic),
         norms=tuple(norms),
     )
@@ -277,7 +276,6 @@ def chebyshev(spec: FamilySpec, n: int) -> OrthoTable:
         norm_before = h
     return OrthoTable(
         spec=spec,
-        n=n,
         monic=tuple(PolyCoeffs(tuple(c)) for c in monic),
         norms=tuple(norms),
     )
@@ -425,7 +423,7 @@ def darboux_certifies(
 def kernel_coeffs(table: OrthoTable, y: Fraction | int) -> tuple[Fraction, ...]:
     """Family-basis coefficients of the kernel section k_n(., y)."""
     y = Fraction(y)
-    n = table.n
+    n = len(table.monic) - 1
     out = [Fraction(0)] * (n + 1)
     for m in range(n + 1):
         weight = table.monic[m].eval_at(y - table.spec.basis_origin) / table.norms[m]

@@ -52,7 +52,7 @@ _POINTS = [
     FamilySpec.shifted_jacobi(Fraction(2, 7), Fraction(-5, 7)),
 ]
 _SIZES = (0, 1, 2, 5, 8, 12, 18, 24, 40)
-_EXPECTED = "2e14ac059f980f9a772aa20cc6bd63b338317a7337c38bf68d1af95c1c9313e8"
+_EXPECTED = "979353d5dcc7fc3accdc089973b70fbb18586924257cafd34e9616d4d0070692"
 
 
 def _outputs(spec: FamilySpec, n: int) -> list[object]:

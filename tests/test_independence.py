@@ -22,12 +22,13 @@ says which routes read the core and which check catches the fault.
   E against K, the identity, the oracle and both determinants fail.
 * ``_moment_sequence``, the last moment raised by 1: M and the engine read
   it and the closed forms do not, so the same five checks fail.
-* ``_integer_params``, q alpha and q lambda raised by 1: every route reads
-  the parameters through it, so only laguerre's determinant, which still
-  reads alpha through ``pochhammer``, catches the fault.  That is a blind
-  spot by design; the Fraction references catch it, as
-  ``test_parameter_reading_fault_is_caught_only_by_the_fraction_references``
-  asserts.
+* ``_integer_params``, q alpha and q lambda raised by 1: only the closed
+  forms read the parameters through it, and the moment route clears their
+  denominators on its own, so E differs from K and from the oracle and the
+  identity fails at every point with a parameter.  The closed-form
+  determinants read it too, except laguerre's, which reads alpha through
+  ``pochhammer``; hermite has no parameter to misread.  M stays right, as
+  ``test_parameter_reading_fault_is_caught_by_verify`` asserts.
 * ``_asymmetric`` yielding a spurious first cell: the two symmetry checks
   fail, and the oracle back-substitutes in full instead of mirroring, to
   the same inverse.
@@ -79,14 +80,8 @@ _TABLE_POINTS = [
     FamilySpec.shifted_jacobi(Fraction(1, 3), Fraction(1, 5)),
 ]
 
-_INVERSE_AND_DETS = {
-    "explicit_equals_kernel",
-    "inverse_identity",
-    "explicit_equals_elimination",
-    "det_explicit_equals_norm_product",
-    "det_explicit_equals_bareiss",
-}
-_DETS = {"det_explicit_equals_norm_product", "det_explicit_equals_bareiss"}
+_INVERSE = {"explicit_equals_kernel", "inverse_identity", "explicit_equals_elimination"}
+_INVERSE_AND_DETS = _INVERSE | {"det_explicit_equals_norm_product", "det_explicit_equals_bareiss"}
 # every check but the two checkerboard checks of hermite and gegenbauer
 _NON_PARITY = _INVERSE_AND_DETS | {"matrix_symmetric", "inverse_symmetric"}
 
@@ -204,7 +199,7 @@ _FAULTS = {
         "_kernel_sum",
         _without_degree_n,
         ["hankelinv.closed_form"],
-        [{"explicit_equals_kernel", "inverse_identity", "explicit_equals_elimination"}] * 5,
+        [_INVERSE] * 5,
     ),
     "rising-entry-2": (
         "hankelinv.special",
@@ -235,11 +230,11 @@ _FAULTS = {
         [_INVERSE_AND_DETS] * 5,
     ),
     "integer_params-alpha-and-lambda": (
-        "hankelinv.orthopoly",
+        "hankelinv.closed_form",
         "_integer_params",
         _alpha_and_lambda_raised,
-        ["hankelinv.orthopoly", "hankelinv.gram", "hankelinv.closed_form"],
-        [set(), _DETS, set(), set(), set()],
+        ["hankelinv.closed_form"],
+        [set(), _INVERSE] + [_INVERSE_AND_DETS] * 3,
     ),
     "asymmetric-spurious-cell": (
         "hankelinv.gram",
@@ -309,12 +304,13 @@ def test_indefinite_moments_raise_out_of_verify(monkeypatch, spec):
 
 # hermite has no parameter to misread
 @pytest.mark.parametrize("spec", _TABLE_POINTS[1:], ids=lambda spec: spec.family.value)
-def test_parameter_reading_fault_is_caught_only_by_the_fraction_references(monkeypatch, spec):
-    # verify is blind to it (apart from laguerre's determinant, see the
-    # table), but the moment matrix differs from the Fraction reference's,
-    # which reads the parameters from the spec itself
+def test_parameter_reading_fault_is_caught_by_verify(monkeypatch, spec):
+    # the closed forms misread the parameters while the moment route reads
+    # them on its own, so M still equals the Fraction reference's, which
+    # reads them from the spec itself, and verify fails
     _patch(monkeypatch, *_FAULTS["integer_params-alpha-and-lambda"][:4])
     reference_matrix = ExactMatrix(
         [[reference.hankel_moment(spec, i + j) for j in range(9)] for i in range(9)]
     )
-    assert moment_matrix(spec, 8) != reference_matrix
+    assert moment_matrix(spec, 8) == reference_matrix
+    assert not verify(spec, 8).passed

@@ -406,6 +406,8 @@ class TestMatmulMatchesFraction:
         for left, right in ((eye, other), (other, eye)):
             with pytest.raises(TypeError, match="unsupported operand"):
                 left @ right
+        assert eye != other
+        assert eye.__eq__(other) is NotImplemented
 
 
 @st.composite

@@ -187,14 +187,13 @@ RECORDS = [
     ),
     pytest.param(
         OrthoTable,
-        (HERMITE, 1, (PolyCoeffs((1,)), PolyCoeffs((0, 1))), (Fraction(1), Fraction(1, 2))),
+        (HERMITE, (PolyCoeffs((1,)), PolyCoeffs((0, 1))), (Fraction(1), Fraction(1, 2))),
         {
             "spec": HERMITE,
-            "n": 1,
             "monic": (PolyCoeffs((1,)), PolyCoeffs((0, 1))),
             "norms": (Fraction(1), Fraction(1, 2)),
         },
-        f"OrthoTable(spec=FamilySpec({_HERMITE_FIELDS}), n=1, monic=(PolyCoeffs(coeffs="
+        f"OrthoTable(spec=FamilySpec({_HERMITE_FIELDS}), monic=(PolyCoeffs(coeffs="
         "(Fraction(1, 1),)), PolyCoeffs(coeffs=(Fraction(0, 1), Fraction(1, 1)))), "
         "norms=(Fraction(1, 1), Fraction(1, 2)))",
         id="OrthoTable",
