@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .closed_form import (
     MAX_DIGITS,
+    MAX_ERRATA_DIGITS,
     _to_mpf,
     explicit_det,
     explicit_inverse,
@@ -43,9 +44,6 @@ __all__ = ["UsageError", "run", "main"]
 # inverse, the slowest, grow faster than n^4 and take ~3 s for jacobi
 # 1/8,1/9 at n = 100 (README, the --n bullet)
 MAX_N = 100
-# the largest errata --digits: mpmath's Barnes G and Gamma at that precision
-# take ~4 s for jacobi 1/8,1/9 at n = MAX_N, and 81 s at 1 000 digits
-MAX_ERRATA_DIGITS = 500
 
 # ASCII digits only: \d would also admit other scripts' digits, which
 # Fraction() and int() accept
@@ -161,7 +159,7 @@ def _emit(
             "n": request.n,
             "params": params,
             "method": request.method,
-            "normalized": not request.unnormalized,
+            "normalized": not request.unnormalized or request.command in ("verify", "errata"),
             **fields,
         }
         text = json.dumps(doc) + "\n"

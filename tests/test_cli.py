@@ -24,7 +24,6 @@ import hankelinv
 from hankelinv import cli
 from hankelinv.cli import (
     _COMMANDS,
-    MAX_ERRATA_DIGITS,
     MAX_N,
     UsageError,
     _merge_negative_values,
@@ -33,7 +32,7 @@ from hankelinv.cli import (
     parse_rational,
     run,
 )
-from hankelinv.closed_form import MAX_DIGITS, explicit_det
+from hankelinv.closed_form import MAX_DIGITS, MAX_ERRATA_DIGITS, explicit_det
 from hankelinv.gram import moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec, InvalidFamilySpec
 from hankelinv.verify import CheckResult, VerifyReport, Witness
@@ -44,6 +43,34 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _case_id(args: str) -> str:
+    """The test id "family-n" of a request written "--family F ... --n N ..."."""
+    words = args.split()
+    return f"{words[1]}-{words[words.index('--n') + 1]}"
+
+
+def _route_cases(small: str, large: list[tuple[str, str]]) -> list:
+    """The (args, method) cases of a test_methods_agree: every method at the
+    request ``small``, with the method as its id, then the (method, request)
+    pairs of ``large``."""
+    return [
+        *(pytest.param(small, method, id=method) for method in ("explicit", "kernel", "oracle")),
+        *(pytest.param(args, method, id=f"{method}-{_case_id(args)}") for method, args in large),
+    ]
+
+
+def _assert_methods_agree(command: str, args: str, method: str) -> None:
+    """``command`` prints by ``method`` the JSON document that the closed
+    forms, the default method, print, but for its method field."""
+    docs = []
+    for extra in (["--method", method], []):
+        code, out, err = run_cli([command, *args.split(), *extra, "--output", "json"])
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    assert (docs[0].pop("method"), docs[1].pop("method")) == (method, "explicit")
+    assert docs[0] == docs[1]
 
 
 class TestParseRational:
@@ -127,22 +154,33 @@ class TestDet:
         assert code == 0
         assert out.splitlines() == ["1/4"]
 
-    @pytest.mark.parametrize("method", ["explicit", "kernel", "oracle"])
-    def test_methods_agree(self, method):
-        code, out, _ = run_cli(
-            ["det", "--family", "jacobi-shifted", "--alpha", "2", "--beta", "3", "--n", "6",
-             "--method", method, "--output", "json"]
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["method"] == method
-        doc.pop("method")
-        reference_code, reference_out, _ = run_cli(
-            ["det", "--family", "jacobi-shifted", "--alpha", "2", "--beta", "3", "--n", "6", "--output", "json"]
-        )
-        reference = json.loads(reference_out)
-        reference.pop("method")
-        assert doc == reference
+    # past the bit-identity grid (tests/test_bit_identity.py), whose largest
+    # n is 40: the oracle's forward sweep alone, whose determinant is read
+    # off the finished pivots and row scales, at the corners alpha + beta = -1
+    # (jacobi, and jacobi-shifted as jacobi over 2^(n(n+1))), laguerre
+    # alpha = -8/9 and gegenbauer lambda = -4/9 (the corrected jacobi
+    # display next to lambda = -1/2), and at the largest sizes; the kernel
+    # engine's norms at MAX_N = 100, the gegenbauer case of the corrected
+    # display among them
+    @pytest.mark.parametrize(
+        ("args", "method"),
+        _route_cases(
+            "--family jacobi-shifted --alpha 2 --beta 3 --n 6",
+            [
+                ("oracle", "--family jacobi --alpha -1/3 --beta -2/3 --n 60"),
+                ("oracle", "--family hermite --n 100"),
+                ("oracle", "--family laguerre --alpha -8/9 --n 60"),
+                ("oracle", "--family jacobi --alpha 1/8 --beta 1/9 --n 100"),
+                ("oracle", "--family gegenbauer --lambda -4/9 --n 60"),
+                ("oracle", "--family jacobi-shifted --alpha -1/3 --beta -2/3 --n 60"),
+                ("kernel", "--family jacobi --alpha 1/8 --beta 1/9 --n 100"),
+                ("kernel", "--family hermite --n 100"),
+                ("kernel", "--family gegenbauer --lambda 3/2 --n 100"),
+            ],
+        ),
+    )
+    def test_methods_agree(self, args, method):
+        _assert_methods_agree("det", args, method)
 
     def test_float(self):
         code, out, _ = run_cli(["det", "--family", "hermite", "--n", "2", "--float", "--output", "json"])
@@ -195,17 +233,31 @@ class TestInv:
         assert doc["result"] == [["2", "-1"], ["-1", "1"]]
         assert doc["params"] == {"alpha": "0"}
 
-    @pytest.mark.parametrize("method", ["explicit", "kernel", "oracle"])
-    def test_methods_agree(self, method):
-        base = ["inv", "--family", "laguerre", "--alpha", "1/2", "--n", "5", "--output", "json"]
-        code, out, _ = run_cli(base + ["--method", method])
-        assert code == 0
-        doc = json.loads(out)
-        doc.pop("method")
-        _, reference_out, _ = run_cli(base)
-        reference = json.loads(reference_out)
-        reference.pop("method")
-        assert doc == reference
+    # past the bit-identity grid, in n or in the point: the oracle's
+    # back-substitution, its running lcm at laguerre 7/3 (~750 bits at
+    # n = 60) and its mirrored form at jacobi 1/8,1/9, whose rows carry the
+    # largest scales; the kernel engine's inverse normalized into reduced
+    # rows, which verify never does (it compares integer rows), at the
+    # alpha + beta = -1 corner, laguerre next to alpha = -1, the one jacobi
+    # table of both variants at c = 0, and the largest scales at MAX_N = 100
+    @pytest.mark.parametrize(
+        ("args", "method"),
+        _route_cases(
+            "--family laguerre --alpha 1/2 --n 5",
+            [
+                ("oracle", "--family laguerre --alpha 7/3 --n 60"),
+                ("oracle", "--family jacobi --alpha 1/8 --beta 1/9 --n 60"),
+                ("kernel", "--family jacobi --alpha 1/8 --beta 1/9 --n 100"),
+                ("kernel", "--family jacobi --alpha -1/3 --beta -2/3 --n 60"),
+                ("kernel", "--family laguerre --alpha -8/9 --n 100"),
+                ("kernel", "--family jacobi --alpha -1/2 --beta -1/2 --n 40"),
+                ("kernel", "--family jacobi-shifted --alpha -1/2 --beta -1/2 --n 40"),
+                ("kernel", "--family jacobi-shifted --alpha 1/8 --beta 1/9 --n 100"),
+            ],
+        ),
+    )
+    def test_methods_agree(self, args, method):
+        _assert_methods_agree("inv", args, method)
 
     def test_float_entries(self):
         code, out, _ = run_cli(
@@ -256,14 +308,38 @@ class TestKernel:
         assert code == 0
         assert out == "3/2\n"
 
-    def test_json_includes_points(self):
-        code, out, _ = run_cli(
-            ["kernel", "--family", "hermite", "--n", "1", "--x", "1/2", "--y", "1/2", "--output", "json"]
-        )
+    # the paper's identity k_n(x, y) = v(x)^T E v(y), end to end: the value
+    # kernel prints against the inverse E that inv prints, with
+    # v(x) = (1, u, ..., u^n) and u = x - t0 (t0 = 1 for jacobi-shifted);
+    # jacobi-shifted on the diagonal and README's worst-case point jacobi
+    # 1/8,1/9 at MAX_N = 100 (jacobi 1/3,1/5 at n = 40 is on the bit-identity
+    # grid); the point goes last, since inv takes the request without it
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--family hermite --n 1 --x 1/2 --y 1/2",
+            "--family jacobi-shifted --alpha 1/3 --beta 1/5 --n 40 --x 2/5 --y 2/5",
+            "--family jacobi --alpha 1/8 --beta 1/9 --n 100 --x 1/2 --y -1/3",
+        ],
+        ids=_case_id,
+    )
+    def test_json_includes_points(self, args):
+        words = args.split()
+        code, out, _ = run_cli(["kernel", *words, "--output", "json"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["params"] == {"x": "1/2", "y": "1/2"}
-        assert doc["result"] == "3/2"
+        typed = {option[2:]: value for option, value in zip(words[::2], words[1::2])}
+        assert doc["params"] == {name: typed[name] for name in typed.keys() - {"family", "n"}}
+        code, out, _ = run_cli(["inv", *words[:-4], "--output", "json"])
+        assert code == 0
+        origin = 1 if doc["family"] == "jacobi-shifted" else 0
+        u, v = (Fraction(typed[name]) - origin for name in "xy")
+        inverse = json.loads(out)["result"]
+        assert Fraction(doc["result"]) == sum(
+            u**i * v**j * Fraction(entry)
+            for i, row in enumerate(inverse)
+            for j, entry in enumerate(row)
+        )
 
     def test_missing_point_is_usage_error(self):
         code, _, err = run_cli(["kernel", "--family", "hermite", "--n", "1", "--x", "1/2"])
@@ -279,10 +355,29 @@ class TestKernel:
 
 
 class TestVerifyCommand:
-    def test_passes_exit_zero(self):
-        code, out, _ = run_cli(["verify", "--family", "hermite", "--n", "3"])
+    # past the bit-identity grid, whose largest n is 40: the integer-row
+    # Chebyshev engine and the jacobi table at x0 = 1 (jacobi-shifted), the
+    # hermite factor columns from the running anchor product, the integer
+    # moment sequence and laguerre columns next to alpha = -1, and README's
+    # worst-case request, jacobi 1/8,1/9 at MAX_N = 100; hermite and
+    # gegenbauer have two checks more, of their zero odd entries
+    @pytest.mark.parametrize(
+        ("args", "checks"),
+        [
+            pytest.param(args, checks, id=_case_id(args))
+            for args, checks in [
+                ("--family hermite --n 3", 9),
+                ("--family jacobi-shifted --alpha 1/3 --beta 1/5 --n 60", 7),
+                ("--family hermite --n 60", 9),
+                ("--family laguerre --alpha -8/9 --n 60", 7),
+                ("--family jacobi --alpha 1/8 --beta 1/9 --n 100", 7),
+            ]
+        ],
+    )
+    def test_passes_exit_zero(self, args, checks):
+        code, out, _ = run_cli(["verify", *args.split()])
         assert code == 0
-        assert "9/9 checks passed" in out
+        assert out.endswith(f"\n{checks}/{checks} checks passed\n")
 
     def test_json_structure(self):
         code, out, _ = run_cli(
@@ -670,6 +765,21 @@ class TestUnnormalized:
         )
         assert code == 0
         assert json.loads(out)["normalized"] is False
+
+    # verify and errata accept --float --unnormalized but print only
+    # normalized values
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "hermite", "--n", "2"],
+            ["errata", "--family", "jacobi", "--alpha", "1/3", "--beta", "1/5", "--n", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_verify_and_errata_print_normalized_values(self, argv):
+        code, out, _ = run_cli([*argv, "--float", "--unnormalized", "--output", "json"])
+        assert code == 0
+        assert json.loads(out)["normalized"] is True
 
 
 class TestRunApi:

@@ -18,6 +18,7 @@ import _fraction_reference as reference
 from _strategies import FAMILY_SPECS, SPECS, corner_examples
 from hankelinv.closed_form import (
     MAX_DIGITS,
+    MAX_ERRATA_DIGITS,
     DiscrepancyNote,
     explicit_det,
     explicit_inverse,
@@ -208,7 +209,7 @@ class TestJacobiDetAsPrinted:
         with pytest.raises(ValueError):
             jacobi_det_as_printed(HILBERT, 1)
 
-    @pytest.mark.parametrize("digits", [0, MAX_DIGITS + 1])
+    @pytest.mark.parametrize("digits", [0, MAX_ERRATA_DIGITS + 1, MAX_DIGITS + 1])
     def test_digits_bounds(self, digits):
         with pytest.raises(ValueError):
             jacobi_det_as_printed(FamilySpec.jacobi(0, 0), 1, digits=digits)
