@@ -95,15 +95,17 @@ def _float(value: Fraction) -> float:
         return math.inf
 
 
-def _doubles(
-    values: list[Fraction], request: argparse.Namespace, spec: FamilySpec, power: int
-) -> list[float]:
+def _doubles(values: list[Fraction], request: argparse.Namespace, spec: FamilySpec) -> list[float]:
     """The doubles --float prints: the nearest double to each value, times
-    the family's total mass to ``power`` under --unnormalized, rounded to
-    --digits significant figures below 17."""
+    the family's total mass to the quantity's power under --unnormalized,
+    rounded to --digits significant figures below 17."""
     if request.unnormalized:
         from .doubles import scaled_doubles
 
+        # how the family's total-mass scale enters each quantity: the matrix
+        # scales linearly, its determinant as the (n+1)-fold product, and the
+        # inverse / kernel as the reciprocal
+        power = {"gen": 1, "det": request.n + 1, "inv": -1, "kernel": -1}[request.command]
         doubles = scaled_doubles(values, spec, power)
     else:
         doubles = map(_float, values)
@@ -118,13 +120,13 @@ def _doubles(
     return out
 
 
-def _payload(value, request: argparse.Namespace, spec: FamilySpec, power: int):
+def _payload(value, request: argparse.Namespace, spec: FamilySpec):
     """The printed value, a scalar or a matrix as its list of rows, with
     "p/q" strings or under --float doubles."""
     scalar = isinstance(value, Fraction)
     entries = [value] if scalar else [entry for row in value.rows for entry in row]
     if request.as_float:
-        cells = _doubles(entries, request, spec, power)
+        cells = _doubles(entries, request, spec)
     else:
         cells = list(map(str, entries))
     if scalar:
@@ -216,11 +218,7 @@ def run(request: argparse.Namespace) -> int:
     else:  # kernel
         value = kernel_eval(gram_schmidt(spec, request.n), point["x"], point["y"])
 
-    # how the family's total-mass scale enters each quantity: the matrix
-    # scales linearly, its determinant as the (n+1)-fold product, and the
-    # inverse / kernel as the reciprocal
-    power = {"gen": 1, "det": request.n + 1, "inv": -1, "kernel": -1}[request.command]
-    payload = _payload(value, request, spec, power)
+    payload = _payload(value, request, spec)
     # a scalar prints as the 1x1 table, whose one cell is str(payload)
     table = payload if isinstance(payload, list) else [[payload]]
     key = "det" if request.command == "det" else "result"

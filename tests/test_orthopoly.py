@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import importlib
+import inspect
 import pickle
 import re
 from decimal import Decimal
@@ -419,6 +420,9 @@ class TestPublicAPI:
         assert len(hankelinv.__all__) == len(_PUBLIC) == 25
         assert set(hankelinv.__all__) == _PUBLIC
         assert importlib.import_module("hankelinv.special").__all__ == []
+        # __init__ imports the verify module under that name; its star-import
+        # must rebind the name to the function
+        assert inspect.isfunction(hankelinv.verify), hankelinv.verify
 
     @pytest.mark.parametrize(("module", "name"), _UNEXPORTED)
     def test_unexported_name_resolves_only_in_its_module(self, module, name):
