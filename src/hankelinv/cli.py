@@ -28,7 +28,6 @@ from fractions import Fraction
 from .closed_form import (
     MAX_DIGITS,
     MAX_ERRATA_DIGITS,
-    _to_mpf,
     explicit_det,
     explicit_inverse,
     jacobi_det_as_printed,
@@ -249,15 +248,13 @@ def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
         raise UsageError("errata applies to the jacobi family only")
     if request.digits > MAX_ERRATA_DIGITS:
         raise UsageError(f"errata --digits must be <= {MAX_ERRATA_DIGITS}")
-    from mpmath import mp
-
     note = jacobi_det_as_printed(spec, request.n, request.digits)
-    printed = note.printed
-    printed_str = mp.nstr(printed, request.digits) if mp.isfinite(printed) else str(printed)
-    with mp.workdps(request.digits + 15):
-        exact_float = mp.nstr(_to_mpf(note.exact), request.digits)
-    rel_error = mp.nstr(note.rel_error, 5) if mp.isfinite(note.rel_error) else "inf"
-    tolerance = mp.nstr(note.tolerance, 5)
+    from .doubles import nstr
+
+    printed_str = nstr(note.printed, request.digits)
+    exact_float = nstr(note.exact, request.digits)
+    rel_error = "inf" if note.rel_error.is_infinite() else nstr(note.rel_error, 5)
+    tolerance = nstr(note.tolerance, 5)
     verdict = "match" if note.agrees else "MISMATCH"
     fields = {
         "as_printed": printed_str,

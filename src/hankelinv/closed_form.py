@@ -15,14 +15,16 @@ sums them on ints.  The determinants come from three displays: hermite's,
 laguerre's and the jacobi one, of which gegenbauer and jacobi-shifted are cases.
 
 That jacobi display is printed with a wrong per-row factor, which
-``explicit_det`` corrects.  ``jacobi_det_as_printed`` keeps it verbatim
-(including its prefactor) and evaluates it in floating point next to the exact
-elimination value, reporting — never asserting — the comparison.
+``explicit_det`` corrects.  ``jacobi_det_as_printed`` keeps it as printed
+(including its prefactor), reduces it exactly to a rational times a power of
+a Gamma ratio, and evaluates that in ``decimal`` next to the exact elimination
+value, reporting — never asserting — the comparison.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -41,9 +43,8 @@ __all__ = [
 ]
 
 MAX_DIGITS = 100_000
-# the largest digits of jacobi_det_as_printed: mpmath's Barnes G and Gamma at
-# that precision take ~4 s for jacobi 1/8,1/9 at n = 100, and 81 s at 1 000
-# digits
+# the largest digits of jacobi_det_as_printed (README, the errata --digits
+# bullet)
 MAX_ERRATA_DIGITS = 500
 
 
@@ -281,82 +282,35 @@ def _kernel_sum(
 
 
 class DiscrepancyNote(_Record):
-    """Comparison of the as-printed jacobi determinant against the exact one."""
+    """Comparison of the as-printed jacobi determinant against the exact one:
+    the display to ``digits`` significant figures, its relative error and
+    the tolerance 10^(-digits/2) to 5, as ``errata`` prints them, and the
+    verdict from the unrounded values."""
 
     __slots__ = ("exact", "printed", "rel_error", "tolerance", "agrees", "digits")
     exact: Fraction
-    printed: mpmath.mpf
-    rel_error: mpmath.mpf
-    tolerance: mpmath.mpf
+    printed: Decimal
+    rel_error: Decimal
+    tolerance: Decimal
     agrees: bool
     digits: int
 
 
-def _to_mpf(value: Fraction) -> mpmath.mpf:
-    from mpmath import mp
-
-    return mp.mpf(value.numerator) / value.denominator
-
-
 def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> DiscrepancyNote:
-    """Evaluate the suspect printed jacobi determinant formula verbatim in
-    floating point and compare it with the exact elimination determinant of the
-    corrected matrix.  The verdict is reported, never asserted."""
+    """Evaluate the suspect printed jacobi determinant formula as printed, in
+    ``decimal`` (``doubles.printed_jacobi_det``), and compare it with the
+    exact elimination determinant of the corrected matrix.  The verdict is
+    reported, never asserted; at the display's pole alpha + beta = -1 it
+    reads NaN, with an infinite relative error."""
     if spec.family is not Family.JACOBI:
         raise ValueError("the as-printed determinant comparison is jacobi-only")
     n = _size(n)
     if not 1 <= (digits := _size(digits, "digits")) <= MAX_ERRATA_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_ERRATA_DIGITS}")
-    from mpmath import mp
+    from .doubles import printed_jacobi_det
 
     exact = bareiss_det(moment_matrix(spec, n))
-    with mp.workdps(digits + 15):
-        a = _to_mpf(spec.alpha)
-        b = _to_mpf(spec.beta)
-        try:
-            prefactor = (
-                mp.gamma(a + b + 1)
-                * mp.power(2, -(2 * a + 2 * b + n + 1))
-                * mp.pi
-                / (mp.gamma(a + b + 1) * mp.gamma(a + b + 1))
-            ) ** (n + 1)
-            block1 = (
-                mp.barnesg(n + 2)
-                * mp.barnesg((a + b + 1) / 2) ** 2
-                * mp.barnesg((a + b + 2) / 2) ** 2
-                / (
-                    mp.barnesg((a + b + 3) / 2 + n) ** 2
-                    * mp.barnesg((a + b + 4) / 2 + n) ** 2
-                )
-            )
-            block2 = (
-                mp.barnesg(a + b + n + 2)
-                * mp.barnesg(a + n + 2)
-                * mp.barnesg(b + n + 2)
-                / (
-                    mp.rf((a + b + 1) / 2, n + 1)
-                    * mp.barnesg(a + b + 1)
-                    * mp.barnesg(a + 1)
-                    * mp.barnesg(b + 1)
-                )
-            )
-            printed = prefactor * block1 * block2
-        except (ZeroDivisionError, ValueError):
-            # a pole of the printed display (mpmath raises ValueError on a
-            # gamma pole, e.g. at the valid corner alpha + beta = -1)
-            printed = mp.nan
-        exact_f = _to_mpf(exact)
-        tolerance = mp.mpf(10) ** (-mp.mpf(digits) / 2)
-        rel_error = abs(printed - exact_f) / abs(exact_f) if mp.isfinite(printed) else mp.inf
-        agrees = rel_error <= tolerance
-    return DiscrepancyNote(
-        exact=exact,
-        printed=printed,
-        rel_error=rel_error,
-        tolerance=tolerance,
-        agrees=agrees,
-        digits=digits,
-    )
+    return DiscrepancyNote(exact, *printed_jacobi_det(spec, n, exact, digits), digits)
 
 
 # the total mass of each family's unnormalized weight as 2^e prod Gamma(s) /
@@ -376,11 +330,18 @@ def _mass_table(spec: FamilySpec) -> tuple[Fraction, tuple[Fraction, ...], tuple
     return a + b + 1, (a + 1, b + 1), (a + b + 2,)
 
 
+def _to_mpf(value: Fraction) -> mpmath.mpf:
+    from mpmath import mp
+
+    return mp.mpf(value.numerator) / value.denominator
+
+
 def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:
     """Total mass of the family's unnormalized weight, to ``digits``
     significant figures.  Multiplying the normalized matrix by this scale
-    recovers the unnormalized moment matrix.  The only operation here that is
-    allowed to return a non-rational."""
+    recovers the unnormalized moment matrix.  With the report of
+    ``jacobi_det_as_printed``, the only operation here that returns a
+    non-rational."""
     if not 1 <= (digits := _size(digits, "digits")) <= MAX_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
     from mpmath import mp

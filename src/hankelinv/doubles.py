@@ -1,13 +1,16 @@
-"""The doubles of ``--float --unnormalized``: exact values times a power of
-the family's total mass, correctly rounded, in the standard ``decimal``
-module.
+"""Decimal evaluation of the package's two non-rational outputs, correctly
+rounded, in the standard ``decimal`` module: the doubles of ``--float
+--unnormalized``, exact values times a power of the family's total mass, and
+the printed jacobi determinant display that ``errata`` reports.
 
 The mass is the Gamma table ``closed_form._mass_table``, whose other
 evaluator, ``closed_form.unnormalized_scale``, runs in mpmath at any
-precision.  This route works at the precision a double needs: the log of
-the mass from Stirling's series and Machin's pi, then Ziv's rounding test on
-each product.  Only the CLI imports this module, and only for
-``--unnormalized``, so that no other request compiles it.
+precision.  Both routes here take the log of a Gamma product from
+Stirling's series and Machin's pi, then accept a value when both ends of its
+interval round the same way (Ziv's rounding test).  ``nstr`` writes decimals
+by mpmath's ``nstr`` rule.  Only the CLI's ``--unnormalized`` and
+``closed_form.jacobi_det_as_printed`` import this module, so that no other
+request compiles it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from collections.abc import Sequence
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
+from math import factorial, prod
 
-from .closed_form import _mass_table
+from .closed_form import _integer_params, _mass_table
 from .orthopoly import FamilySpec
 from .special import _rising
 
@@ -27,6 +31,9 @@ __all__: list[str] = []
 # Ziv's loop for --float: the working precision it starts at and the one it
 # stops at, in decimal digits
 _ZIV_DIGITS = (30, 300)
+# errata's Ziv loop starts this many digits past its --digits, and stops at
+# four times that
+_ERRATA_GUARD = 20
 
 
 def scaled_doubles(values: Sequence[Fraction], spec: FamilySpec, power: int) -> list[float]:
@@ -35,7 +42,7 @@ def scaled_doubles(values: Sequence[Fraction], spec: FamilySpec, power: int) -> 
     the smallest, as ``float`` rounds.
 
     The log of the mass comes once per working precision from
-    ``_log_mass``; each product is then an interval from its error bound,
+    ``_log_gammas``; each product is then an interval from its error bound,
     and it is accepted when both ends round to the same double (Ziv's
     rounding test, A. Ziv, ACM TOMS 17(3), 1991).  The products that
     straddle a rounding boundary are redone at twice the precision, up to
@@ -50,7 +57,7 @@ def scaled_doubles(values: Sequence[Fraction], spec: FamilySpec, power: int) -> 
         with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
             # every rounding here is off by less than this relative to its value
             unit = Decimal(1).scaleb(1 - digits)
-            log_mass, log_error = _log_mass(spec)
+            log_mass, log_error = _log_gammas(*_mass_table(spec))
             exponent = log_mass * power
             error = abs(power) * log_error + unit * abs(exponent)
             # log2 of mass^power, and a bound in bits on the error of log2 of
@@ -86,10 +93,168 @@ def scaled_doubles(values: Sequence[Fraction], spec: FamilySpec, power: int) -> 
     return doubles
 
 
-def _log_mass(spec: FamilySpec) -> tuple[Decimal, Decimal]:
-    """ln of the family's total mass in the current decimal context, and a
-    bound on its absolute error."""
-    power, tops, bottoms = _mass_table(spec)
+def printed_jacobi_det(
+    spec: FamilySpec, n: int, exact: Fraction, digits: int
+) -> tuple[Decimal, Decimal, Decimal, bool]:
+    """The printed jacobi determinant display at (spec, n) against the exact
+    determinant ``exact``, as ``closed_form.jacobi_det_as_printed`` reports
+    it: (printed, rel_error, tolerance, agrees).  ``printed`` is the display
+    to ``digits`` significant figures, ``rel_error`` its relative distance
+    from ``exact`` and ``tolerance`` 10^(-digits/2), both to the 5 figures
+    ``errata`` prints, each rounded as ``nstr`` rounds; ``agrees`` says
+    whether the relative error is within the tolerance, both unrounded.  At
+    the display's pole, c = alpha + beta + 1 = 0, the display is NaN and its
+    relative error infinite.
+
+    The display is R [Gamma(a+1) Gamma(b+1) / Gamma(c+1)^2]^(n+1) with the
+    rational R of ``_display_ratio``.  At integer alpha and beta the Gamma
+    ratio is a! b! / (a+b+1)!^2 and everything is exact.  Otherwise the log
+    of the Gamma part comes from ``_log_gammas`` with its error bound, so the
+    display and its ratio to ``exact`` are intervals.  They are accepted when
+    both ends give the same three results and the ratio's interval leaves
+    out 1 (Ziv's rounding test), and are redone at twice the precision
+    otherwise, from ``digits + _ERRATA_GUARD`` up to four times that, where
+    the midpoint decides."""
+    with localcontext(Context(prec=5)):
+        tolerance = Decimal(1).scaleb(-digits).sqrt()
+    q, qa, qb, _ = _integer_params(spec)
+    if qa + qb + q == 0:
+        return Decimal("NaN"), Decimal("Infinity"), tolerance, False
+    num, den = _display_ratio(q, qa, qb, n)
+    if q == 1:
+        top, bottom = factorial(qa) * factorial(qb), factorial(qa + qb + 1) ** 2
+        num, den = num * top ** (n + 1), den * bottom ** (n + 1)
+        report = _report((num, den), (num * exact.denominator, den * exact.numerator), digits)
+    else:
+        a, b = spec.alpha, spec.beta
+        over_exact = (num * exact.denominator, den * exact.numerator)
+        precision = digits + _ERRATA_GUARD
+        cap = 4 * precision
+        while True:
+            with localcontext(Context(prec=precision, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+                unit = Decimal(1).scaleb(1 - precision)
+                log, log_error = _log_gammas(Fraction(0), (a + 1, b + 1), (a + b + 2,) * 2)
+                exponent = log * (n + 1)
+                error = (n + 1) * log_error + unit * abs(exponent)
+                scale = exponent.exp()
+                middle = [Fraction(_rounded(*pair, precision) * scale) for pair in ((num, den), over_exact)]
+            if precision == cap:
+                ends = [middle]
+            else:
+                # e^d - 1 <= 2 d for the exponent's error d <= 1, plus the
+                # roundings of the quotient, exp and product, half a unit each
+                spread = 2 * Fraction(error) + 4 * Fraction(unit)
+                ends = [[value * (1 + side * spread) for value in middle] for side in (-1, 1)]
+            reports = {_report(*(value.as_integer_ratio() for value in end), digits) for end in ends}
+            ratios = [ratio for _, ratio in ends]
+            if len(reports) == 1 and (len(ends) == 1 or min(ratios) > 1 or max(ratios) < 1):
+                report = reports.pop()
+                break
+            precision = min(2 * precision, cap)
+    printed, rel_error, agrees = report
+    return printed, rel_error, tolerance, agrees
+
+
+def _display_ratio(q: int, qa: int, qb: int, n: int) -> tuple[int, int]:
+    """The rational part R of the printed jacobi display at a = qa / q,
+    b = qb / q and c = a + b + 1 != 0, as (numerator, denominator > 0),
+    unreduced.  The display is
+
+        [Gamma(c) 2^-(2c+n-1) pi / Gamma(c)^2]^(n+1)
+            * G(n+2) G(c/2)^2 G((c+1)/2)^2 / (G(c/2+n+1)^2 G((c+1)/2+n+1)^2)
+            * G(c+n+1) G(a+n+2) G(b+n+2) / ((c/2)_(n+1) G(c) G(a+1) G(b+1)).
+
+    By G(z+m) / G(z) = Gamma(z)^m prod_{k<m} (z)_k (DLMF 5.17.1), the
+    duplication Gamma(c/2) Gamma((c+1)/2) = 2^(1-c) sqrt(pi) Gamma(c)
+    (DLMF 5.5.5) and (c/2)_k ((c+1)/2)_k = (c)_2k / 4^k, the pi's cancel,
+    and with Gamma(c) = Gamma(c+1) / c the display is
+    R [Gamma(a+1) Gamma(b+1) / Gamma(c+1)^2]^(n+1) with
+
+        R = c^(2(n+1)) G(n+2) 2^(n^2-1) / (c/2)_(n+1)
+            * prod_{k=1..n} (c)_k (a+1)_k (b+1)_k / (c)_2k^2.
+
+    The rising products run on ints: q^k (c)_k, q^k (a+1)_k, q^k (b+1)_k and
+    (2q)^(n+1) (c/2)_(n+1)."""
+    qc = qa + qb + q
+    rc, ra, rb = _rising(qc, q, 0, 2 * n), _rising(qa, q, 1, n), _rising(qb, q, 1, n)
+    half = _rising(qc, 2 * q, 0, n + 1)[-1]
+    num = qc ** (2 * n + 2) * prod(map(factorial, range(n + 1))) * 2 ** (n * n + n)
+    num *= q ** (n * (n + 1) // 2) * prod(rc[k] * ra[k] * rb[k] for k in range(1, n + 1))
+    den = q ** (n + 1) * half * prod(rc[2 * k] for k in range(1, n + 1)) ** 2
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def _report(printed: tuple[int, int], ratio: tuple[int, int], digits: int) -> tuple[Decimal, Decimal, bool]:
+    """The display, its relative error and the verdict from the display and
+    its ratio r to the exact value, each as (numerator, denominator > 0):
+    the display to ``digits`` figures, |r - 1| to 5, and whether |r - 1| is
+    at most 10^(-digits/2)."""
+    top, bottom = ratio
+    distance = abs(top - bottom)
+    return (
+        _rounded(*printed, digits),
+        _rounded(distance, bottom, 5),
+        distance * distance * 10**digits <= bottom * bottom,
+    )
+
+
+def nstr(value: Decimal | Fraction, digits: int) -> str:
+    """``value`` to ``digits`` significant figures, written as mpmath's
+    ``nstr`` writes it: rounded half away from zero; in fixed point while the
+    leading digit's decimal exponent e has min(-(digits // 3), -5) < e <
+    digits, else with "e" and a signed exponent; trailing zeros stripped,
+    but one kept after the point.  Zero is "0.0", and NaN and the infinities
+    are "nan", "+inf" and "-inf"."""
+    if isinstance(value, Decimal) and not value.is_finite():
+        return "nan" if value.is_nan() else "-inf" if value.is_signed() else "+inf"
+    rounded = _rounded(*value.as_integer_ratio(), digits)
+    if not rounded:
+        return "0.0"
+    sign, figures, exponent = rounded.as_tuple()
+    text = "".join(map(str, figures))
+    lead = exponent + len(text) - 1
+    fixed = min(-(digits // 3), -5) < lead < digits
+    if fixed and lead < 0:
+        text = "0" * -lead + text
+    point = lead + 1 if fixed and lead > 0 else 1
+    text = f"{text[:point]}.{text[point:]}".rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return ("-" if sign else "") + text + ("" if fixed else f"e{lead:+d}")
+
+
+def _rounded(num: int, den: int, digits: int) -> Decimal:
+    """num / den, den > 0, to ``digits`` significant figures, rounded half
+    away from zero, as an exact Decimal of that many digits (0 for 0)."""
+    if not num:
+        return Decimal(0)
+    size = abs(num)
+    # the decimal exponent of the leading digit, from the bit lengths, then
+    # corrected by the quotient's length
+    lead = (size.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        shift = digits - 1 - lead
+        top, bottom = (size * 10**shift, den) if shift >= 0 else (size, den * 10**-shift)
+        mantissa, remainder = divmod(top, bottom)
+        if mantissa < 10 ** (digits - 1):
+            lead -= 1
+        elif mantissa >= 10**digits:
+            lead += 1
+        else:
+            break
+    if 2 * remainder >= bottom:
+        mantissa += 1
+        if mantissa == 10**digits:
+            mantissa, shift = mantissa // 10, shift - 1
+    return Decimal(f"{'-' if num < 0 else ''}{mantissa}E{-shift}")
+
+
+def _log_gammas(
+    power: Fraction, tops: Sequence[Fraction], bottoms: Sequence[Fraction]
+) -> tuple[Decimal, Decimal]:
+    """ln(2^power prod Gamma(s) / prod Gamma(t)) over s in ``tops`` and t in
+    ``bottoms``, all > 0, in the current decimal context, and a bound on its
+    absolute error."""
     prec = getcontext().prec
     half_log_two_pi = (2 * _pi()).ln() / 2
     total = Decimal(power.numerator) / power.denominator * Decimal(2).ln()

@@ -820,3 +820,48 @@ def scaled_doubles(values: list[Fraction], spec: FamilySpec, power: int, digits:
             result = float(f"{result:.{digits}g}")
         out.append(result)
     return out
+
+
+def printed_jacobi_det(spec: FamilySpec, n: int, digits: int):
+    """The printed jacobi determinant display as an mpmath number at
+    ``digits`` + 15 working digits, verbatim through Barnes G and Gamma, as
+    ``closed_form.jacobi_det_as_printed`` evaluated it before the decimal
+    route; NaN at its pole alpha + beta = -1.  mpmath's ``barnesg`` loses
+    digits as the precision grows (13 of 365 at 350 digits), so a caller
+    that wants ``digits`` correct ones passes a larger ``digits``."""
+    from mpmath import mp
+
+    with mp.workdps(digits + 15):
+        a = mp.mpf(spec.alpha.numerator) / spec.alpha.denominator
+        b = mp.mpf(spec.beta.numerator) / spec.beta.denominator
+        try:
+            prefactor = (
+                mp.gamma(a + b + 1)
+                * mp.power(2, -(2 * a + 2 * b + n + 1))
+                * mp.pi
+                / (mp.gamma(a + b + 1) * mp.gamma(a + b + 1))
+            ) ** (n + 1)
+            block1 = (
+                mp.barnesg(n + 2)
+                * mp.barnesg((a + b + 1) / 2) ** 2
+                * mp.barnesg((a + b + 2) / 2) ** 2
+                / (
+                    mp.barnesg((a + b + 3) / 2 + n) ** 2
+                    * mp.barnesg((a + b + 4) / 2 + n) ** 2
+                )
+            )
+            block2 = (
+                mp.barnesg(a + b + n + 2)
+                * mp.barnesg(a + n + 2)
+                * mp.barnesg(b + n + 2)
+                / (
+                    mp.rf((a + b + 1) / 2, n + 1)
+                    * mp.barnesg(a + b + 1)
+                    * mp.barnesg(a + 1)
+                    * mp.barnesg(b + 1)
+                )
+            )
+            return prefactor * block1 * block2
+        except (ZeroDivisionError, ValueError):
+            # mpmath raises ValueError on a gamma pole
+            return mp.nan

@@ -454,6 +454,73 @@ class TestVerifyCommand:
         assert "lambda must be > -1/2 and nonzero" in err
 
 
+# errata's printed display at large --digits: mpmath's Barnes G display
+# (_fraction_reference.printed_jacobi_det) at 200 digits past --digits,
+# rounded by mp.nstr.  mpmath's barnesg loses digits as its precision grows,
+# so at the 15 guard digits errata once used, the last digits of each came
+# out wrong
+_PRINTED_AT_LARGE_DIGITS = {
+    ("1/8", "1/9", 2, 400): (
+        "0.016732922139712162126941553362728019810238395800626400069470854530529445822848"
+        "35272702026761727833417028256202656326827759879633121515057482708835977760261807"
+        "46285682933753260147030888984261732490052252981133585310131013674381528740558285"
+        "96262127034029863451451776720332900221217410474225537495926122350066765181463145"
+        "12249570745535132083824179906609405961131136840015939436186446853513180432169346"
+        "046"
+    ),
+    ("1/8", "1/9", 2, 500): (
+        "0.016732922139712162126941553362728019810238395800626400069470854530529445822848"
+        "35272702026761727833417028256202656326827759879633121515057482708835977760261807"
+        "46285682933753260147030888984261732490052252981133585310131013674381528740558285"
+        "96262127034029863451451776720332900221217410474225537495926122350066765181463145"
+        "12249570745535132083824179906609405961131136840015939436186446853513180432169346"
+        "04570298734511651662123000702007454238962040956306729441136545442911495482441907"
+        "06985029837495001627027"
+    ),
+    ("2", "3", 2, 380): (
+        "0.000000000000006943139134287198451135630945826629038185265614508916768092043140"
+        "33406164085596352330206365647702676341292281495523286066663911629058181506321256"
+        "04830736266026431475327082952849308774394858211100757502034062040780777658244694"
+        "44188936924302675541442653225638024495839226669830516307378657256880150976060944"
+        "986786928501886089859550848884854091875171912124964951033650118222218667335"
+    ),
+    ("2", "3", 2, 500): (
+        "0.000000000000006943139134287198451135630945826629038185265614508916768092043140"
+        "33406164085596352330206365647702676341292281495523286066663911629058181506321256"
+        "04830736266026431475327082952849308774394858211100757502034062040780777658244694"
+        "44188936924302675541442653225638024495839226669830516307378657256880150976060944"
+        "98678692850188608985955084888485409187517191212496495103365011822221866733498546"
+        "71766152407791779589881546713662275936568369590961343711826621039688982915656301"
+        "059845193548057409651429975609029947"
+    ),
+    ("1/3", "1/5", 2, 380): (
+        "0.006441684320303835794724311519135439428259379522196710084353916316144227313523"
+        "12002133035581020366718293962993018915352723431532522858176066327578890030209685"
+        "08903412854331747586741051265093893156305146867629589379338276910619786808223486"
+        "24785731204848162518546225442909447204175375223230736676872111223641234251308654"
+        "2312956202138359387530744275403407705801890217520275511904741499"
+    ),
+    ("1/3", "1/5", 2, 500): (
+        "0.006441684320303835794724311519135439428259379522196710084353916316144227313523"
+        "12002133035581020366718293962993018915352723431532522858176066327578890030209685"
+        "08903412854331747586741051265093893156305146867629589379338276910619786808223486"
+        "24785731204848162518546225442909447204175375223230736676872111223641234251308654"
+        "23129562021383593875307442754034077058018902175202755119047414991917547775799894"
+        "34534392103232915964564946216966774982397136567807747184416937919960964712835073"
+        "751881578656872906208771"
+    ),
+    ("1/8", "1/9", 100, 500): (
+        "4.005992196887102558777778239401550788898365482555182858201035520848727176354799"
+        "49896180436906570839320623627416518999103772198873067236789783673399213583833435"
+        "80989241702293389324766373589077536940401247397400917330921147990740698055211150"
+        "19252415090562447010891732825053137721895318062363505027237515304061457579692796"
+        "80537205471151790101102349550292108524606730797197487717752038709055149550937291"
+        "11242594998130563130288669016290461745649068178682471836198737999138644334353804"
+        "095438399101820662065e-3032"
+    ),
+}
+
+
 class TestErrata:
     def test_runs_and_reports(self):
         code, out, _ = run_cli(
@@ -505,6 +572,22 @@ class TestErrata:
             expected = mp.nstr(mp.mpf(exact.numerator) / exact.denominator, digits)
         assert doc["exact_float"] == expected
 
+    @pytest.mark.parametrize("case", list(_PRINTED_AT_LARGE_DIGITS), ids=lambda case: "-".join(map(str, case)))
+    def test_printed_digits_at_large_digits(self, case):
+        alpha, beta, n, digits = case
+        argv = ["errata", "--family", "jacobi", "--alpha", alpha, "--beta", beta, "--n", str(n)]
+        code, out, err = run_cli([*argv, "--digits", str(digits), "--output", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["as_printed"] == _PRINTED_AT_LARGE_DIGITS[case]
+
+    def test_exact_display_has_no_relative_error(self):
+        # at alpha = beta = 0 the display is the exact determinant
+        argv = ["errata", "--family", "jacobi", "--alpha", "0", "--beta", "0", "--n", "1"]
+        for digits in ("17", "5"):
+            code, out, _ = run_cli([*argv, "--digits", digits, "--output", "json"])
+            doc = json.loads(out)
+            assert (code, doc["rel_error"], doc["agrees"]) == (0, "0.0", True)
+
     def test_rejects_other_families(self):
         # the family is checked before errata's --digits bound
         argv = ["errata", "--family", "hermite", "--n", "1", "--digits", str(MAX_ERRATA_DIGITS + 1)]
@@ -512,7 +595,7 @@ class TestErrata:
         assert code == 2
         assert "jacobi" in err
 
-    # errata at the bound itself takes seconds, so CI runs it, not tier-1
+    # errata at the bound itself is test_printed_digits_at_large_digits
     @pytest.mark.parametrize("digits", [MAX_ERRATA_DIGITS + 1, MAX_DIGITS])
     def test_digits_above_errata_maximum(self, digits):
         argv = ["errata", "--family", "jacobi", "--alpha", "1/8", "--beta", "1/9", "--n", "2"]
@@ -881,24 +964,25 @@ _UNNORMALIZED_FLOAT = {
 }
 
 
-def _loads_mpmath(script: list[str]) -> None:
+def _loads_mpmath(script: list[str], **env: str) -> str:
     """Run ``script`` in a fresh interpreter, in which it asserts what it
-    expects of sys.modules."""
+    expects of sys.modules, with ``env`` added to the environment; returns
+    its stdout."""
     package_root = os.path.dirname(os.path.dirname(hankelinv.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "\n".join(["import sys", *script])],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": package_root},
+        env={**os.environ, "PYTHONPATH": package_root, **env},
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestLazyMpmath:
     def test_exact_requests_do_not_import_mpmath(self):
-        # the errata request checks that the probe would see mpmath once it
-        # is loaded
+        # errata evaluates the printed display in decimal
         _loads_mpmath(
             [
                 "import hankelinv",
@@ -907,10 +991,34 @@ class TestLazyMpmath:
                 "assert main(['det', '--family', 'hermite', '--n', '2']) == 0",
                 "assert main(['verify', '--family', 'laguerre', '--alpha', '1/2', '--n', '3']) == 0",
                 "assert 'mpmath' not in sys.modules, 'exact request'",
-                "assert main(['errata', '--family', 'jacobi', '--alpha', '1', '--beta', '2', '--n', '2']) == 0",
-                "assert 'mpmath' in sys.modules, 'errata request'",
+                "assert main(['errata', '--family', 'jacobi', '--alpha', '1/3', '--beta', '2', '--n', '2']) == 0",
+                "assert 'mpmath' not in sys.modules, 'errata request'",
             ]
         )
+
+    def test_golden_errata_requests_run_without_mpmath(self):
+        # an import of mpmath fails in the child, which prints the golden
+        # errata requests' exit codes and bytes as JSON
+        cases = [case for case in _GOLDEN if case["argv"][:1] == ["errata"]]
+        script = [
+            "import contextlib, io, json",
+            "class Refuse:",
+            "    def find_spec(self, name, path=None, target=None):",
+            "        if name.partition('.')[0] == 'mpmath':",
+            "            raise ModuleNotFoundError(f'no {name} here')",
+            "sys.meta_path.insert(0, Refuse())",
+            "from hankelinv.cli import main",
+            "runs = []",
+            f"for argv in {[case['argv'] for case in cases]!r}:",
+            "    out, err = io.StringIO(), io.StringIO()",
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+            "        code = main(argv)",
+            "    runs.append({'argv': argv, 'exit': code, 'stdout': out.getvalue(), 'stderr': err.getvalue()})",
+            "assert 'mpmath' not in sys.modules",
+            "print(json.dumps(runs))",
+        ]
+        stdout = _loads_mpmath(script, COLUMNS="80")
+        assert len(cases) == 9 and json.loads(stdout) == cases
 
     @pytest.mark.parametrize("command", list(_UNNORMALIZED_FLOAT))
     def test_unnormalized_float_requests_do_not_import_mpmath(self, command):
@@ -945,10 +1053,12 @@ class TestColdImport:
     def test_cli_import_loads_no_dataclasses_inspect_or_mpmath(self):
         # every CLI request imports the package in a fresh interpreter;
         # dataclasses would pull in inspect, ast, dis and tokenize with it,
-        # and typing alone costs several ms
+        # and typing alone costs several ms.  doubles compiles only for
+        # --unnormalized and errata
         script = (
             "import sys, hankelinv.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing', 'mpmath', 'json', 'csv'} & sys.modules.keys()))"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'mpmath', 'json', 'csv', "
+            "'hankelinv.doubles'} & sys.modules.keys()))"
         )
         assert _cold_run(script) == "[]\n"
 

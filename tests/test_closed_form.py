@@ -7,7 +7,9 @@ full-grid agreement sweep lives in the acceptance battery.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given
@@ -25,6 +27,8 @@ from hankelinv.closed_form import (
     jacobi_det_as_printed,
     unnormalized_scale,
 )
+from hankelinv import doubles
+from hankelinv.doubles import nstr
 from hankelinv.elimination import bareiss_det, gauss_inverse
 from hankelinv.gram import ExactMatrix, moment_matrix
 from hankelinv.orthopoly import Family, FamilySpec
@@ -160,19 +164,18 @@ class TestJacobiDetAsPrinted:
         assert isinstance(note, DiscrepancyNote)
         assert note.exact == bareiss_det(moment_matrix(spec, n))
         assert note.digits == 17
-        assert mp.almosteq(note.tolerance, mp.mpf(10) ** (-mp.mpf(17) / 2), rel_eps=mp.mpf(10) ** -10)
+        assert note.tolerance == Decimal("3.1623e-9")
         assert isinstance(note.agrees, bool)
-        if mp.isfinite(note.printed):
-            assert note.rel_error >= 0
+        assert note.printed.is_finite() and note.rel_error >= 0
         # the verdict itself is informational and deliberately not asserted
 
     def test_gamma_pole_corner_is_reported_as_nan(self):
         # alpha + beta = -1 is in the domain but a pole of the printed display
         spec = FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2))
         note = jacobi_det_as_printed(spec, 3)
-        assert mp.isnan(note.printed)
+        assert note.printed.is_nan()
         assert note.exact == bareiss_det(moment_matrix(spec, 3)) == Fraction(1, 512)
-        assert note.rel_error == mp.inf
+        assert note.rel_error == Decimal("Infinity")
         assert note.agrees is False
 
     @pytest.mark.parametrize(
@@ -196,8 +199,63 @@ class TestJacobiDetAsPrinted:
             per_row = (
                 mp.gamma(a + b + 1) * mp.gamma(a + b + 2) / (mp.gamma(a + 1) * mp.gamma(b + 1))
             )
-            ratio = mp.mpf(note.exact.numerator) / note.exact.denominator / note.printed
+            ratio = mp.mpf(note.exact.numerator) / note.exact.denominator / mp.mpf(str(note.printed))
             assert abs(ratio / per_row ** (n + 1) - 1) < mp.mpf(10) ** -50
+
+    @given(
+        spec=FAMILY_SPECS[Family.JACOBI], n=st.integers(0, 12), digits=st.integers(1, 60)
+    )
+    @example(spec=FamilySpec.jacobi(Fraction(-1, 2), Fraction(-1, 2)), n=3, digits=17)
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), Fraction(-1, 9)), n=12, digits=60)
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), 9), n=12, digits=1)
+    @example(spec=FamilySpec.jacobi(2, 3), n=12, digits=60)
+    def test_property_equals_the_mpmath_display(self, spec, n, digits):
+        # the mpmath display at 40 more digits, rounded to digits: the
+        # printed value, its relative error and the verdict all agree
+        note = jacobi_det_as_printed(spec, n, digits)
+        printed = reference.printed_jacobi_det(spec, n, digits + 40)
+        if mp.isnan(printed):
+            assert note.printed.is_nan() and note.rel_error.is_infinite()
+            assert note.agrees is False
+            return
+        assert nstr(note.printed, digits) == mp.nstr(printed, digits)
+        with mp.workdps(digits + 40):
+            exact = mp.mpf(note.exact.numerator) / note.exact.denominator
+            rel_error = abs(printed - exact) / exact
+            assert nstr(note.rel_error, 5) == mp.nstr(rel_error, 5)
+            assert note.agrees == (rel_error <= mp.mpf(10) ** (-mp.mpf(digits) / 2))
+
+    @pytest.mark.parametrize(
+        ("alpha", "beta", "n", "digits"),
+        [
+            (Fraction(1, 8), Fraction(1, 9), 10, 17),
+            (Fraction(1, 3), Fraction(1, 5), 3, 60),
+            (Fraction(-8, 9), Fraction(-1, 3), 12, 5),
+            (Fraction(7, 3), 9, 40, 30),
+        ],
+    )
+    def test_ziv_retries_reach_the_same_report(self, alpha, beta, n, digits, monkeypatch):
+        # one guard digit leaves the first pass's interval too wide to
+        # settle the digits, so the loop must redo it at a higher precision
+        spec = FamilySpec.jacobi(alpha, beta)
+        expected = jacobi_det_as_printed(spec, n, digits)
+        monkeypatch.setattr(doubles, "_ERRATA_GUARD", 1)
+        assert jacobi_det_as_printed(spec, n, digits) == expected
+
+    @pytest.mark.parametrize(("alpha", "beta"), [(0, 0), (2, 3), (0, 7)])
+    @pytest.mark.parametrize("digits", [5, 17, 60])
+    def test_integer_parameters_are_exact(self, alpha, beta, digits):
+        # the Gamma part is the rational a! b! / (a+b+1)!^2, so the display
+        # is an exact rational; at alpha = beta = 0 it is the exact
+        # determinant, with no rounding noise in its relative error
+        spec = FamilySpec.jacobi(alpha, beta)
+        note = jacobi_det_as_printed(spec, 4, digits)
+        c = alpha + beta + 1
+        per_row = Fraction(factorial(c - 1) * factorial(c), factorial(alpha) * factorial(beta))
+        display = note.exact / per_row**5
+        assert Fraction(note.printed) == Fraction(nstr(display, digits))
+        if (alpha, beta) == (0, 0):
+            assert note.rel_error == 0 and note.agrees is True
 
     def test_digits_parameter(self):
         note = jacobi_det_as_printed(FamilySpec.jacobi(0, 0), 2, digits=40)

@@ -1,6 +1,8 @@
-"""Tests for the decimal route of ``--float --unnormalized``: the doubles
-against the mpmath route it replaced, ln Gamma against mpmath within the
-route's own error bound, exact rational masses, and the double range."""
+"""Tests for the decimal routes: the doubles of ``--float --unnormalized``
+against the mpmath route they replaced, ln Gamma against mpmath within the
+route's own error bound, exact rational masses, the double range, and
+``nstr`` against mpmath's.  ``errata``'s printed display is held against
+mpmath's in ``test_closed_form.py``."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from mpmath import mp
 import _fraction_reference as reference
 from _strategies import SPECS, corner_examples
 from hankelinv.closed_form import explicit_det, explicit_inverse
-from hankelinv.doubles import _log_mass, scaled_doubles
+from hankelinv.doubles import _log_gammas, nstr, scaled_doubles
 from hankelinv.gram import gram_schmidt, kernel_eval, moment_matrix
 from hankelinv.orthopoly import FamilySpec
 
@@ -43,10 +45,9 @@ def _at_digits(doubles: list[float], digits: int) -> list[float]:
 
 
 def _log_gamma(s: Fraction, digits: int) -> tuple[Decimal, Decimal]:
-    """ln Gamma(s) and its error bound, as the log of laguerre's mass
-    Gamma(alpha + 1)."""
+    """ln Gamma(s) and its error bound, as a product of one Gamma."""
     with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        return _log_mass(FamilySpec.laguerre(s - 1))
+        return _log_gammas(Fraction(0), (s,), ())
 
 
 class TestScaledDoubles:
@@ -110,3 +111,49 @@ class TestScaledDoubles:
                   Fraction(1, 2**1076), Fraction(3, 2**1077), Fraction(7, 2**1060)]
         expected = [math.inf, *(float(2 * v) for v in values[1:])]
         assert scaled_doubles(values, FamilySpec.jacobi(0, 0), 1) == expected
+
+
+class TestNstr:
+    @given(
+        mantissa=st.integers(-(2**200), 2**200),
+        exponent=st.integers(-1200, 1200),
+        digits=st.integers(1, 500),
+    )
+    @example(mantissa=1, exponent=0, digits=1)  # 1.0
+    @example(mantissa=0, exponent=0, digits=17)
+    @example(mantissa=1, exponent=-3, digits=2)  # a tie, rounded away from zero
+    @example(mantissa=-5, exponent=-1, digits=1)
+    @example(mantissa=99999, exponent=0, digits=4)  # carries into a new digit
+    @example(mantissa=2**40 + 1, exponent=-5000, digits=500)  # below 1e-1053
+    def test_property_equals_mpmath(self, mantissa, exponent, digits):
+        # m 2^e is exact both as a Fraction and as an mpmath number
+        value = Fraction(mantissa) * Fraction(2) ** exponent
+        expected = mp.nstr(mp.ldexp(mantissa, exponent), digits)
+        assert nstr(value, digits) == nstr(_exact_decimal(value), digits) == expected
+
+    @pytest.mark.parametrize("digits", [1, 2, 3, 16, 17, 18, 30, 300])
+    def test_fixed_and_exponent_forms_switch_where_mpmath_does(self, digits):
+        # fixed point while min(-(digits // 3), -5) < lead < digits, for the
+        # decimal exponent lead of the leading digit; at --digits 1, 8.0e-5
+        # but 0.0004
+        edges = {-(digits // 3), -5, digits}
+        for lead in {lead + step for lead in edges for step in (-1, 0, 1)} | {0}:
+            for figures in ("1", "8", "123456789"):
+                value = Fraction(int(figures)) * Fraction(10) ** (lead - len(figures) + 1)
+                with mp.workdps(digits + 30):
+                    expected = mp.nstr(mp.mpf(value.numerator) / value.denominator, digits)
+                assert nstr(value, digits) == expected, (lead, figures)
+
+    @pytest.mark.parametrize(
+        ("value", "expected"),
+        [(Decimal("NaN"), "nan"), (Decimal("Infinity"), "+inf"), (Decimal("-Infinity"), "-inf")],
+    )
+    def test_special_values(self, value, expected):
+        number = mp.nan if value.is_nan() else mp.inf if value > 0 else -mp.inf
+        assert nstr(value, 5) == mp.nstr(number, 5) == expected
+
+
+def _exact_decimal(value: Fraction) -> Decimal:
+    """A dyadic Fraction as the Decimal of its terminating expansion."""
+    places = value.denominator.bit_length() - 1
+    return Decimal(f"{value.numerator * 5**places}E-{places}")

@@ -16,7 +16,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
 
 import hankelinv
 from _recurrences import oracle_polys, poly_eval, taylor_shift
@@ -201,17 +200,17 @@ RECORDS = [
     ),
     pytest.param(
         DiscrepancyNote,
-        (Fraction(1, 3), mpf("0.5"), mpf("0.5"), mpf("0.001"), False, 17),
+        (Fraction(1, 3), Decimal("0.5"), Decimal("0.5"), Decimal("0.001"), False, 17),
         {
             "exact": Fraction(1, 3),
-            "printed": mpf("0.5"),
-            "rel_error": mpf("0.5"),
-            "tolerance": mpf("0.001"),
+            "printed": Decimal("0.5"),
+            "rel_error": Decimal("0.5"),
+            "tolerance": Decimal("0.001"),
             "agrees": False,
             "digits": 17,
         },
-        "DiscrepancyNote(exact=Fraction(1, 3), printed=mpf('0.5'), rel_error=mpf('0.5'), "
-        "tolerance=mpf('0.001'), agrees=False, digits=17)",
+        "DiscrepancyNote(exact=Fraction(1, 3), printed=Decimal('0.5'), rel_error=Decimal('0.5'), "
+        "tolerance=Decimal('0.001'), agrees=False, digits=17)",
         id="DiscrepancyNote",
     ),
     pytest.param(
