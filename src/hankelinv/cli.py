@@ -9,6 +9,8 @@ Commands
   verify  run the cross-route check battery; exit 1 if any check fails
   errata  as-printed vs exact jacobi determinant report (informational)
 
+``_VALUES`` states each value command's routes, JSON key and mass power once.
+
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage or
 validation error.  Exact values serialize as canonical "p/q" strings (bare "p"
 for integers); --float emits the nearest doubles, times the family's total
@@ -101,11 +103,7 @@ def _doubles(values: list[Fraction], request: argparse.Namespace, spec: FamilySp
     if request.unnormalized:
         from .doubles import scaled_doubles
 
-        # how the family's total-mass scale enters each quantity: the matrix
-        # scales linearly, its determinant as the (n+1)-fold product, and the
-        # inverse / kernel as the reciprocal
-        power = {"gen": 1, "det": request.n + 1, "inv": -1, "kernel": -1}[request.command]
-        doubles = scaled_doubles(values, spec, power)
+        doubles = scaled_doubles(values, spec, _VALUES[request.command][1](request.n))
     else:
         doubles = map(_float, values)
     out = []
@@ -124,10 +122,7 @@ def _payload(value, request: argparse.Namespace, spec: FamilySpec):
     "p/q" strings or under --float doubles."""
     scalar = isinstance(value, Fraction)
     entries = [value] if scalar else [entry for row in value.rows for entry in row]
-    if request.as_float:
-        cells = _doubles(entries, request, spec)
-    else:
-        cells = list(map(str, entries))
+    cells = _doubles(entries, request, spec) if request.as_float else list(map(str, entries))
     if scalar:
         return cells[0]
     return [cells[i : i + value.size] for i in range(0, len(cells), value.size)]
@@ -160,7 +155,7 @@ def _emit(
             "n": request.n,
             "params": params,
             "method": request.method,
-            "normalized": not request.unnormalized or request.command in ("verify", "errata"),
+            "normalized": not request.unnormalized or request.command not in _VALUES,
             **fields,
         }
         text = json.dumps(doc) + "\n"
@@ -173,6 +168,36 @@ def _emit(
     else:
         text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
+
+
+_METHODS = ("explicit", "kernel", "oracle")
+
+# The value commands: each one's JSON key, its power of the family's total
+# mass under --unnormalized (a function of n), and by --method the functions
+# its route runs, by name, looked up here at run time so that patches hold:
+# the first on (spec, n), the next on that result and the kernel's (x, y).
+_VALUES = {
+    "gen": ("result", lambda n: 1, dict.fromkeys(_METHODS, ("moment_matrix",))),
+    "det": (
+        "det",
+        lambda n: n + 1,
+        {
+            "explicit": ("explicit_det",),
+            "kernel": ("gram_schmidt", "det_from_norms"),
+            "oracle": ("moment_matrix", "bareiss_det"),
+        },
+    ),
+    "inv": (
+        "result",
+        lambda n: -1,
+        {
+            "explicit": ("explicit_inverse",),
+            "kernel": ("gram_schmidt", "kernel_inverse"),
+            "oracle": ("moment_matrix", "gauss_inverse"),
+        },
+    ),
+    "kernel": ("result", lambda n: -1, dict.fromkeys(_METHODS, ("gram_schmidt", "kernel_eval"))),
+}
 
 
 def run(request: argparse.Namespace) -> int:
@@ -189,38 +214,21 @@ def run(request: argparse.Namespace) -> int:
     if request.digits > MAX_DIGITS:
         raise UsageError(f"--digits must be <= {MAX_DIGITS}")
     spec = _make_spec(request)
-    point = None
-    if request.command == "kernel":
-        point = {name: parse_rational(getattr(request, name), name) for name in ("x", "y")}
+    runner = {"verify": _run_verify, "errata": _run_errata}.get(request.command, _run_value)
+    return runner(request, spec)
 
-    if request.command == "verify":
-        return _run_verify(request, spec)
-    if request.command == "errata":
-        return _run_errata(request, spec)
 
-    if request.command == "gen":
-        value = moment_matrix(spec, request.n)
-    elif request.command == "det":
-        if request.method == "explicit":
-            value = explicit_det(spec, request.n)
-        elif request.method == "kernel":
-            value = det_from_norms(gram_schmidt(spec, request.n))
-        else:
-            value = bareiss_det(moment_matrix(spec, request.n))
-    elif request.command == "inv":
-        if request.method == "explicit":
-            value = explicit_inverse(spec, request.n)
-        elif request.method == "kernel":
-            value = kernel_inverse(gram_schmidt(spec, request.n))
-        else:
-            value = gauss_inverse(moment_matrix(spec, request.n))
-    else:  # kernel
-        value = kernel_eval(gram_schmidt(spec, request.n), point["x"], point["y"])
-
+def _run_value(request: argparse.Namespace, spec: FamilySpec) -> int:
+    key, _, routes = _VALUES[request.command]
+    # the kernel's (x, y): no other command has these options
+    point = {name: parse_rational(getattr(request, name), name) for name in "xy" if name in request}
+    first, *then = routes[request.method]
+    value = globals()[first](spec, request.n)
+    for name in then:
+        value = globals()[name](value, *point.values())
     payload = _payload(value, request, spec)
     # a scalar prints as the 1x1 table, whose one cell is str(payload)
     table = payload if isinstance(payload, list) else [[payload]]
-    key = "det" if request.command == "det" else "result"
     _emit(request, spec, {key: payload}, table, _pretty_matrix(table), point)
     return 0
 
@@ -264,12 +272,8 @@ def _run_errata(request: argparse.Namespace, spec: FamilySpec) -> int:
         "tolerance": tolerance,
         "agrees": note.agrees,
     }
-    rows = [
-        ["as_printed", printed_str],
-        ["exact", str(note.exact)],
-        ["exact_float", exact_float],
-        ["verdict", verdict],
-    ]
+    rows = [[name, fields[name]] for name in ("as_printed", "exact", "exact_float")]
+    rows.append(["verdict", verdict])
     lines = [
         f"as-printed closed form : {printed_str}",
         f"exact determinant      : {note.exact} ~ {exact_float}",
@@ -307,17 +311,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         cmd = sub.add_parser(name, help=_COMMANDS[name])
-        cmd.add_argument(
-            "--family",
-            required=True,
-            choices=[f.value for f in Family],
-        )
+        cmd.add_argument("--family", required=True, choices=[f.value for f in Family])
         cmd.add_argument(
             "--n", required=True, type=_parse_int, help="largest index; matrix is (n+1)x(n+1)"
         )
         for field, option in _PARAM_NAMES.items():
             cmd.add_argument(f"--{option}", dest=field)
-        cmd.add_argument("--method", choices=["explicit", "kernel", "oracle"], default="explicit")
+        cmd.add_argument("--method", choices=_METHODS, default="explicit")
         cmd.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
         cmd.add_argument("--float", dest="as_float", action="store_true")
         cmd.add_argument("--digits", type=_parse_int, default=17)

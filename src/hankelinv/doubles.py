@@ -55,11 +55,7 @@ def scaled_doubles(values: Sequence[Fraction], spec: FamilySpec, power: int) -> 
     digits, cap = _ZIV_DIGITS
     while pending:
         with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-            # every rounding here is off by less than this relative to its value
-            unit = Decimal(1).scaleb(1 - digits)
-            log_mass, log_error = _log_gammas(*_mass_table(spec))
-            exponent = log_mass * power
-            error = abs(power) * log_error + unit * abs(exponent)
+            exponent, error, unit, spread = _ziv_bounds(_mass_table(spec), power)
             # log2 of mass^power, and a bound in bits on the error of log2 of
             # a product, whose value's log2 lies within one of its bit-length
             # difference
@@ -77,10 +73,8 @@ def scaled_doubles(values: Sequence[Fraction], spec: FamilySpec, power: int) -> 
                 if scale is None:
                     scale = exponent.exp()
                 product = Decimal(num) / den * scale
-                # e^d - 1 <= 2 d for the exponent's error d <= 1, plus the
-                # roundings of the quotient, exp, product and interval ends
-                spread = product * (2 * error + 4 * unit)
-                low, high = float(product - spread), float(product + spread)
+                width = product * spread
+                low, high = float(product - width), float(product + width)
                 if low == high:
                     doubles[i] = math.copysign(low, sign)
                 elif digits == cap:
@@ -126,25 +120,18 @@ def printed_jacobi_det(
         num, den = num * top ** (n + 1), den * bottom ** (n + 1)
         report = _report((num, den), (num * exact.denominator, den * exact.numerator), digits)
     else:
-        a, b = spec.alpha, spec.beta
+        tables = (Fraction(0), (spec.alpha + 1, spec.beta + 1), (spec.alpha + spec.beta + 2,) * 2)
         over_exact = (num * exact.denominator, den * exact.numerator)
         precision = digits + _ERRATA_GUARD
         cap = 4 * precision
         while True:
             with localcontext(Context(prec=precision, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-                unit = Decimal(1).scaleb(1 - precision)
-                log, log_error = _log_gammas(Fraction(0), (a + 1, b + 1), (a + b + 2,) * 2)
-                exponent = log * (n + 1)
-                error = (n + 1) * log_error + unit * abs(exponent)
+                exponent, _, _, spread = _ziv_bounds(tables, n + 1)
                 scale = exponent.exp()
                 middle = [Fraction(_rounded(*pair, precision) * scale) for pair in ((num, den), over_exact)]
-            if precision == cap:
-                ends = [middle]
-            else:
-                # e^d - 1 <= 2 d for the exponent's error d <= 1, plus the
-                # roundings of the quotient, exp and product, half a unit each
-                spread = 2 * Fraction(error) + 4 * Fraction(unit)
-                ends = [[value * (1 + side * spread) for value in middle] for side in (-1, 1)]
+            # both ends of the intervals, or at the cap their midpoints
+            sides = (0,) if precision == cap else (-1, 1)
+            ends = [[value * (1 + side * Fraction(spread)) for value in middle] for side in sides]
             reports = {_report(*(value.as_integer_ratio() for value in end), digits) for end in ends}
             ratios = [ratio for _, ratio in ends]
             if len(reports) == 1 and (len(ends) == 1 or min(ratios) > 1 or max(ratios) < 1):
@@ -153,6 +140,17 @@ def printed_jacobi_det(
             precision = min(2 * precision, cap)
     printed, rel_error, agrees = report
     return printed, rel_error, tolerance, agrees
+
+
+def _ziv_bounds(tables: tuple, power: int) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """E = ``_log_gammas(*tables)`` times ``power`` in the current decimal
+    context, a bound e on E's error, the context's unit u, and 2e + 4u."""
+    unit = Decimal(1).scaleb(1 - getcontext().prec)
+    log, log_error = _log_gammas(*tables)
+    error = abs(power) * log_error + unit * abs(log * power)
+    # 2e + 4u bounds the relative error of a rational times e^E: e^d - 1 <= 2 d
+    # for d <= e <= 1, and a unit each for the quotient, exp, product and ends
+    return log * power, error, unit, 2 * error + 4 * unit
 
 
 def _display_ratio(q: int, qa: int, qb: int, n: int) -> tuple[int, int]:
@@ -259,9 +257,10 @@ def _log_gammas(
     half_log_two_pi = (2 * _pi()).ln() / 2
     total = Decimal(power.numerator) / power.denominator * Decimal(2).ln()
     size, tail = abs(total), 0
+    logs = {s: _log_gamma(s, half_log_two_pi) for s in {*tops, *bottoms}}
     for sign, points in ((1, tops), (-1, bottoms)):
         for s in points:
-            value, magnitude, remainder = _log_gamma(s, half_log_two_pi)
+            value, magnitude, remainder = logs[s]
             total += sign * value
             size += magnitude + abs(total)
             tail += remainder

@@ -267,37 +267,43 @@ class TestInv:
         assert json.loads(out)["result"] == [[2.0, -1.0], [-1.0, 1.0]]
 
 
-# the function that each --method of det and inv runs; the three routes
-# print the same values, so only their calls tell them apart
+# the functions that each value command runs under each --method, in the
+# order they run; the routes print the same values, so only their calls tell
+# them apart.  Stated here, not read from cli's own table, which this checks
+_METHODS = ("explicit", "kernel", "oracle")
 _ROUTES = {
-    ("det", "explicit"): "explicit_det",
-    ("det", "kernel"): "det_from_norms",
-    ("det", "oracle"): "bareiss_det",
-    ("inv", "explicit"): "explicit_inverse",
-    ("inv", "kernel"): "kernel_inverse",
-    ("inv", "oracle"): "gauss_inverse",
+    **{("gen", method): ("moment_matrix",) for method in _METHODS},
+    ("det", "explicit"): ("explicit_det",),
+    ("det", "kernel"): ("gram_schmidt", "det_from_norms"),
+    ("det", "oracle"): ("moment_matrix", "bareiss_det"),
+    ("inv", "explicit"): ("explicit_inverse",),
+    ("inv", "kernel"): ("gram_schmidt", "kernel_inverse"),
+    ("inv", "oracle"): ("moment_matrix", "gauss_inverse"),
+    **{("kernel", method): ("gram_schmidt", "kernel_eval") for method in _METHODS},
 }
 
 
 class TestMethodRoutes:
     @pytest.mark.parametrize(("command", "method"), list(_ROUTES))
     def test_each_method_runs_its_own_route(self, command, method, monkeypatch):
-        calls = dict.fromkeys(_ROUTES.values(), 0)
+        calls = []
 
         def counting(name):
             route = getattr(cli, name)
 
             def counted(*args):
-                calls[name] += 1
+                calls.append(name)
                 return route(*args)
 
             return counted
 
-        for name in calls:
+        for name in {name for route in _ROUTES.values() for name in route}:
             monkeypatch.setattr(cli, name, counting(name))
         argv = [command, "--family", "laguerre", "--alpha", "1/2", "--n", "3", "--method", method]
+        if command == "kernel":
+            argv += ["--x", "1/2", "--y", "-1/3"]
         assert run_cli(argv)[0] == 0
-        assert calls == {name: int(name == _ROUTES[command, method]) for name in calls}
+        assert calls == list(_ROUTES[command, method])
 
 
 class TestKernel:
