@@ -16,15 +16,17 @@ laguerre's and the jacobi one, of which gegenbauer and jacobi-shifted are cases.
 
 That jacobi display is printed with a wrong per-row factor, which
 ``explicit_det`` corrects.  ``jacobi_det_as_printed`` keeps it as printed
-(including its prefactor), reduces it exactly to a rational times a power of
-a Gamma ratio, and evaluates that in ``decimal`` next to the exact elimination
-value, reporting — never asserting — the comparison.
+(including its prefactor), which is the corrected determinant times a power
+of c = alpha + beta + 1 and of a Gamma ratio, and evaluates that in
+``decimal`` next to the exact elimination value, reporting — never
+asserting — the comparison.  ``unnormalized_scale``, the family's total
+mass, is the one other non-rational value, also in ``decimal``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -315,8 +317,8 @@ def jacobi_det_as_printed(spec: FamilySpec, n: int, digits: int = 17) -> Discrep
 
 # the total mass of each family's unnormalized weight as 2^e prod Gamma(s) /
 # prod Gamma(t): (e, (s, ...), (t, ...)); jacobi-shifted has the jacobi row
-# (README, "--unnormalized").  Read by unnormalized_scale and by the decimal
-# route of --float, doubles.scaled_doubles
+# (README, "--unnormalized").  Its one evaluator is doubles._log_gammas, for
+# unnormalized_scale and for the doubles of --float, doubles.scaled_doubles
 def _mass_table(spec: FamilySpec) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     half = Fraction(1, 2)
     fam = spec.family
@@ -330,27 +332,22 @@ def _mass_table(spec: FamilySpec) -> tuple[Fraction, tuple[Fraction, ...], tuple
     return a + b + 1, (a + 1, b + 1), (a + b + 2,)
 
 
-def _to_mpf(value: Fraction) -> mpmath.mpf:
-    from mpmath import mp
-
-    return mp.mpf(value.numerator) / value.denominator
-
-
-def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> mpmath.mpf:
+def unnormalized_scale(spec: FamilySpec, digits: int = 17) -> Decimal:
     """Total mass of the family's unnormalized weight, to ``digits``
-    significant figures.  Multiplying the normalized matrix by this scale
-    recovers the unnormalized moment matrix.  With the report of
-    ``jacobi_det_as_printed``, the only operation here that returns a
-    non-rational."""
+    significant figures, as a Decimal of ``digits`` + 10 digits, worked out
+    at more digits where the log of the mass is large.
+    Multiplying the normalized matrix by this scale recovers the
+    unnormalized moment matrix.  With the report of ``jacobi_det_as_printed``,
+    the only operation here that returns a non-rational."""
     if not 1 <= (digits := _size(digits, "digits")) <= MAX_DIGITS:
         raise ValueError(f"digits must be in 1..{MAX_DIGITS}")
-    from mpmath import mp
+    from .doubles import _log_gammas
 
-    power, tops, bottoms = _mass_table(spec)
-    with mp.workdps(digits + 10):
-        scale = mp.power(2, _to_mpf(power))
-        for s in tops:
-            scale *= mp.gamma(_to_mpf(s))
-        for t in bottoms:
-            scale /= mp.gamma(_to_mpf(t))
-        return scale
+    table, rounding = _mass_table(spec), Context(prec=digits + 10, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    with localcontext(rounding) as context:
+        # e^(log + d) is within 2|d| of the mass for |d| <= 1; the log's error
+        # bound grows with its terms, ~s ln s at a large Gamma point s, so the
+        # precision grows by the digits the bound is short of 10^-(digits+2)
+        while (log := _log_gammas(*table))[1] > Decimal(1).scaleb(-digits - 2):
+            context.prec += log[1].adjusted() + digits + 3
+        return rounding.plus(log[0].exp())

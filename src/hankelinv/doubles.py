@@ -1,16 +1,17 @@
-"""Decimal evaluation of the package's two non-rational outputs, correctly
-rounded, in the standard ``decimal`` module: the doubles of ``--float
---unnormalized``, exact values times a power of the family's total mass, and
-the printed jacobi determinant display that ``errata`` reports.
+"""Decimal evaluation of the package's two non-rational values, in the
+standard ``decimal`` module: the family's total mass, for the correctly
+rounded doubles of ``--float --unnormalized`` (exact values times a power of
+it) and for ``closed_form.unnormalized_scale``, and the printed jacobi
+determinant display that ``errata`` reports.
 
-The mass is the Gamma table ``closed_form._mass_table``, whose other
-evaluator, ``closed_form.unnormalized_scale``, runs in mpmath at any
-precision.  Both routes here take the log of a Gamma product from
-Stirling's series and Machin's pi, then accept a value when both ends of its
-interval round the same way (Ziv's rounding test).  ``nstr`` writes decimals
-by mpmath's ``nstr`` rule.  Only the CLI's ``--unnormalized`` and
-``closed_form.jacobi_det_as_printed`` import this module, so that no other
-request compiles it.
+The mass is the Gamma table ``closed_form._mass_table``, and the display the
+corrected determinant ``closed_form.explicit_det`` times a power of a Gamma
+ratio.  Both take the log of a Gamma product from Stirling's series and
+Machin's pi; the doubles and the display are accepted when both ends of
+their interval round the same way (Ziv's rounding test).  ``nstr`` writes
+decimals by mpmath's ``nstr`` rule.  Only the CLI's ``--unnormalized``,
+``closed_form.unnormalized_scale`` and ``closed_form.jacobi_det_as_printed``
+import this module, so that no other request compiles it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from collections.abc import Sequence
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial
 
-from .closed_form import _integer_params, _mass_table
+from .closed_form import _integer_params, _mass_table, explicit_det
 from .orthopoly import FamilySpec
 from .special import _rising
 
@@ -100,27 +101,31 @@ def printed_jacobi_det(
     the display's pole, c = alpha + beta + 1 = 0, the display is NaN and its
     relative error infinite.
 
-    The display is R [Gamma(a+1) Gamma(b+1) / Gamma(c+1)^2]^(n+1) with the
-    rational R of ``_display_ratio``.  At integer alpha and beta the Gamma
-    ratio is a! b! / (a+b+1)!^2 and everything is exact.  Otherwise the log
-    of the Gamma part comes from ``_log_gammas`` with its error bound, so the
-    display and its ratio to ``exact`` are intervals.  They are accepted when
-    both ends give the same three results and the ratio's interval leaves
-    out 1 (Ziv's rounding test), and are redone at twice the precision
-    otherwise, from ``digits + _ERRATA_GUARD`` up to four times that, where
-    the midpoint decides."""
+    The display is the corrected one that ``closed_form.explicit_det``
+    reduces, with its per-row factor Gamma(c+1) pi / (Gamma(a+1) Gamma(b+1))
+    printed as Gamma(c) pi / Gamma(c)^2 (a = alpha, b = beta), so with
+    Gamma(c) = Gamma(c+1) / c it is R [Gamma(a+1) Gamma(b+1) /
+    Gamma(c+1)^2]^(n+1) with the rational R = c^(n+1) explicit_det(spec, n).
+    At integer alpha and beta the Gamma ratio is a! b! / (a+b+1)!^2 and
+    everything is exact.  Otherwise the log of the Gamma part comes from
+    ``_log_gammas`` with its error bound, so the display and its ratio to
+    ``exact`` are intervals.  They are accepted when both ends give the same
+    three results and the ratio's interval leaves out 1 (Ziv's rounding
+    test), and are redone at twice the precision otherwise, from
+    ``digits + _ERRATA_GUARD`` up to four times that, where the midpoint
+    decides."""
     with localcontext(Context(prec=5)):
         tolerance = Decimal(1).scaleb(-digits).sqrt()
     q, qa, qb, _ = _integer_params(spec)
-    if qa + qb + q == 0:
+    if not (c := spec.alpha + spec.beta + 1):
         return Decimal("NaN"), Decimal("Infinity"), tolerance, False
-    num, den = _display_ratio(q, qa, qb, n)
+    num, den = (c ** (n + 1) * explicit_det(spec, n)).as_integer_ratio()
     if q == 1:
         top, bottom = factorial(qa) * factorial(qb), factorial(qa + qb + 1) ** 2
         num, den = num * top ** (n + 1), den * bottom ** (n + 1)
         report = _report((num, den), (num * exact.denominator, den * exact.numerator), digits)
     else:
-        tables = (Fraction(0), (spec.alpha + 1, spec.beta + 1), (spec.alpha + spec.beta + 2,) * 2)
+        tables = (Fraction(0), (spec.alpha + 1, spec.beta + 1), (c + 1,) * 2)
         over_exact = (num * exact.denominator, den * exact.numerator)
         precision = digits + _ERRATA_GUARD
         cap = 4 * precision
@@ -151,35 +156,6 @@ def _ziv_bounds(tables: tuple, power: int) -> tuple[Decimal, Decimal, Decimal, D
     # 2e + 4u bounds the relative error of a rational times e^E: e^d - 1 <= 2 d
     # for d <= e <= 1, and a unit each for the quotient, exp, product and ends
     return log * power, error, unit, 2 * error + 4 * unit
-
-
-def _display_ratio(q: int, qa: int, qb: int, n: int) -> tuple[int, int]:
-    """The rational part R of the printed jacobi display at a = qa / q,
-    b = qb / q and c = a + b + 1 != 0, as (numerator, denominator > 0),
-    unreduced.  The display is
-
-        [Gamma(c) 2^-(2c+n-1) pi / Gamma(c)^2]^(n+1)
-            * G(n+2) G(c/2)^2 G((c+1)/2)^2 / (G(c/2+n+1)^2 G((c+1)/2+n+1)^2)
-            * G(c+n+1) G(a+n+2) G(b+n+2) / ((c/2)_(n+1) G(c) G(a+1) G(b+1)).
-
-    By G(z+m) / G(z) = Gamma(z)^m prod_{k<m} (z)_k (DLMF 5.17.1), the
-    duplication Gamma(c/2) Gamma((c+1)/2) = 2^(1-c) sqrt(pi) Gamma(c)
-    (DLMF 5.5.5) and (c/2)_k ((c+1)/2)_k = (c)_2k / 4^k, the pi's cancel,
-    and with Gamma(c) = Gamma(c+1) / c the display is
-    R [Gamma(a+1) Gamma(b+1) / Gamma(c+1)^2]^(n+1) with
-
-        R = c^(2(n+1)) G(n+2) 2^(n^2-1) / (c/2)_(n+1)
-            * prod_{k=1..n} (c)_k (a+1)_k (b+1)_k / (c)_2k^2.
-
-    The rising products run on ints: q^k (c)_k, q^k (a+1)_k, q^k (b+1)_k and
-    (2q)^(n+1) (c/2)_(n+1)."""
-    qc = qa + qb + q
-    rc, ra, rb = _rising(qc, q, 0, 2 * n), _rising(qa, q, 1, n), _rising(qb, q, 1, n)
-    half = _rising(qc, 2 * q, 0, n + 1)[-1]
-    num = qc ** (2 * n + 2) * prod(map(factorial, range(n + 1))) * 2 ** (n * n + n)
-    num *= q ** (n * (n + 1) // 2) * prod(rc[k] * ra[k] * rb[k] for k in range(1, n + 1))
-    den = q ** (n + 1) * half * prod(rc[2 * k] for k in range(1, n + 1)) ** 2
-    return (-num, -den) if den < 0 else (num, den)
 
 
 def _report(printed: tuple[int, int], ratio: tuple[int, int], digits: int) -> tuple[Decimal, Decimal, bool]:

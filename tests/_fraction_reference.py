@@ -17,7 +17,10 @@ checks, and its comparison of E with the kernel inverse normalized into an
 ``ExactMatrix``.  Also the coefficients of the kernel section k_n(., y),
 which the reproducing-property tests pair with the moment matrix, and the
 mpmath route of ``--float --unnormalized`` (``unnormalized_scale``,
-``scaled_doubles``) that the decimal route replaced.
+``scaled_doubles``) that the decimal route replaced, the printed jacobi
+display through Barnes G in mpmath, and its rational part reduced term by
+term (``display_ratio``), which ``errata`` now takes from the corrected
+determinant.
 
 Every scalar operation here is a normalised Fraction operation, and every
 value comes from its defining formula: slow, but plainly the textbook
@@ -42,7 +45,7 @@ from hankelinv.closed_form import _kernel_sum
 from hankelinv.elimination import SingularMatrix
 from hankelinv.gram import ExactMatrix, NotPositiveDefinite, OrthoTable, _differing_rows
 from hankelinv.orthopoly import Family, FamilySpec, PolyCoeffs, special_value
-from hankelinv.special import barnes_g_int, hyp_terminating, pochhammer
+from hankelinv.special import _rising, barnes_g_int, hyp_terminating, pochhammer
 from hankelinv.verify import CheckResult, Witness
 
 
@@ -865,3 +868,36 @@ def printed_jacobi_det(spec: FamilySpec, n: int, digits: int):
         except (ZeroDivisionError, ValueError):
             # mpmath raises ValueError on a gamma pole
             return mp.nan
+
+
+def display_ratio(spec: FamilySpec, n: int) -> Fraction:
+    """The rational part R of the printed jacobi display at a = alpha,
+    b = beta and c = a + b + 1 != 0, as ``doubles.printed_jacobi_det``
+    reduced it term by term before it took R from the corrected determinant.
+    The display is
+
+        [Gamma(c) 2^-(2c+n-1) pi / Gamma(c)^2]^(n+1)
+            * G(n+2) G(c/2)^2 G((c+1)/2)^2 / (G(c/2+n+1)^2 G((c+1)/2+n+1)^2)
+            * G(c+n+1) G(a+n+2) G(b+n+2) / ((c/2)_(n+1) G(c) G(a+1) G(b+1)).
+
+    By G(z+m) / G(z) = Gamma(z)^m prod_{k<m} (z)_k (DLMF 5.17.1), the
+    duplication Gamma(c/2) Gamma((c+1)/2) = 2^(1-c) sqrt(pi) Gamma(c)
+    (DLMF 5.5.5) and (c/2)_k ((c+1)/2)_k = (c)_2k / 4^k, the pi's cancel,
+    and with Gamma(c) = Gamma(c+1) / c the display is
+    R [Gamma(a+1) Gamma(b+1) / Gamma(c+1)^2]^(n+1) with
+
+        R = c^(2(n+1)) G(n+2) 2^(n^2-1) / (c/2)_(n+1)
+            * prod_{k=1..n} (c)_k (a+1)_k (b+1)_k / (c)_2k^2.
+
+    The rising products run on ints, with the parameters over their common
+    denominator q: q^k (c)_k, q^k (a+1)_k, q^k (b+1)_k and
+    (2q)^(n+1) (c/2)_(n+1)."""
+    q = lcm(spec.alpha.denominator, spec.beta.denominator)
+    qa, qb = int(spec.alpha * q), int(spec.beta * q)
+    qc = qa + qb + q
+    rc, ra, rb = _rising(qc, q, 0, 2 * n), _rising(qa, q, 1, n), _rising(qb, q, 1, n)
+    half = _rising(qc, 2 * q, 0, n + 1)[-1]
+    num = qc ** (2 * n + 2) * prod(map(factorial, range(n + 1))) * 2 ** (n * n + n)
+    num *= q ** (n * (n + 1) // 2) * prod(rc[k] * ra[k] * rb[k] for k in range(1, n + 1))
+    den = q ** (n + 1) * half * prod(rc[2 * k] for k in range(1, n + 1)) ** 2
+    return Fraction(num, den)

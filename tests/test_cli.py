@@ -988,7 +988,8 @@ def _loads_mpmath(script: list[str], **env: str) -> str:
 
 class TestLazyMpmath:
     def test_exact_requests_do_not_import_mpmath(self):
-        # errata evaluates the printed display in decimal
+        # errata evaluates the printed display in decimal, and
+        # unnormalized_scale the mass
         _loads_mpmath(
             [
                 "import hankelinv",
@@ -999,6 +1000,10 @@ class TestLazyMpmath:
                 "assert 'mpmath' not in sys.modules, 'exact request'",
                 "assert main(['errata', '--family', 'jacobi', '--alpha', '1/3', '--beta', '2', '--n', '2']) == 0",
                 "assert 'mpmath' not in sys.modules, 'errata request'",
+                "from hankelinv.closed_form import unnormalized_scale",
+                "from hankelinv.orthopoly import FamilySpec",
+                "assert f'{unnormalized_scale(FamilySpec.hermite(), 5):.5g}' == '1.7725'",
+                "assert 'mpmath' not in sys.modules, 'unnormalized_scale'",
             ]
         )
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -225,6 +225,19 @@ class TestJacobiDetAsPrinted:
             assert nstr(note.rel_error, 5) == mp.nstr(rel_error, 5)
             assert note.agrees == (rel_error <= mp.mpf(10) ** (-mp.mpf(digits) / 2))
 
+    @given(spec=FAMILY_SPECS[Family.JACOBI], n=st.integers(0, 20))
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), Fraction(-8, 9)), n=20)
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), 9), n=20)
+    @example(spec=FamilySpec.jacobi(Fraction(-1, 2), Fraction(-4, 9)), n=20)
+    @example(spec=FamilySpec.jacobi(9, 9), n=20)
+    def test_property_display_ratio_is_c_power_times_corrected_det(self, spec, n):
+        # the display's rational part, reduced term by term from its Barnes G
+        # form, is c^(n+1) times the corrected determinant; that errata prints
+        # it times its Gamma power is test_property_equals_the_mpmath_display's
+        c = spec.alpha + spec.beta + 1
+        assume(c)
+        assert reference.display_ratio(spec, n) == c ** (n + 1) * explicit_det(spec, n)
+
     @pytest.mark.parametrize(
         ("alpha", "beta", "n", "digits"),
         [
@@ -276,27 +289,45 @@ class TestJacobiDetAsPrinted:
 class TestUnnormalizedScale:
     def test_frozen_values(self):
         with mp.workdps(30):
-            assert abs(unnormalized_scale(HERMITE, 25) - mp.sqrt(mp.pi)) < mp.mpf(10) ** -20
-            assert abs(unnormalized_scale(FamilySpec.laguerre(0), 25) - 1) < mp.mpf(10) ** -20
-            assert (
-                abs(unnormalized_scale(FamilySpec.gegenbauer(Fraction(1, 2)), 25) - 2)
-                < mp.mpf(10) ** -20
-            )
-            assert abs(unnormalized_scale(FamilySpec.jacobi(0, 0), 25) - 2) < mp.mpf(10) ** -20
-            assert abs(unnormalized_scale(HILBERT, 25) - 2) < mp.mpf(10) ** -20
+            for spec, mass in [
+                (HERMITE, mp.sqrt(mp.pi)),
+                (FamilySpec.laguerre(0), 1),
+                (FamilySpec.gegenbauer(Fraction(1, 2)), 2),
+                (FamilySpec.jacobi(0, 0), 2),
+                (HILBERT, 2),
+            ]:
+                assert abs(mp.mpf(str(unnormalized_scale(spec, 25))) - mass) < mp.mpf(10) ** -20
 
     def test_jacobi_mass_against_quadrature(self):
         # integral of (1 - x) over [-1, 1] is exactly 2
         spec = FamilySpec.jacobi(1, 0)
         with mp.workdps(30):
             numeric = mp.quad(lambda x: (1 - x), [-1, 1])
-            assert abs(unnormalized_scale(spec, 25) - numeric) < mp.mpf(10) ** -20
+            assert abs(mp.mpf(str(unnormalized_scale(spec, 25))) - numeric) < mp.mpf(10) ** -20
 
     def test_laguerre_mass_against_quadrature(self):
         spec = FamilySpec.laguerre(Fraction(1, 2))
         with mp.workdps(30):
             numeric = mp.quad(lambda x: mp.sqrt(x) * mp.exp(-x), [0, mp.inf])
-            assert abs(unnormalized_scale(spec, 25) - numeric) < mp.mpf(10) ** -20
+            assert abs(mp.mpf(str(unnormalized_scale(spec, 25))) - numeric) < mp.mpf(10) ** -20
+
+    @given(spec=SPECS, digits=st.integers(1, 60))
+    @example(spec=FamilySpec.jacobi(Fraction(-8, 9), Fraction(-1, 9)), digits=60)
+    @example(spec=FamilySpec.shifted_jacobi(9, Fraction(-8, 9)), digits=60)
+    @example(spec=FamilySpec.laguerre(Fraction(-8, 9)), digits=60)
+    @example(spec=FamilySpec.gegenbauer(Fraction(-4, 9)), digits=60)
+    # large Gamma points, where the log of the mass needs more working digits
+    @example(spec=FamilySpec.laguerre(10**12), digits=17)
+    @example(spec=FamilySpec.jacobi(10**6, Fraction(1, 3)), digits=17)
+    @example(spec=FamilySpec.jacobi(10**12, 10**12), digits=1)
+    @example(spec=FamilySpec.gegenbauer(10**15), digits=40)
+    def test_property_equals_the_mpmath_mass(self, spec, digits):
+        # the textbook mass in mpmath at 10 more digits than the value's own
+        value = unnormalized_scale(spec, digits)
+        assert isinstance(value, Decimal)
+        with mp.workdps(digits + 20):
+            mass = reference.unnormalized_scale(spec, digits + 10)
+            assert abs(mp.mpf(str(value)) / mass - 1) < mp.mpf(10) ** -digits
 
     @pytest.mark.parametrize("digits", [0, -3, MAX_DIGITS + 1])
     def test_digits_bounds(self, digits):
